@@ -194,7 +194,7 @@ pub fn run(seed: u64, seconds: u64, trace: bool, report: &mut Report) -> Result<
         ),
     );
     if trace {
-        return traced(&mut setup, seed, window, report);
+        return traced(&mut setup, window, report);
     }
     let (requests, walls, elapsed, found) = passes(&mut setup.engines, window, report);
     let rss = rss_peak_mb();
@@ -289,13 +289,7 @@ fn kernel_split(rel: &Relation, measures: &[Box<dyn Measure>]) -> (f64, f64, f64
 /// The traced run: half the window untraced (the reference pass time),
 /// half traced — a pass at `nproc` threads timed per request, the same
 /// pass at one thread, and the kernel split beside it.
-fn traced(
-    setup: &mut Setup,
-    seed: u64,
-    window: Duration,
-    report: &mut Report,
-) -> Result<(), String> {
-    let _ = seed;
+fn traced(setup: &mut Setup, window: Duration, report: &mut Report) -> Result<(), String> {
     let (_, walls, _, _) = passes(&mut setup.engines, window / 2, report);
     let untraced = median_or_zero(walls);
     let mut single = engines(&setup.relations, 1);

@@ -766,7 +766,11 @@ mod tests {
 
     #[test]
     fn sessions_split_evenly_across_connections() {
-        let owners: Vec<usize> = (0..8).map(|s| owner(&SERVE_HOT, s)).collect();
+        let shape = Shape {
+            connections: 2,
+            ..SERVE_HOT
+        };
+        let owners: Vec<usize> = (0..8).map(|s| owner(&shape, s)).collect();
         assert_eq!(owners, [0, 0, 0, 0, 1, 1, 1, 1]);
     }
 }
