@@ -200,7 +200,9 @@ impl StdioIo {
     /// included deterministically.
     fn stderr_snapshot(&mut self, wait_for_exit: bool) -> Vec<String> {
         if wait_for_exit {
-            for _ in 0..25 {
+            // Up to 1 s: on a loaded host a dying child can take a few
+            // hundred milliseconds to be reaped.
+            for _ in 0..100 {
                 match self.child.try_wait() {
                     Ok(Some(_)) => {
                         if let Some(h) = self.stderr_reader.take() {
