@@ -200,9 +200,7 @@ impl StdioIo {
     /// included deterministically.
     fn stderr_snapshot(&mut self, wait_for_exit: bool) -> Vec<String> {
         if wait_for_exit {
-            // Up to 1 s: on a loaded host a dying child can take a few
-            // hundred milliseconds to be reaped.
-            for _ in 0..100 {
+            for _ in 0..25 {
                 match self.child.try_wait() {
                     Ok(Some(_)) => {
                         if let Some(h) = self.stderr_reader.take() {

@@ -288,26 +288,14 @@ impl<T: Transport> RemoteShard<T> {
             kind,
             TransportErrorKind::Read(_) | TransportErrorKind::Write(_)
         );
-        self.fail_with(kind, worker_died)
-    }
-
-    fn fail_with(&mut self, kind: TransportErrorKind, worker_died: bool) -> StreamError {
         let stderr = self.transport.diagnostics(worker_died);
         let mut err = TransportError::of_kind(kind).with_stderr(stderr);
         err.shard = self.shard_index;
         StreamError::Transport(err)
     }
 
-    /// Like [`Self::fail`], but a frame that failed to decode also
-    /// counts as a dead worker: the transport's reader stops at the first
-    /// undecodable frame, and a worker that writes garbage is on its way
-    /// out, so its last stderr lines are worth waiting for.
     fn fail_net(&mut self, e: NetError) -> StreamError {
-        let worker_died = matches!(
-            e,
-            NetError::Read(_) | NetError::Write(_) | NetError::Decode(_)
-        );
-        self.fail_with(net_kind(e), worker_died)
+        self.fail(net_kind(e))
     }
 
     fn unexpected(&mut self, req: &str, resp: &WorkerResponse) -> StreamError {

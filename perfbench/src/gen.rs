@@ -4,10 +4,9 @@
 
 use afd_engine::{AfdEngine, EngineConfig, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, AttrSet, Fd, Relation};
-use afd_stream::RowDelta;
 use afd_synth::{generate_positive, Beta, GenParams};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The candidate every served session subscribes to: X → Y.
 pub fn fd() -> Fd {
@@ -80,54 +79,6 @@ pub fn churn_sessions(seed: u64, sessions: usize, rows: usize, shards: usize) ->
         .collect()
 }
 
-/// The cold workload's small template every session starts from.
-pub fn cold_template(seed: u64, rows: usize) -> Relation {
-    fixture(rows, sub_seed(seed, u64::MAX))
-}
-
-/// The cold workload's op stream: each item names a uniformly chosen
-/// session and an insert-only delta of `delta_rows` template rows, a
-/// quarter of them with another row's Y.
-/// Insert-only, because a restore renumbers row ids and a delete id
-/// held across a silent eviction would go stale.
-#[derive(Debug, Clone)]
-pub struct ColdStream {
-    rng: StdRng,
-    template: Relation,
-    sessions: usize,
-    delta_rows: usize,
-}
-
-impl ColdStream {
-    /// The stream of run `seed`.
-    pub fn new(seed: u64, template: Relation, sessions: usize, delta_rows: usize) -> Self {
-        ColdStream {
-            rng: StdRng::seed_from_u64(sub_seed(seed, u64::MAX - 1)),
-            template,
-            sessions,
-            delta_rows,
-        }
-    }
-
-    /// The next `(session, delta)`.
-    pub fn next_op(&mut self) -> (usize, RowDelta) {
-        let session = self.rng.gen_range(0..self.sessions);
-        let n = self.template.n_rows();
-        let rows: Vec<_> = (0..self.delta_rows)
-            .map(|_| {
-                let mut row = self.template.row(self.rng.gen_range(0..n));
-                // A quarter of the rows take another row's Y, so X -> Y
-                // is violated and the scores move with every delta.
-                if self.rng.gen_bool(0.25) {
-                    row[1] = self.template.row(self.rng.gen_range(0..n))[1].clone();
-                }
-                row
-            })
-            .collect();
-        (session, RowDelta::insert_only(rows))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +86,7 @@ mod tests {
     use afd_wire::Encode;
 
     /// Every byte a served workload sends for `seed`: registration
-    /// snapshots, churn deltas and the cold op stream.
+    /// snapshots and churn deltas.
     fn inputs(seed: u64) -> Vec<u8> {
         let mut out = Vec::new();
         for s in churn_sessions(seed, 2, 256, 2) {
@@ -144,14 +95,6 @@ mod tests {
             for _ in 0..4 {
                 planner.next_delta(16).encode(&mut out);
             }
-        }
-        let template = cold_template(seed, 64);
-        out.extend_from_slice(&snapshot_of(&template, 1));
-        let mut cold = ColdStream::new(seed, template, 4096, 8);
-        for _ in 0..16 {
-            let (session, delta) = cold.next_op();
-            out.extend_from_slice(&(session as u64).to_le_bytes());
-            delta.encode(&mut out);
         }
         out
     }

@@ -103,7 +103,7 @@ mod tests {
         let front = ServeFront::bind(serve, Default::default(), "127.0.0.1:0").unwrap();
         let mut client =
             ServeClient::connect(&front.addr().to_string(), Duration::from_secs(30)).unwrap();
-        let rel = crate::gen::cold_template(3, 64);
+        let rel = crate::gen::fixture(64, 3);
         let mut acct = Outcome::default();
         let handle = acct
             .call(client.register(crate::gen::snapshot_of(&rel, 1)))

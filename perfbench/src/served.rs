@@ -1,32 +1,43 @@
-//! The three served workloads: a loopback `ServeFront` (what
-//! `afd serve --listen` runs) driven by closed-loop `ServeClient`s.
+//! The served workloads: a loopback `ServeFront` (what
+//! `afd serve --listen` runs) driven by one closed-loop `ServeClient`.
 //!
-//! Each connection runs on its own client thread and sends its next
-//! request only after the previous answer arrived. One cycle is
-//! `Enqueue` of a delta, `Tick`, `Scores` (the answer that reflects the
-//! delta), then the workload's bare `Scores` reads.
+//! The client sends its next request only after the previous answer
+//! arrived. One cycle is `Enqueue` of a delta, `Tick`, `Scores` (the
+//! answer that reflects the delta), then the workload's bare `Scores`
+//! reads.
+//!
+//! The timed window is a whole number of *rounds*. A round gives every
+//! session the same fixed number of cycles, round robin, starting from
+//! sessions freshly registered from their snapshots, with the same
+//! deltas every round. Between rounds, outside the timed stretch, every
+//! session is released and registered again. A session's log is
+//! append-only, so without the reset the state at any moment would
+//! depend on how many cycles the host had managed so far; with it, a
+//! faster or slower host measures the same work.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use afd_engine::StreamBackend;
-use afd_relation::Relation;
 use afd_serve::{
     AfdServe, DurabilityConfig, FrontConfig, ServeClient, ServeConfig, ServeFront, SessionHandle,
 };
 use afd_stream::{ChurnPlanner, RowDelta, StreamScores, StreamSession};
 
-use crate::gen::{self, ChurnSession, ColdStream};
+use crate::gen::{self, ChurnSession};
 use crate::outcome::Outcome;
 use crate::report::{metric, rss_peak_mb, Report};
-use crate::stats::{chunked_tail, Samples, TAIL_CHUNK};
+use crate::stats::{chunked_tail, median_or_zero, Samples, TAIL_CHUNK};
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPEATS: usize = 3;
+pub const SETUP_REPEATS: usize = 5;
+
+/// `ServeConfig::resident_cap`: above every served workload's session
+/// count, so nothing spills.
+pub const RESIDENT_CAP: usize = 64;
 
 /// Client-side deadline on every request.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(60);
@@ -38,118 +49,77 @@ pub struct Shape {
     pub name: &'static str,
     /// Registered sessions.
     pub sessions: usize,
-    /// Fixture rows per session (the template's rows when `cold`).
+    /// Fixture rows per session.
     pub rows: usize,
     /// Rows per delta.
     pub delta_rows: usize,
-    /// Client connections, one client thread each.
-    pub connections: usize,
+    /// Cycles each session gets per round.
+    pub cycles_per_session: usize,
     /// Bare `Scores` reads after each cycle's reflecting read.
     pub bare_reads: usize,
     /// Shards per session; more than one runs them on TCP workers.
     pub shards: usize,
-    /// Default durable journal (fsync every append) instead of
-    /// ephemeral.
-    pub durable: bool,
-    /// `ServeConfig::resident_cap`.
-    pub resident_cap: usize,
-    /// Sessions registered cold from one template; deltas are
-    /// insert-only to uniformly chosen sessions.
-    pub cold: bool,
 }
 
-/// The default served path, everything resident. One connection and
-/// 16 384-row sessions: with two connections every `Tick` drains the
-/// other connection's queue too, and with 65 536-row sessions the
-/// working set outgrew the cache; either way the run-to-run spread of
-/// the figures reached 15–21% over 10 seeds.
+impl Shape {
+    /// Cycles per round.
+    pub fn round(&self) -> usize {
+        self.sessions * self.cycles_per_session
+    }
+}
+
+/// The default served path, everything resident. 16 384-row sessions:
+/// with 65 536-row ones the working set outgrew the CPU cache and the
+/// run-to-run spread reached 15–21% over 10 seeds. A round is 2 048
+/// cycles, two tail chunks, so the reset between rounds stays a small
+/// share of a run.
 pub const SERVE_HOT: Shape = Shape {
     name: "serve_hot",
     sessions: 8,
     rows: 16_384,
     delta_rows: 256,
-    connections: 1,
+    cycles_per_session: 256,
     bare_reads: 3,
     shards: 1,
-    durable: false,
-    resident_cap: 64,
-    cold: false,
 };
 
-/// Two TCP shard workers behind every session.
+/// Two TCP shard workers behind every session. A session's 256 applies
+/// per round span four `checkpoint_every` (64) intervals.
 pub const SERVE_SHARDED_TCP: Shape = Shape {
     name: "serve_sharded_tcp",
     sessions: 2,
     rows: 16_384,
     delta_rows: 64,
-    connections: 1,
+    cycles_per_session: 256,
     bare_reads: 3,
     shards: 2,
-    durable: false,
-    resident_cap: 64,
-    cold: false,
-};
-
-/// A registry far larger than the resident cache, fully durable.
-pub const SERVE_COLD: Shape = Shape {
-    name: "serve_cold",
-    sessions: 4096,
-    rows: 64,
-    delta_rows: 8,
-    connections: 1,
-    bare_reads: 0,
-    shards: 1,
-    durable: true,
-    resident_cap: 64,
-    cold: true,
 };
 
 /// A workload's generated inputs.
-pub enum Inputs {
-    /// One fixture + snapshot per session; deltas come from a
-    /// `ChurnPlanner` per session.
-    Churn(Vec<ChurnSession>),
-    /// One template every session registers from; deltas come from a
-    /// [`ColdStream`].
-    Cold {
-        /// The template rows.
-        template: Relation,
-        /// The template's snapshot.
-        snapshot: Vec<u8>,
-    },
+pub struct Inputs {
+    /// One fixture + snapshot per session.
+    pub sessions: Vec<ChurnSession>,
+    /// One round's ops, `(session, delta)`: the sessions round robin,
+    /// each churned by its own `ChurnPlanner` from its fixture.
+    pub plan: Vec<(usize, RowDelta)>,
 }
 
 impl Inputs {
     /// Generates `shape`'s inputs for `seed`.
     pub fn generate(shape: &Shape, seed: u64) -> Inputs {
-        if shape.cold {
-            let template = gen::cold_template(seed, shape.rows);
-            let snapshot = gen::snapshot_of(&template, shape.shards);
-            Inputs::Cold { template, snapshot }
-        } else {
-            Inputs::Churn(gen::churn_sessions(
-                seed,
-                shape.sessions,
-                shape.rows,
-                shape.shards,
-            ))
+        let sessions = gen::churn_sessions(seed, shape.sessions, shape.rows, shape.shards);
+        let mut planners: Vec<ChurnPlanner<'_>> = sessions
+            .iter()
+            .map(|s| ChurnPlanner::new(&s.fixture))
+            .collect();
+        let mut plan = Vec::with_capacity(shape.round());
+        for _ in 0..shape.cycles_per_session {
+            for (s, planner) in planners.iter_mut().enumerate() {
+                plan.push((s, planner.next_delta(shape.delta_rows)));
+            }
         }
-    }
-
-    /// Snapshot bytes session `s` registers from.
-    pub fn snapshot(&self, s: usize) -> &[u8] {
-        match self {
-            Inputs::Churn(sessions) => &sessions[s].snapshot,
-            Inputs::Cold { snapshot, .. } => snapshot,
-        }
-    }
-
-    /// Rows session `s` starts with.
-    pub fn rows(&self, s: usize) -> &Relation {
-        match self {
-            Inputs::Churn(sessions) => &sessions[s].fixture,
-            Inputs::Cold { template, .. } => template,
-        }
+        drop(planners);
+        Inputs { sessions, plan }
     }
 }
 
@@ -206,12 +176,12 @@ impl Drop for Worker {
     }
 }
 
-/// A booted server with its clients and registered sessions.
+/// A booted server with its client and registered sessions.
 pub struct System {
     /// The front door.
     pub front: ServeFront,
-    /// One client per connection.
-    pub clients: Vec<ServeClient>,
+    /// The one client connection.
+    pub client: ServeClient,
     /// Handle of every session, by session index.
     pub handles: Vec<SessionHandle>,
     /// Shard workers the sessions run on (empty in-process).
@@ -220,20 +190,11 @@ pub struct System {
     pub dir: PathBuf,
 }
 
-/// The connection that owns session `s`.
-pub fn owner(shape: &Shape, s: usize) -> usize {
-    s * shape.connections / shape.sessions
-}
-
-/// The server configuration of `shape`, spilling to `dir`.
-pub fn serve_config(shape: &Shape, dir: &Path, workers: &[Worker]) -> ServeConfig {
+/// The server configuration, spilling to `dir`.
+pub fn serve_config(dir: &Path, workers: &[Worker]) -> ServeConfig {
     ServeConfig {
-        resident_cap: shape.resident_cap,
-        durability: if shape.durable {
-            DurabilityConfig::default()
-        } else {
-            DurabilityConfig::ephemeral()
-        },
+        resident_cap: RESIDENT_CAP,
+        durability: DurabilityConfig::ephemeral(),
         backend: if workers.is_empty() {
             StreamBackend::InProcess
         } else {
@@ -244,17 +205,11 @@ pub fn serve_config(shape: &Shape, dir: &Path, workers: &[Worker]) -> ServeConfi
 }
 
 /// How the configuration makes registry transitions durable.
-pub fn flush_policy(shape: &Shape) -> &'static str {
-    if shape.durable {
-        "journal on, fsync every append, atomic spill writes (tmp + fsync + rename + dir fsync)"
-    } else {
-        "ephemeral: no journal, no fsync"
-    }
-}
+pub const FLUSH_POLICY: &str = "ephemeral: no journal, no fsync";
 
 impl System {
     /// Spawns workers, boots the server behind a loopback front door,
-    /// connects the clients and registers every session.
+    /// connects the client and registers every session.
     pub fn boot(shape: &Shape, inputs: &Inputs, dir: PathBuf) -> Result<System, String> {
         let workers = if shape.shards > 1 {
             (0..shape.shards)
@@ -263,40 +218,47 @@ impl System {
         } else {
             Vec::new()
         };
-        let serve = AfdServe::new(serve_config(shape, &dir, &workers))
-            .map_err(|e| format!("serve boot: {e}"))?;
+        let serve =
+            AfdServe::new(serve_config(&dir, &workers)).map_err(|e| format!("serve boot: {e}"))?;
         let front = ServeFront::bind(serve, FrontConfig::default(), "127.0.0.1:0")
             .map_err(|e| format!("front bind: {e}"))?;
-        let addr = front.addr().to_string();
-        let mut clients = (0..shape.connections)
-            .map(|_| ServeClient::connect(&addr, REQUEST_DEADLINE))
-            .collect::<Result<Vec<_>, _>>()
+        let mut client = ServeClient::connect(&front.addr().to_string(), REQUEST_DEADLINE)
             .map_err(|e| format!("connect: {e}"))?;
-        let mut handles = Vec::with_capacity(shape.sessions);
-        for s in 0..shape.sessions {
-            let client = &mut clients[owner(shape, s)];
-            let snapshot = inputs.snapshot(s).to_vec();
-            let handle = if shape.cold {
-                client.register_snapshot(snapshot)
-            } else {
-                client.register(snapshot)
-            }
-            .map_err(|e| format!("register session {s}: {e}"))?;
-            handles.push(handle);
-        }
+        let handles = inputs
+            .sessions
+            .iter()
+            .enumerate()
+            .map(|(s, session)| {
+                client
+                    .register(session.snapshot.clone())
+                    .map_err(|e| format!("register session {s}: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(System {
             front,
-            clients,
+            client,
             handles,
             workers,
             dir,
         })
     }
 
+    /// Releases every session and registers it again from its snapshot,
+    /// so the next round starts from the state the first one did.
+    pub fn reset(&mut self, inputs: &Inputs, acct: &mut Outcome) -> Result<(), String> {
+        for (s, session) in inputs.sessions.iter().enumerate() {
+            acct.call(self.client.release(self.handles[s]));
+            self.handles[s] = acct
+                .call(self.client.register(session.snapshot.clone()))
+                .ok_or_else(|| format!("re-register session {s}"))?;
+        }
+        Ok(())
+    }
+
     /// Disconnects, stops the server, reaps the workers and removes the
     /// spill directory.
     pub fn shutdown(self) {
-        drop(self.clients);
+        drop(self.client);
         let (serve, _) = self.front.stop();
         drop(serve);
         drop(self.workers);
@@ -326,9 +288,6 @@ pub struct Setup {
     pub inputs: Inputs,
     /// Every set-up time, in seconds.
     pub times: Vec<f64>,
-    /// Peak RSS (MiB) once the first system was booted, before any
-    /// teardown: the footprint of one booted system.
-    pub rss_mb: f64,
 }
 
 /// Generates inputs and boots the system `repeats` times, tearing down
@@ -336,15 +295,11 @@ pub struct Setup {
 pub fn setup(shape: &Shape, seed: u64, root: &Path, repeats: usize) -> Result<Setup, String> {
     let mut times = Vec::with_capacity(repeats);
     let mut last = None;
-    let mut rss_mb = 0.0;
     for r in 0..repeats {
         let start = Instant::now();
         let inputs = Inputs::generate(shape, seed);
         let system = System::boot(shape, &inputs, root.join(format!("front-{r}")))?;
         times.push(start.elapsed().as_secs_f64());
-        if r == 0 {
-            rss_mb = rss_peak_mb();
-        }
         if let Some((old, _)) = last.replace((system, inputs)) {
             System::shutdown(old);
         }
@@ -354,59 +309,7 @@ pub fn setup(shape: &Shape, seed: u64, root: &Path, repeats: usize) -> Result<Se
         system,
         inputs,
         times,
-        rss_mb,
     })
-}
-
-/// The op stream one connection sends.
-pub enum Source<'a> {
-    /// Round-robin over the connection's sessions, each churned by its
-    /// own planner.
-    Churn {
-        /// `(session, planner)` per owned session.
-        planners: Vec<(usize, ChurnPlanner<'a>)>,
-        /// Next position in the round robin.
-        next: usize,
-        /// Rows per delta.
-        k: usize,
-    },
-    /// The seeded cold stream.
-    Cold(ColdStream),
-}
-
-impl<'a> Source<'a> {
-    /// The op stream of connection `conn`.
-    pub fn new(shape: &Shape, inputs: &'a Inputs, seed: u64, conn: usize) -> Self {
-        match inputs {
-            Inputs::Churn(sessions) => Source::Churn {
-                planners: (0..shape.sessions)
-                    .filter(|&s| owner(shape, s) == conn)
-                    .map(|s| (s, ChurnPlanner::new(&sessions[s].fixture)))
-                    .collect(),
-                next: 0,
-                k: shape.delta_rows,
-            },
-            Inputs::Cold { template, .. } => Source::Cold(ColdStream::new(
-                seed,
-                template.clone(),
-                shape.sessions,
-                shape.delta_rows,
-            )),
-        }
-    }
-
-    /// The next `(session, delta)`.
-    pub fn next_op(&mut self) -> (usize, RowDelta) {
-        match self {
-            Source::Churn { planners, next, k } => {
-                let len = planners.len();
-                let (s, planner) = &mut planners[*next % len];
-                *next += 1;
-                (*s, planner.next_delta(*k))
-            }
-            Source::Cold(stream) => stream.next_op(),
-        }
-    }
 }
 
 /// One cycle as the client saw it.
@@ -422,11 +325,10 @@ pub struct Cycle {
     pub delta_us: Option<f64>,
     /// Round trip of each `Scores` request that succeeded.
     pub read_us: Vec<f64>,
-    /// Enqueue, Tick and reflecting Scores round trips.
-    pub rtt_us: [f64; 3],
 }
 
-fn us(d: Duration) -> f64 {
+/// Microseconds in `d`.
+pub fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
@@ -441,7 +343,6 @@ pub fn front_cycle(
 ) -> Cycle {
     let t0 = Instant::now();
     let enqueued = acct.call(client.enqueue(handle, delta)).is_some();
-    let t1 = Instant::now();
     let ticked = match acct.call(client.tick()) {
         Some(report) => {
             acct.tick(&report);
@@ -449,22 +350,21 @@ pub fn front_cycle(
         }
         None => false,
     };
-    let t2 = Instant::now();
+    let t1 = Instant::now();
     let first = acct.call(client.scores(handle, 0));
-    let t3 = Instant::now();
+    let t2 = Instant::now();
     let mut cycle = Cycle {
         session,
         enqueued,
         answers: Vec::with_capacity(1 + bare_reads),
         delta_us: None,
         read_us: Vec::with_capacity(1 + bare_reads),
-        rtt_us: [us(t1 - t0), us(t2 - t1), us(t3 - t2)],
     };
     if let Some(scores) = first {
         cycle.answers.push(scores);
-        cycle.read_us.push(us(t3 - t2));
+        cycle.read_us.push(us(t2 - t1));
         if enqueued && ticked {
-            cycle.delta_us = Some(us(t3 - t0));
+            cycle.delta_us = Some(us(t2 - t0));
         }
     }
     for _ in 0..bare_reads {
@@ -477,121 +377,147 @@ pub fn front_cycle(
     cycle
 }
 
-/// What one connection did in the timed window.
+/// What the client did in a timed window.
 #[derive(Debug, Default)]
-pub struct ConnRun {
-    /// Every cycle, in order.
-    pub cycles: Vec<Cycle>,
-    /// Its operations.
+pub struct Window {
+    /// Every round's cycles, in order.
+    pub rounds: Vec<Vec<Cycle>>,
+    /// Its operations, the resets between rounds included.
     pub outcome: Outcome,
+    /// Time spent in rounds, resets excluded, in seconds.
+    pub timed_s: f64,
+    /// Time spent resetting between rounds, in seconds.
+    pub reset_s: f64,
+    /// Peak RSS (MiB) at the end of the first round. Later readings
+    /// would grow with the number of register/release cycles the
+    /// allocator has seen, that is, with throughput.
+    pub rss_mb: f64,
+    /// Each round's time, in seconds.
+    pub round_s: Vec<f64>,
 }
 
-/// Drives every connection in a closed loop until `window` elapses;
-/// returns the per-connection logs and the window's wall time.
+impl Window {
+    /// The fastest round: the lowest median delta latency of any round,
+    /// and the highest rate (cycles per second) of any round. Every
+    /// round does the same work, so the spread between rounds is the
+    /// host's: the best round is the one other load on the machine
+    /// disturbed least.
+    pub fn best_round(&self) -> (f64, f64) {
+        let p50 = self
+            .rounds
+            .iter()
+            .map(|r| median_or_zero(r.iter().filter_map(|c| c.delta_us).collect()))
+            .fold(f64::INFINITY, f64::min);
+        let rate = self
+            .rounds
+            .iter()
+            .zip(&self.round_s)
+            .map(|(r, t)| r.len() as f64 / t)
+            .fold(0.0, f64::max);
+        (p50, rate)
+    }
+
+    /// Enqueue → reflecting-answer latencies, in order.
+    pub fn delta_us(&self) -> Vec<f64> {
+        self.rounds
+            .iter()
+            .flatten()
+            .filter_map(|c| c.delta_us)
+            .collect()
+    }
+}
+
+/// Runs whole rounds in a closed loop, resetting the sessions between
+/// them, until at least `seconds` of round time has passed. `system`
+/// must hold freshly registered sessions.
 pub fn closed_loop(
     shape: &Shape,
     system: &mut System,
-    sources: &mut [Source<'_>],
-    window: Duration,
-) -> (Vec<ConnRun>, f64) {
-    let handles = &system.handles;
-    let barrier = Barrier::new(shape.connections);
-    let start = Instant::now();
-    let runs: Vec<(ConnRun, Instant)> = std::thread::scope(|scope| {
-        let threads: Vec<_> = system
-            .clients
-            .iter_mut()
-            .zip(sources.iter_mut())
-            .map(|(client, source)| {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut run = ConnRun::default();
-                    barrier.wait();
-                    let deadline = Instant::now() + window;
-                    while Instant::now() < deadline {
-                        let (s, delta) = source.next_op();
-                        run.cycles.push(front_cycle(
-                            client,
-                            &mut run.outcome,
-                            handles[s],
-                            s,
-                            delta,
-                            shape.bare_reads,
-                        ));
-                    }
-                    (run, Instant::now())
-                })
+    inputs: &Inputs,
+    seconds: f64,
+) -> Result<Window, String> {
+    let mut w = Window::default();
+    loop {
+        let start = Instant::now();
+        let round = inputs
+            .plan
+            .iter()
+            .map(|(s, delta)| {
+                front_cycle(
+                    &mut system.client,
+                    &mut w.outcome,
+                    system.handles[*s],
+                    *s,
+                    delta.clone(),
+                    shape.bare_reads,
+                )
             })
             .collect();
-        threads
-            .into_iter()
-            .map(|t| t.join().expect("client thread"))
-            .collect()
-    });
-    let end = runs.iter().map(|(_, end)| *end).max().unwrap_or(start);
-    let elapsed = (end - start).as_secs_f64();
-    (runs.into_iter().map(|(run, _)| run).collect(), elapsed)
-}
-
-/// In-process `StreamSession` twins fed the same deltas as the served
-/// sessions: the reference every served `Scores` answer must equal
-/// bit for bit.
-pub struct Twins<'a> {
-    sessions: HashMap<usize, StreamSession>,
-    source: Source<'a>,
-    inputs: &'a Inputs,
-}
-
-impl<'a> Twins<'a> {
-    /// Twins for connection `conn`'s sessions, replaying its op stream.
-    pub fn new(shape: &Shape, inputs: &'a Inputs, seed: u64, conn: usize) -> Self {
-        Twins {
-            sessions: HashMap::new(),
-            source: Source::new(shape, inputs, seed, conn),
-            inputs,
+        let took = start.elapsed().as_secs_f64();
+        w.timed_s += took;
+        w.round_s.push(took);
+        if w.rounds.is_empty() {
+            w.rss_mb = rss_peak_mb();
         }
+        w.rounds.push(round);
+        if w.timed_s >= seconds {
+            return Ok(w);
+        }
+        let start = Instant::now();
+        system.reset(inputs, &mut w.outcome)?;
+        w.reset_s += start.elapsed().as_secs_f64();
     }
+}
 
-    /// Advances the op stream by one cycle addressed to `session`,
-    /// applying the delta when the server accepted it, and returns the
-    /// twin's scores.
-    pub fn step(&mut self, session: usize, enqueued: bool) -> Result<StreamScores, String> {
-        let (s, delta) = self.source.next_op();
-        if s != session {
-            return Err(format!(
-                "op stream diverged: expected session {s}, log says {session}"
-            ));
-        }
-        let inputs = self.inputs;
-        let twin = self.sessions.entry(s).or_insert_with(|| {
-            let mut twin = StreamSession::from_relation(inputs.rows(s).clone());
+/// Replays one round on in-process `StreamSession` twins fresh from the
+/// fixtures, applying cycle `i`'s delta only when `enqueued(i)`; returns
+/// the twins' scores after each cycle. A delta a twin rejects leaves it
+/// unchanged, as a failed delta leaves a served session (the server
+/// counts it in `deltas_failed`).
+pub fn twin_round(inputs: &Inputs, enqueued: impl Fn(usize) -> bool) -> Vec<StreamScores> {
+    let mut twins: HashMap<usize, StreamSession> = HashMap::new();
+    let mut out = Vec::with_capacity(inputs.plan.len());
+    for (i, (s, delta)) in inputs.plan.iter().enumerate() {
+        let twin = twins.entry(*s).or_insert_with(|| {
+            let mut twin = StreamSession::from_relation(inputs.sessions[*s].fixture.clone());
             twin.subscribe(gen::fd()).expect("X -> Y fits the fixture");
             twin
         });
-        if enqueued {
-            twin.apply(&delta).map_err(|e| format!("twin apply: {e}"))?;
+        if enqueued(i) {
+            let _ = twin.apply(delta);
         }
-        Ok(twin.scores(0))
+        out.push(twin.scores(0));
     }
+    out
 }
 
-/// Replays `cycles` into `twins`; returns how many answers were not
-/// bit-identical to the twin (an op-stream divergence counts every
-/// remaining answer).
-pub fn gate(cycles: &[Cycle], twins: &mut Twins<'_>) -> u64 {
+/// Counts the served answers that are not bit-identical to the twins.
+/// Rounds whose deltas were all accepted share one replay; a round with
+/// a refused delta is replayed on its own.
+pub fn gate(inputs: &Inputs, rounds: &[Vec<Cycle>]) -> u64 {
+    let mut clean = None;
     let mut mismatches = 0u64;
-    for (i, cycle) in cycles.iter().enumerate() {
-        match twins.step(cycle.session, cycle.enqueued) {
-            Ok(want) => {
-                mismatches += cycle.answers.iter().filter(|a| !a.bits_eq(&want)).count() as u64;
-            }
-            Err(e) => {
-                eprintln!("gate: cycle {i}: {e}");
-                return mismatches
-                    + cycles[i..]
-                        .iter()
-                        .map(|c| c.answers.len().max(1) as u64)
-                        .sum::<u64>();
+    for (r, round) in rounds.iter().enumerate() {
+        if round.len() != inputs.plan.len() {
+            eprintln!(
+                "gate: round {r} has {} cycles, not a full round",
+                round.len()
+            );
+            mismatches += round.len().max(1) as u64;
+            continue;
+        }
+        let own;
+        let want = if round.iter().all(|c| c.enqueued) {
+            clean.get_or_insert_with(|| twin_round(inputs, |_| true))
+        } else {
+            own = twin_round(inputs, |i| round[i].enqueued);
+            &own
+        };
+        for ((cycle, (s, _)), want) in round.iter().zip(&inputs.plan).zip(want) {
+            if cycle.session != *s {
+                mismatches += cycle.answers.len().max(1) as u64;
+            } else {
+                mismatches += cycle.answers.iter().filter(|a| !a.bits_eq(want)).count() as u64;
             }
         }
     }
@@ -603,8 +529,9 @@ pub fn settings(shape: &Shape, report: &mut Report) {
     report.set_num("sessions", shape.sessions);
     report.set_num("fixture_rows", shape.rows);
     report.set_num("delta_rows", shape.delta_rows);
-    report.set_num("connections", shape.connections);
-    report.set_num("client_threads", shape.connections);
+    report.set_num("cycles_per_round", shape.round());
+    report.set_num("connections", 1);
+    report.set_num("client_threads", 1);
     report.set_num("bare_reads_per_cycle", shape.bare_reads);
     report.set_num("shards", shape.shards);
     report.set_str(
@@ -615,80 +542,46 @@ pub fn settings(shape: &Shape, report: &mut Report) {
             "in-process"
         },
     );
-    report.set_str("durability", flush_policy(shape));
-    report.set_num("resident_cap", shape.resident_cap);
-    report.set_str(
-        "register",
-        if shape.cold {
-            "RegisterSnapshot (cold)"
-        } else {
-            "Register (resident)"
-        },
-    );
+    report.set_str("durability", FLUSH_POLICY);
+
+    report.set_num("resident_cap", RESIDENT_CAP);
     report.set_num("setup_repeats", SETUP_REPEATS);
 }
 
-/// The untraced run: set-up, a closed-loop timed window, then the
-/// correctness gate outside the window.
+/// The untraced run: set-up, whole rounds for the timed window, then
+/// the correctness gate outside it.
 pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Result<(), String> {
     settings(shape, report);
     let root = run_dir(shape.name);
     let result = (|| {
-        // RSS is read at set-up: every delta grows the sessions'
-        // append-only logs, so a later reading would track throughput.
         let Setup {
             mut system,
             inputs,
-            times: setup_times,
-            rss_mb: rss,
+            times,
         } = setup(shape, seed, &root, SETUP_REPEATS)?;
-        let mut sources: Vec<Source<'_>> = (0..shape.connections)
-            .map(|c| Source::new(shape, &inputs, seed, c))
-            .collect();
-        let (runs, elapsed) = closed_loop(
-            shape,
-            &mut system,
-            &mut sources,
-            Duration::from_secs(seconds),
-        );
+        let window = closed_loop(shape, &mut system, &inputs, seconds as f64);
         system.shutdown();
+        let window = window?;
 
-        let mismatches: u64 = std::thread::scope(|scope| {
-            let threads: Vec<_> = runs
-                .iter()
-                .enumerate()
-                .map(|(conn, run)| {
-                    let inputs = &inputs;
-                    scope.spawn(move || {
-                        gate(&run.cycles, &mut Twins::new(shape, inputs, seed, conn))
-                    })
-                })
-                .collect();
-            threads
-                .into_iter()
-                .map(|t| t.join().expect("gate thread"))
-                .sum()
-        });
+        let mismatches = gate(&inputs, &window.rounds);
         report.correct = mismatches == 0;
         report.set_num("gate_mismatches", mismatches);
+        report.outcome.absorb(&window.outcome);
 
-        let mut streams: Vec<Vec<f64>> = Vec::new();
-        let mut read_us = Vec::new();
-        let mut cycles = 0usize;
-        for run in &runs {
-            report.outcome.absorb(&run.outcome);
-            cycles += run.cycles.len();
-            streams.push(run.cycles.iter().filter_map(|c| c.delta_us).collect());
-            for c in &run.cycles {
-                read_us.extend_from_slice(&c.read_us);
-            }
-        }
-        let refs: Vec<&[f64]> = streams.iter().map(Vec::as_slice).collect();
+        let stream = window.delta_us();
         let (tail_pct, tail) =
-            chunked_tail(&refs, TAIL_CHUNK).ok_or("too few deltas for a tail percentile")?;
-        let delta = Samples::new(streams.concat()).ok_or("no delta completed in the window")?;
-        let reads = Samples::new(read_us).ok_or("no read completed in the window")?;
-        let setup = Samples::new(setup_times).expect("repeats >= 1");
+            chunked_tail(&[&stream], TAIL_CHUNK).ok_or("too few deltas for a tail percentile")?;
+        let delta = Samples::new(stream).ok_or("no delta completed in the window")?;
+        let reads = window
+            .rounds
+            .iter()
+            .flatten()
+            .flat_map(|c| c.read_us.iter().copied())
+            .collect();
+        let reads = Samples::new(reads).ok_or("no read completed in the window")?;
+        let setup = Samples::new(times).expect("repeats >= 1");
+        let cycles: usize = window.rounds.iter().map(Vec::len).sum();
+        report.set_num("rounds", window.rounds.len());
         report.set_num("delta_samples", delta.len());
         report.set_num("read_samples", reads.len());
         report.set_num("read_p50_us", format!("{:.3}", reads.median()));
@@ -696,14 +589,21 @@ pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Resul
         let (q1, q3) = delta.quartiles();
         report.set_num("request_q1_us", format!("{q1:.3}"));
         report.set_num("request_q3_us", format!("{q3:.3}"));
-        report.set_num("window_s", format!("{elapsed:.4}"));
+        report.set_num("window_s", format!("{:.4}", window.timed_s));
+        report.set_num("reset_s", format!("{:.4}", window.reset_s));
         report.set_num("cycles", cycles);
+        report.set_num("window_p50_us", format!("{:.3}", delta.median()));
+        report.set_num(
+            "window_requests_per_s",
+            format!("{:.3}", cycles as f64 / window.timed_s),
+        );
+        let (best_p50, best_rate) = window.best_round();
         report.metrics = vec![
             metric("setup_s", setup.median(), "s"),
-            metric("request_p50_us", delta.median(), "us"),
+            metric("request_p50_us", best_p50, "us"),
             metric("request_tail_us", tail, "us"),
-            metric("requests_per_s", cycles as f64 / elapsed, "1/s"),
-            metric("rss_peak_mb", rss, "MiB"),
+            metric("requests_per_s", best_rate, "1/s"),
+            metric("rss_peak_mb", window.rss_mb, "MiB"),
         ];
         Ok(())
     })();
@@ -715,62 +615,68 @@ pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Resul
 mod tests {
     use super::*;
 
-    /// A served log for the cold workload, answered by an honest twin.
-    fn honest_log(inputs: &Inputs, shape: &Shape, seed: u64, n: usize) -> Vec<Cycle> {
-        let mut twins = Twins::new(shape, inputs, seed, 0);
-        let mut source = Source::new(shape, inputs, seed, 0);
-        (0..n)
-            .map(|_| {
-                let (s, _) = source.next_op();
-                let scores = twins.step(s, true).unwrap();
-                Cycle {
-                    session: s,
-                    enqueued: true,
-                    answers: vec![scores],
-                    delta_us: None,
-                    read_us: Vec::new(),
-                    rtt_us: [0.0; 3],
-                }
+    const SMALL: Shape = Shape {
+        name: "small",
+        sessions: 3,
+        rows: 256,
+        delta_rows: 16,
+        cycles_per_session: 8,
+        bare_reads: 1,
+        shards: 1,
+    };
+
+    /// A served round answered by honest twins, with `refused` cycles'
+    /// deltas refused by the server.
+    fn honest_round(inputs: &Inputs, refused: &[usize]) -> Vec<Cycle> {
+        let scores = twin_round(inputs, |i| !refused.contains(&i));
+        inputs
+            .plan
+            .iter()
+            .zip(scores)
+            .enumerate()
+            .map(|(i, ((s, _), scores))| Cycle {
+                session: *s,
+                enqueued: !refused.contains(&i),
+                answers: vec![scores, scores],
+                delta_us: None,
+                read_us: Vec::new(),
             })
             .collect()
     }
 
     #[test]
-    fn honest_twin_passes_the_gate() {
-        let shape = Shape {
-            sessions: 4,
-            ..SERVE_COLD
-        };
-        let inputs = Inputs::generate(&shape, 5);
-        let log = honest_log(&inputs, &shape, 5, 64);
-        assert_eq!(gate(&log, &mut Twins::new(&shape, &inputs, 5, 0)), 0);
+    fn a_round_gives_every_session_its_cycles_round_robin() {
+        let inputs = Inputs::generate(&SMALL, 5);
+        assert_eq!(inputs.plan.len(), SMALL.round());
+        let sessions: Vec<usize> = inputs.plan.iter().map(|(s, _)| *s).take(6).collect();
+        assert_eq!(sessions, [0, 1, 2, 0, 1, 2]);
+    }
+
+    #[test]
+    fn honest_rounds_pass_the_gate() {
+        let inputs = Inputs::generate(&SMALL, 5);
+        let clean = honest_round(&inputs, &[]);
+        let refused = honest_round(&inputs, &[4]);
+        assert_eq!(gate(&inputs, &[clean.clone(), refused, clean]), 0);
     }
 
     #[test]
     fn perturbed_twin_trips_the_gate() {
-        let shape = Shape {
-            sessions: 4,
-            ..SERVE_COLD
-        };
-        let inputs = Inputs::generate(&shape, 5);
-        let log = honest_log(&inputs, &shape, 5, 64);
-        // A twin built from other rows disagrees with the served log.
-        let other = Inputs::generate(&shape, 6);
-        assert!(gate(&log, &mut Twins::new(&shape, &other, 5, 0)) > 0);
-        // So does a served answer with one flipped bit.
+        let inputs = Inputs::generate(&SMALL, 5);
+        let log = honest_round(&inputs, &[]);
+        // Twins built from other rows disagree with the served log.
+        let other = Inputs::generate(&SMALL, 6);
+        assert!(gate(&other, std::slice::from_ref(&log)) > 0);
+        // So does one served answer with one flipped bit, in any round.
         let mut flipped = log.clone();
-        let rho = flipped[10].answers[0].rho;
-        flipped[10].answers[0].rho = f64::from_bits(rho.to_bits() ^ 1);
-        assert!(gate(&flipped, &mut Twins::new(&shape, &inputs, 5, 0)) > 0);
-    }
-
-    #[test]
-    fn sessions_split_evenly_across_connections() {
-        let shape = Shape {
-            connections: 2,
-            ..SERVE_HOT
-        };
-        let owners: Vec<usize> = (0..8).map(|s| owner(&shape, s)).collect();
-        assert_eq!(owners, [0, 0, 0, 0, 1, 1, 1, 1]);
+        let rho = flipped[10].answers[1].rho;
+        flipped[10].answers[1].rho = f64::from_bits(rho.to_bits() ^ 1);
+        assert_eq!(gate(&inputs, &[log.clone(), flipped]), 1);
+        // And a served delta the server claims it refused but applied.
+        let mut lied = log.clone();
+        lied[4].enqueued = false;
+        assert!(gate(&inputs, &[lied]) > 0);
+        // And a cut-short round.
+        assert!(gate(&inputs, &[log[..5].to_vec()]) > 0);
     }
 }

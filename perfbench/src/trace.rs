@@ -1,8 +1,9 @@
 //! The traced run of the served workloads: each layer timed from
 //! outside, through its public calls.
 //!
-//! Every cycle the client sends through the front door is replayed,
-//! right after, against nested twins that hold the same sessions:
+//! The first round of a traced run replays every cycle the client sends
+//! through the front door, right after, against nested twins that hold
+//! the same sessions:
 //!
 //! * an in-process `AfdServe` with the same configuration (`serve`),
 //! * an `AfdEngine` per session (`engine`),
@@ -13,36 +14,44 @@
 //!   in-process shard is that session).
 //!
 //! A layer's self time is its calls' time minus the nested twin's time
-//! for the same work, so the self times of one cycle add up to the
-//! front-door round trips, and `trace.unattributed_frac` is what the
-//! client spent between its calls. With several connections the twins
-//! run between barriers, so twin work never overlaps front-door work.
+//! for the same work. The front door is timed on its own, not as a
+//! remainder: the cycle's bare `Scores` round trips, minus the twin's
+//! `scores` call and the framing, give what one request costs in socket
+//! and dispatch, and framing and unframing the cycle's three requests
+//! and answers gives the codec cost. So the self times need not add up
+//! to the round trips, and `trace.unattributed_frac` — round trips minus every self
+//! time, over the round trips — shows how far off the split is: lock
+//! waits, twin-vs-server differences, anything no layer accounts for.
+//!
+//! After the traced round the sessions are reset and untraced rounds
+//! fill half the window: the reference for `trace.overhead_frac`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use afd_engine::{AfdEngine, DeltaRequest, RestoreRequest, SnapshotRequest, StreamBackend};
+use afd_engine::{AfdEngine, DeltaRequest, RestoreRequest, StreamBackend};
 use afd_parallel::par_map_mut;
 use afd_relation::{AttrId, AttrSet, Relation, Value};
-use afd_serve::{AfdServe, ServeRequest, ServeResponse, ServeStats, SessionHandle, TickReport};
+use afd_serve::{AfdServe, ServeRequest, ServeResponse, SessionHandle, TickReport};
 use afd_stream::wire::ShardState;
 use afd_stream::{
     AnyShard, DeltaRouter, InProcShard, IncTable, RowDelta, SessionSnapshot, ShardBackend,
     StreamScores, StreamSession, TcpShard,
 };
-use afd_wire::{Decode, Encode, FRAME_OVERHEAD};
+use afd_wire::{
+    decode_framed, encode_framed, Decode, Encode, KIND_SERVE_REQUEST, KIND_SERVE_RESPONSE,
+};
 
 use crate::gen;
+use crate::outcome::Outcome;
 use crate::report::{metric, Metric, Report};
-use crate::served::{self, ConnRun, Cycle, Inputs, Shape, Source, System};
+use crate::served::{self, Cycle, Inputs, Shape, System};
 use crate::stats::{median_or_zero, Samples};
 
 /// Every per-layer metric, in `BENCHMARK.json` order. A layer a
 /// workload never reaches reports 0.
-pub const LAYERS: [(&str, &str); 39] = [
+pub const LAYERS: [(&str, &str); 33] = [
     ("front.self_us", "us"),
     ("front.scores_rtt_us", "us"),
     ("front.frame_bytes_per_delta", "bytes"),
@@ -50,11 +59,6 @@ pub const LAYERS: [(&str, &str); 39] = [
     ("serve.tick_self_us", "us"),
     ("serve.self_us", "us"),
     ("serve.deltas_per_tick", "count"),
-    ("serve.restores_per_delta", "count"),
-    ("serve.evictions_per_delta", "count"),
-    ("serve.journal_appends_per_delta", "count"),
-    ("serve.evict_us", "us"),
-    ("serve.restore_us", "us"),
     ("engine.delta_us", "us"),
     ("engine.restore_us", "us"),
     ("engine.self_us", "us"),
@@ -73,14 +77,13 @@ pub const LAYERS: [(&str, &str); 39] = [
     ("discovery.candidates", "count"),
     ("discovery.pruned", "count"),
     ("discovery.emitted_frac", "ratio"),
-    ("discovery.peak_node_bytes", "bytes"),
-    ("discovery.pool_reuse_frac", "ratio"),
     ("discovery.self_s", "s"),
     ("relation.encode_s", "s"),
     ("relation.refine_s", "s"),
     ("core.score_s", "s"),
     ("parallel.speedup", "ratio"),
     ("trace.unattributed_frac", "ratio"),
+    ("trace.negative_self_frac", "ratio"),
     ("trace.overhead_frac", "ratio"),
 ];
 
@@ -92,7 +95,8 @@ pub fn zeroed_layers() -> Vec<Metric> {
         .collect()
 }
 
-fn set(metrics: &mut [Metric], name: &str, value: f64) {
+/// Sets the listed layer metric `name`.
+pub fn set(metrics: &mut [Metric], name: &str, value: f64) {
     let m = metrics
         .iter_mut()
         .find(|m| m.name == name)
@@ -110,14 +114,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 #[derive(Debug, Clone, Default)]
 struct CycleTrace {
     wall: f64,
-    rtt: f64,
     frame_bytes: f64,
-    serve_evict: Option<f64>,
-    serve_restore: Option<f64>,
+    front: f64,
+    twin_read: f64,
     serve_tick: f64,
     serve_total: f64,
     engine_delta: f64,
-    engine_restore: Option<f64>,
     engine_total: f64,
     route: f64,
     fan_wall: f64,
@@ -127,7 +129,6 @@ struct CycleTrace {
     session_apply: f64,
     state_bytes: f64,
     state_decode: f64,
-    snapshot: Option<(f64, f64)>,
 }
 
 impl CycleTrace {
@@ -156,20 +157,24 @@ impl CycleTrace {
     }
 
     /// Self time of every layer along the critical path — front, serve,
-    /// engine, shard coordinator, transport, session — which sum to the
-    /// front-door round trips.
+    /// engine, shard coordinator, transport, session.
     fn selves(&self) -> [f64; 6] {
         let k = self.critical();
         let fan = self.fan.get(k).copied().unwrap_or(0.0);
         let floor = self.inproc.get(k).copied().unwrap_or(fan);
         [
-            self.rtt - self.serve_total,
+            self.front,
             self.serve_total - self.engine_total,
             self.engine_total - self.shard_total(),
             self.shard_total() - fan,
             fan - floor,
             floor,
         ]
+    }
+
+    /// The round trips no layer's self time accounts for.
+    fn unattributed(&self) -> f64 {
+        self.wall - self.selves().iter().sum::<f64>()
     }
 }
 
@@ -290,169 +295,77 @@ impl ShardTwin {
     }
 }
 
-/// Which sessions are resident in the twins, in least-recently-touched
-/// order — the same LRU policy, cap and touch sequence as the server.
-#[derive(Default)]
-struct Lru {
-    clock: u64,
-    stamps: HashMap<usize, u64>,
-    order: BTreeMap<u64, usize>,
-}
-
-impl Lru {
-    fn touch(&mut self, s: usize) {
-        self.clock += 1;
-        if let Some(old) = self.stamps.insert(s, self.clock) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.clock, s);
-    }
-
-    fn evict_oldest(&mut self) -> Option<usize> {
-        let (_, s) = self.order.pop_first()?;
-        self.stamps.remove(&s);
-        Some(s)
-    }
-}
-
-/// One connection's nested twins.
-struct Twins<'a> {
-    shape: &'a Shape,
-    inputs: &'a Inputs,
-    workers: Vec<String>,
+/// The nested twins of every session.
+struct Twins {
     serve: AfdServe,
-    serve_handles: HashMap<usize, SessionHandle>,
-    engines: HashMap<usize, AfdEngine>,
-    spilled: HashMap<usize, Vec<u8>>,
-    resident: Lru,
-    shards: HashMap<usize, ShardTwin>,
-    sessions: HashMap<usize, StreamSession>,
+    serve_handles: Vec<SessionHandle>,
+    engines: Vec<AfdEngine>,
+    shards: Vec<ShardTwin>,
+    /// Unsharded sessions, when the shards are remote.
+    sessions: Vec<StreamSession>,
     restore_at_setup: Vec<f64>,
     snapshot_at_setup: Vec<(f64, f64)>,
 }
 
-fn backend(workers: &[String]) -> StreamBackend {
-    if workers.is_empty() {
-        StreamBackend::InProcess
-    } else {
-        StreamBackend::Tcp(workers.to_vec())
-    }
-}
-
-impl<'a> Twins<'a> {
-    fn new(
-        shape: &'a Shape,
-        inputs: &'a Inputs,
-        system: &System,
-        conn: usize,
-        dir: &Path,
-    ) -> Result<Self, String> {
+impl Twins {
+    fn new(shape: &Shape, inputs: &Inputs, system: &System, dir: &Path) -> Result<Self, String> {
         let workers: Vec<String> = system.workers.iter().map(|w| w.addr.clone()).collect();
-        let serve = AfdServe::new(served::serve_config(shape, dir, &system.workers))
-            .map_err(|e| format!("twin serve: {e}"))?;
+        let backend = || {
+            if workers.is_empty() {
+                StreamBackend::InProcess
+            } else {
+                StreamBackend::Tcp(workers.clone())
+            }
+        };
         let mut twins = Twins {
-            shape,
-            inputs,
-            workers,
-            serve,
-            serve_handles: HashMap::new(),
-            engines: HashMap::new(),
-            spilled: HashMap::new(),
-            resident: Lru::default(),
-            shards: HashMap::new(),
-            sessions: HashMap::new(),
+            serve: AfdServe::new(served::serve_config(dir, &system.workers))
+                .map_err(|e| format!("twin serve: {e}"))?,
+            serve_handles: Vec::new(),
+            engines: Vec::new(),
+            shards: Vec::new(),
+            sessions: Vec::new(),
             restore_at_setup: Vec::new(),
             snapshot_at_setup: Vec::new(),
         };
-        for s in (0..shape.sessions).filter(|&s| served::owner(shape, s) == conn) {
-            let bytes = inputs.snapshot(s);
-            let handle = if shape.cold {
-                twins.serve.register_snapshot(bytes)
-            } else {
-                let engine = AfdEngine::restore_with_backend(
-                    &RestoreRequest::new(bytes.to_vec()),
-                    backend(&twins.workers),
-                )
-                .map_err(|e| format!("twin restore: {e}"))?;
-                twins.serve.register(engine)
-            }
-            .map_err(|e| format!("twin register: {e}"))?;
-            twins.serve_handles.insert(s, handle);
-            if !shape.cold {
-                let (snap, decode) = timed(|| SessionSnapshot::from_bytes(bytes));
-                snap.map_err(|e| e.to_string())?;
-                twins.snapshot_at_setup.push((bytes.len() as f64, decode));
-                let (engine, restore) = timed(|| {
-                    AfdEngine::restore_with_backend(
-                        &RestoreRequest::new(bytes.to_vec()),
-                        backend(&twins.workers),
-                    )
-                });
-                twins
-                    .engines
-                    .insert(s, engine.map_err(|e| format!("twin restore: {e}"))?);
-                twins.restore_at_setup.push(restore);
+        for session in &inputs.sessions {
+            let bytes = &session.snapshot;
+            let engine =
+                AfdEngine::restore_with_backend(&RestoreRequest::new(bytes.clone()), backend())
+                    .map_err(|e| format!("twin restore: {e}"))?;
+            let handle = twins
+                .serve
+                .register(engine)
+                .map_err(|e| format!("twin register: {e}"))?;
+            twins.serve_handles.push(handle);
+            let (snap, decode) = timed(|| SessionSnapshot::from_bytes(bytes));
+            snap.map_err(|e| e.to_string())?;
+            twins.snapshot_at_setup.push((bytes.len() as f64, decode));
+            let (engine, restore) = timed(|| {
+                AfdEngine::restore_with_backend(&RestoreRequest::new(bytes.clone()), backend())
+            });
+            twins
+                .engines
+                .push(engine.map_err(|e| format!("twin restore: {e}"))?);
+            twins.restore_at_setup.push(restore);
+            twins
+                .shards
+                .push(ShardTwin::new(&session.fixture, shape.shards, &workers)?);
+            if shape.shards > 1 {
+                let mut twin = StreamSession::from_relation(session.fixture.clone());
+                twin.subscribe(gen::fd()).map_err(|e| e.to_string())?;
+                twins.sessions.push(twin);
             }
         }
         Ok(twins)
-    }
-
-    fn shard_twin(&mut self, s: usize) -> Result<&mut ShardTwin, String> {
-        if !self.shards.contains_key(&s) {
-            let twin = ShardTwin::new(self.inputs.rows(s), self.shape.shards, &self.workers)?;
-            self.shards.insert(s, twin);
-        }
-        Ok(self.shards.get_mut(&s).expect("inserted above"))
-    }
-
-    /// Makes session `s` resident in the serve and engine twins the way
-    /// the server's tick does, timing the eviction and the restore as
-    /// their own calls.
-    fn make_resident(&mut self, s: usize, cyc: &mut CycleTrace) -> Result<(), String> {
-        if !self.shape.cold || self.engines.contains_key(&s) {
-            return Ok(());
-        }
-        let h = self.serve_handles[&s];
-        if self.engines.len() >= self.shape.resident_cap {
-            let victim = self.resident.evict_oldest().ok_or("empty LRU at cap")?;
-            let (r, t) = timed(|| self.serve.evict(self.serve_handles[&victim]));
-            r.map_err(|e| format!("twin evict: {e}"))?;
-            cyc.serve_evict = Some(t);
-            let mut engine = self.engines.remove(&victim).ok_or("victim not resident")?;
-            let (saved, t) = timed(|| engine.save(&SnapshotRequest::default()));
-            cyc.engine_total += t;
-            self.spilled
-                .insert(victim, saved.map_err(|e| format!("twin save: {e}"))?.bytes);
-        }
-        let (r, t) = timed(|| self.serve.scores(h, 0));
-        r.map_err(|e| format!("twin restore: {e}"))?;
-        cyc.serve_restore = Some(t);
-        let bytes = self
-            .spilled
-            .remove(&s)
-            .unwrap_or_else(|| self.inputs.snapshot(s).to_vec());
-        let (snap, decode) = timed(|| SessionSnapshot::from_bytes(&bytes));
-        snap.map_err(|e| e.to_string())?;
-        cyc.snapshot = Some((bytes.len() as f64, decode));
-        let (engine, t) = timed(|| AfdEngine::restore(&RestoreRequest::new(bytes)));
-        cyc.engine_restore = Some(t);
-        cyc.engine_total += t;
-        self.engines
-            .insert(s, engine.map_err(|e| format!("twin restore: {e}"))?);
-        Ok(())
     }
 
     /// Replays one front-door cycle on every twin.
     fn step(&mut self, s: usize, delta: &RowDelta, front: &Cycle) -> Result<CycleTrace, String> {
         let mut cyc = CycleTrace {
             wall: front.delta_us.ok_or("front cycle failed")?,
-            rtt: front.rtt_us.iter().sum(),
             ..CycleTrace::default()
         };
-        let h = self.serve_handles[&s];
-        self.make_resident(s, &mut cyc)?;
-        self.resident.touch(s);
-
+        let h = self.serve_handles[s];
         let copy = delta.clone();
         let (r, enq) = timed(|| self.serve.enqueue(h, copy));
         r.map_err(|e| format!("twin enqueue: {e}"))?;
@@ -466,26 +379,20 @@ impl<'a> Twins<'a> {
         let (r, read) = timed(|| self.serve.scores(h, 0));
         let served = r.map_err(|e| format!("twin scores: {e}"))?;
         cyc.serve_tick = tick;
-        cyc.serve_total =
-            cyc.serve_evict.unwrap_or(0.0) + cyc.serve_restore.unwrap_or(0.0) + enq + tick + read;
+        cyc.serve_total = enq + tick + read;
+        cyc.twin_read = read;
 
-        let engine = self.engines.get_mut(&s).ok_or("engine twin not resident")?;
+        let engine = &mut self.engines[s];
         let copy = DeltaRequest::new(delta.clone());
         let (r, t) = timed(|| engine.delta(&copy));
         r.map_err(|e| format!("twin engine delta: {e}"))?;
         cyc.engine_delta = t;
         let (r, read) = timed(|| engine.scores(0));
         r.map_err(|e| format!("twin engine scores: {e}"))?;
-        cyc.engine_total += t + read;
+        cyc.engine_total = t + read;
 
-        let shard_scores = self.shard_twin(s)?.apply(delta, &mut cyc)?;
-        if self.shape.shards > 1 {
-            let inputs = self.inputs;
-            let session = self.sessions.entry(s).or_insert_with(|| {
-                let mut twin = StreamSession::from_relation(inputs.rows(s).clone());
-                twin.subscribe(gen::fd()).expect("X -> Y fits the fixture");
-                twin
-            });
+        let shard_scores = self.shards[s].apply(delta, &mut cyc)?;
+        if let Some(session) = self.sessions.get_mut(s) {
             let (r, t) = timed(|| session.apply(delta));
             r.map_err(|e| format!("twin session apply: {e}"))?;
             cyc.session_apply = t;
@@ -500,129 +407,122 @@ impl<'a> Twins<'a> {
     }
 }
 
-/// Bytes on the wire for one cycle's enqueue, tick and reflecting read.
-fn frame_bytes(handle: SessionHandle, delta: &RowDelta, front: &Cycle) -> f64 {
-    let frame = |req: ServeRequest, resp: ServeResponse| {
-        (2 * FRAME_OVERHEAD + req.encoded_len() + resp.encoded_len()) as f64
-    };
+/// Bytes on the wire for one cycle's enqueue, tick and reflecting read;
+/// the time to frame and unframe each of those requests and answers once
+/// (the client frames a request and unframes its answer, the front the
+/// reverse); and that time for the `Scores` request and answer alone.
+fn frames(
+    handle: SessionHandle,
+    delta: &RowDelta,
+    front: &Cycle,
+) -> Result<(f64, f64, f64), String> {
     let scores = front
         .answers
         .first()
         .copied()
         .unwrap_or_else(StreamScores::exact);
-    frame(
-        ServeRequest::Enqueue {
-            handle,
-            delta: delta.clone(),
-        },
-        ServeResponse::Pending(1),
-    ) + frame(
-        ServeRequest::Tick,
-        ServeResponse::Tick(TickReport::default()),
-    ) + frame(
-        ServeRequest::Scores {
-            handle,
-            candidate: 0,
-        },
-        ServeResponse::Scores(scores),
-    )
+    let pairs = [
+        (
+            ServeRequest::Enqueue {
+                handle,
+                delta: delta.clone(),
+            },
+            ServeResponse::Pending(1),
+        ),
+        (
+            ServeRequest::Tick,
+            ServeResponse::Tick(TickReport::default()),
+        ),
+        (
+            ServeRequest::Scores {
+                handle,
+                candidate: 0,
+            },
+            ServeResponse::Scores(scores),
+        ),
+    ];
+    let (mut bytes, mut codec, mut pair) = (0.0, 0.0, 0.0);
+    for (req, resp) in &pairs {
+        pair = 0.0;
+        let (framed, enc) = timed(|| encode_framed(KIND_SERVE_REQUEST, req));
+        let framed = framed.map_err(|e| e.to_string())?;
+        let (back, dec) = timed(|| decode_framed::<ServeRequest>(KIND_SERVE_REQUEST, &framed));
+        back.map_err(|e| e.to_string())?;
+        bytes += framed.len() as f64;
+        pair += enc + dec;
+        let (framed, enc) = timed(|| encode_framed(KIND_SERVE_RESPONSE, resp));
+        let framed = framed.map_err(|e| e.to_string())?;
+        let (back, dec) = timed(|| decode_framed::<ServeResponse>(KIND_SERVE_RESPONSE, &framed));
+        back.map_err(|e| e.to_string())?;
+        bytes += framed.len() as f64;
+        pair += enc + dec;
+        codec += pair;
+    }
+    Ok((bytes, codec, pair))
 }
 
-/// What one connection's traced phase produced.
-struct TracedConn {
-    run: ConnRun,
+/// What the traced round produced.
+struct Traced {
+    cycles: Vec<Cycle>,
     traces: Vec<CycleTrace>,
+    restore_at_setup: Vec<f64>,
+    snapshot_at_setup: Vec<(f64, f64)>,
+    deltas_per_tick: f64,
 }
 
-fn traced_loop(
+/// Runs one round through the front door, replaying each cycle on the
+/// twins. The front door's own cost per request is the median bare
+/// `Scores` round trip of the cycle minus the twin's `scores` call and
+/// the `Scores` framing: what socket and dispatch add to a request that
+/// follows another back to back, as the cycle's requests do.
+fn traced_round(
     shape: &Shape,
     system: &mut System,
-    sources: &mut [Source<'_>],
-    twins: &mut [Twins<'_>],
-    window: Duration,
-) -> Result<Vec<TracedConn>, String> {
-    let handles = &system.handles;
-    let barrier = Barrier::new(shape.connections);
-    let stop = AtomicBool::new(false);
-    let deadline = Instant::now() + window;
-    std::thread::scope(|scope| {
-        let threads: Vec<_> = system
-            .clients
-            .iter_mut()
-            .zip(sources.iter_mut())
-            .zip(twins.iter_mut())
-            .map(|((client, source), twins)| {
-                let (barrier, stop) = (&barrier, &stop);
-                scope.spawn(move || -> Result<TracedConn, String> {
-                    let mut out = TracedConn {
-                        run: ConnRun::default(),
-                        traces: Vec::new(),
-                    };
-                    let mut failure = None;
-                    loop {
-                        let (s, delta) = source.next_op();
-                        let cycle = served::front_cycle(
-                            client,
-                            &mut out.run.outcome,
-                            handles[s],
-                            s,
-                            delta.clone(),
-                            shape.bare_reads,
-                        );
-                        if barrier.wait().is_leader() && Instant::now() >= deadline {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        if failure.is_none() {
-                            match twins.step(s, &delta, &cycle) {
-                                Ok(mut cyc) => {
-                                    cyc.frame_bytes = frame_bytes(handles[s], &delta, &cycle);
-                                    out.traces.push(cyc);
-                                }
-                                Err(e) => {
-                                    failure = Some(e);
-                                    stop.store(true, Ordering::SeqCst);
-                                }
-                            }
-                        }
-                        out.run.cycles.push(cycle);
-                        barrier.wait();
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                    match failure {
-                        Some(e) => Err(e),
-                        None => Ok(out),
-                    }
-                })
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|t| t.join().expect("traced client thread"))
-            .collect()
+    inputs: &Inputs,
+    dir: &Path,
+    acct: &mut Outcome,
+) -> Result<Traced, String> {
+    let mut twins = Twins::new(shape, inputs, system, dir)?;
+    let before = acct
+        .call(system.client.stats())
+        .ok_or("stats before the traced round")?;
+    let mut cycles = Vec::with_capacity(inputs.plan.len());
+    let mut traces = Vec::with_capacity(inputs.plan.len());
+    for (s, delta) in &inputs.plan {
+        let h = system.handles[*s];
+        let cycle = served::front_cycle(
+            &mut system.client,
+            acct,
+            h,
+            *s,
+            delta.clone(),
+            shape.bare_reads,
+        );
+        let mut cyc = twins.step(*s, delta, &cycle)?;
+        let (bytes, codec, scores_codec) = frames(h, delta, &cycle)?;
+        let bare = median_or_zero(cycle.read_us.get(1..).unwrap_or_default().to_vec());
+        cyc.frame_bytes = bytes;
+        cyc.front = 3.0 * (bare - cyc.twin_read - scores_codec) + codec;
+        traces.push(cyc);
+        cycles.push(cycle);
+    }
+    let after = acct
+        .call(system.client.stats())
+        .ok_or("stats after the traced round")?;
+    let applied = (after.deltas_applied - before.deltas_applied) as f64;
+    let ticks = (after.ticks - before.ticks) as f64;
+    Ok(Traced {
+        cycles,
+        traces,
+        restore_at_setup: twins.restore_at_setup,
+        snapshot_at_setup: twins.snapshot_at_setup,
+        deltas_per_tick: applied / ticks.max(1.0),
     })
 }
 
-fn delta_samples(runs: &[&ConnRun]) -> Vec<f64> {
-    runs.iter()
-        .flat_map(|r| r.cycles.iter().filter_map(|c| c.delta_us))
-        .collect()
-}
-
-fn stats_delta(before: &ServeStats, after: &ServeStats) -> [f64; 5] {
-    [
-        (after.deltas_applied - before.deltas_applied) as f64,
-        (after.ticks - before.ticks) as f64,
-        (after.restores - before.restores) as f64,
-        (after.evictions - before.evictions) as f64,
-        (after.journal_appends - before.journal_appends) as f64,
-    ]
-}
-
-/// The traced run of a served workload: traced phase for half the
-/// window, then an untraced phase for the other half (the reference
-/// for `trace.overhead_frac`), then the correctness gate over both.
+/// The traced run of a served workload: one traced round, then
+/// untraced rounds for half the window, then the correctness gate over
+/// both.
 pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Result<(), String> {
     served::settings(shape, report);
     let root = served::run_dir(shape.name);
@@ -630,153 +530,105 @@ pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Resul
         let served::Setup {
             mut system, inputs, ..
         } = served::setup(shape, seed, &root, 1)?;
-        let mut sources: Vec<Source<'_>> = (0..shape.connections)
-            .map(|c| Source::new(shape, &inputs, seed, c))
-            .collect();
-        let mut twins = (0..shape.connections)
-            .map(|c| Twins::new(shape, &inputs, &system, c, &root.join(format!("twin-{c}"))))
-            .collect::<Result<Vec<_>, _>>()?;
-        let half = Duration::from_secs(seconds).max(Duration::from_secs(2)) / 2;
-        let before = system.clients[0].stats().map_err(|e| e.to_string())?;
-        let traced = traced_loop(shape, &mut system, &mut sources, &mut twins, half);
-        let after = system.clients[0].stats().map_err(|e| e.to_string())?;
-        let restore_at_setup: Vec<f64> = twins
-            .iter()
-            .flat_map(|t| t.restore_at_setup.clone())
-            .collect();
-        let snapshot_at_setup: Vec<(f64, f64)> = twins
-            .iter()
-            .flat_map(|t| t.snapshot_at_setup.clone())
-            .collect();
-        drop(twins);
-        let traced = traced?;
-        let (untraced, _) = served::closed_loop(shape, &mut system, &mut sources, half);
+        let mut acct = Outcome::default();
+        let traced = traced_round(shape, &mut system, &inputs, &root.join("twin"), &mut acct);
+        let untraced = match &traced {
+            Ok(_) => system.reset(&inputs, &mut acct).and_then(|()| {
+                served::closed_loop(shape, &mut system, &inputs, seconds as f64 / 2.0)
+            }),
+            Err(e) => Err(e.clone()),
+        };
         system.shutdown();
+        let traced = traced?;
+        let untraced = untraced?;
 
-        let mismatches: u64 = std::thread::scope(|scope| {
-            let threads: Vec<_> = traced
-                .iter()
-                .zip(&untraced)
-                .enumerate()
-                .map(|(conn, (t, u))| {
-                    let inputs = &inputs;
-                    scope.spawn(move || {
-                        let cycles: Vec<Cycle> =
-                            t.run.cycles.iter().chain(&u.cycles).cloned().collect();
-                        served::gate(&cycles, &mut served::Twins::new(shape, inputs, seed, conn))
-                    })
-                })
-                .collect();
-            threads
-                .into_iter()
-                .map(|t| t.join().expect("gate thread"))
-                .sum()
-        });
+        let rounds: Vec<Vec<Cycle>> = std::iter::once(traced.cycles.clone())
+            .chain(untraced.rounds.iter().cloned())
+            .collect();
+        let mismatches = served::gate(&inputs, &rounds);
         report.correct = mismatches == 0;
         report.set_num("gate_mismatches", mismatches);
-        for t in &traced {
-            report.outcome.absorb(&t.run.outcome);
-        }
-        for u in &untraced {
-            report.outcome.absorb(&u.outcome);
-        }
+        report.outcome.absorb(&acct);
+        report.outcome.absorb(&untraced.outcome);
 
-        let traces: Vec<&CycleTrace> = traced.iter().flat_map(|t| &t.traces).collect();
+        let traces = &traced.traces;
         report.set_num("traced_cycles", traces.len());
-        let med = |f: &dyn Fn(&CycleTrace) -> Option<f64>| {
-            median_or_zero(traces.iter().filter_map(|c| f(c)).collect())
-        };
+        let med = |f: &dyn Fn(&CycleTrace) -> f64| median_or_zero(traces.iter().map(f).collect());
         let mean = |f: &dyn Fn(&CycleTrace) -> f64| {
-            Samples::new(traces.iter().map(|c| f(c)).collect()).map_or(0.0, |s| s.mean())
+            Samples::new(traces.iter().map(f).collect()).map_or(0.0, |s| s.mean())
         };
         let m = &mut report.metrics;
         *m = zeroed_layers();
-        set(m, "front.self_us", med(&|c| Some(c.selves()[0])));
+        set(m, "front.self_us", med(&|c| c.front));
         let reads: Vec<f64> = traced
+            .cycles
             .iter()
-            .flat_map(|t| t.run.cycles.iter().flat_map(|c| c.read_us.clone()))
+            .flat_map(|c| c.read_us.iter().copied())
             .collect();
         set(m, "front.scores_rtt_us", median_or_zero(reads));
         set(m, "front.frame_bytes_per_delta", mean(&|c| c.frame_bytes));
-        set(m, "serve.tick_us", med(&|c| Some(c.serve_tick)));
+        set(m, "serve.tick_us", med(&|c| c.serve_tick));
         set(
             m,
             "serve.tick_self_us",
-            med(&|c| Some(c.serve_tick - c.engine_delta)),
+            med(&|c| c.serve_tick - c.engine_delta),
         );
-        set(m, "serve.self_us", med(&|c| Some(c.selves()[1])));
-        let [applied, ticks, restores, evictions, appends] = stats_delta(&before, &after);
-        set(m, "serve.deltas_per_tick", applied / ticks.max(1.0));
-        set(m, "serve.restores_per_delta", restores / applied.max(1.0));
-        set(m, "serve.evictions_per_delta", evictions / applied.max(1.0));
+        set(m, "serve.self_us", med(&|c| c.selves()[1]));
+        set(m, "serve.deltas_per_tick", traced.deltas_per_tick);
+        set(m, "engine.delta_us", med(&|c| c.engine_delta));
         set(
             m,
-            "serve.journal_appends_per_delta",
-            appends / applied.max(1.0),
+            "engine.restore_us",
+            median_or_zero(traced.restore_at_setup),
         );
-        set(m, "serve.evict_us", med(&|c| c.serve_evict));
-        set(m, "serve.restore_us", med(&|c| c.serve_restore));
-        set(m, "engine.delta_us", med(&|c| Some(c.engine_delta)));
-        let restore = if shape.cold {
-            med(&|c| c.engine_restore)
-        } else {
-            median_or_zero(restore_at_setup)
-        };
-        set(m, "engine.restore_us", restore);
-        set(m, "engine.self_us", med(&|c| Some(c.selves()[2])));
-        set(m, "stream.route_us", med(&|c| Some(c.route)));
+        set(m, "engine.self_us", med(&|c| c.selves()[2]));
+        set(m, "stream.route_us", med(&|c| c.route));
         set(
             m,
             "stream.fanout_max_us",
-            med(&|c| c.fan.iter().copied().reduce(f64::max)),
+            med(&|c| c.fan.iter().copied().fold(0.0, f64::max)),
         );
-        set(m, "stream.fanout_sum_us", med(&|c| Some(c.fan_sum())));
-        set(m, "stream.merge_us", med(&|c| Some(c.merge)));
-        set(m, "stream.shard_self_us", med(&|c| Some(c.selves()[3])));
-        set(
-            m,
-            "stream.session_apply_us",
-            med(&|c| Some(c.session_apply)),
-        );
+        set(m, "stream.fanout_sum_us", med(&|c| c.fan_sum()));
+        set(m, "stream.merge_us", med(&|c| c.merge));
+        set(m, "stream.shard_self_us", med(&|c| c.selves()[3]));
+        set(m, "stream.session_apply_us", med(&|c| c.session_apply));
         if shape.shards > 1 {
             let rtts: Vec<f64> = traces.iter().flat_map(|c| c.fan.clone()).collect();
             set(m, "net.shard_rtt_us", median_or_zero(rtts));
-            set(
-                m,
-                "net.transport_self_us",
-                med(&|c| Some(c.transport_self())),
-            );
+            set(m, "net.transport_self_us", med(&|c| c.transport_self()));
             set(m, "wire.state_bytes_per_apply", mean(&|c| c.state_bytes));
-            set(m, "wire.state_decode_us", med(&|c| Some(c.state_decode)));
+            set(m, "wire.state_decode_us", med(&|c| c.state_decode));
         }
-        let (snap_bytes, snap_decode) = if shape.cold {
-            (
-                med(&|c| c.snapshot.map(|s| s.0)),
-                med(&|c| c.snapshot.map(|s| s.1)),
-            )
-        } else {
-            (
-                median_or_zero(snapshot_at_setup.iter().map(|s| s.0).collect()),
-                median_or_zero(snapshot_at_setup.iter().map(|s| s.1).collect()),
-            )
-        };
-        set(m, "wire.snapshot_bytes", snap_bytes);
-        set(m, "wire.snapshot_decode_us", snap_decode);
+        let snap = &traced.snapshot_at_setup;
+        set(
+            m,
+            "wire.snapshot_bytes",
+            median_or_zero(snap.iter().map(|s| s.0).collect()),
+        );
+        set(
+            m,
+            "wire.snapshot_decode_us",
+            median_or_zero(snap.iter().map(|s| s.1).collect()),
+        );
         let wall: f64 = traces.iter().map(|c| c.wall).sum();
-        let attributed: f64 = traces.iter().map(|c| c.selves().iter().sum::<f64>()).sum();
+        let unattributed: f64 = traces.iter().map(CycleTrace::unattributed).sum();
         set(
             m,
             "trace.unattributed_frac",
-            if wall > 0.0 {
-                (wall - attributed) / wall
-            } else {
-                0.0
-            },
+            if wall > 0.0 { unattributed / wall } else { 0.0 },
         );
-        let traced_p50 = median_or_zero(delta_samples(
-            &traced.iter().map(|t| &t.run).collect::<Vec<_>>(),
-        ));
-        let untraced_p50 = median_or_zero(delta_samples(&untraced.iter().collect::<Vec<_>>()));
+        let selves: Vec<f64> = traces.iter().flat_map(|c| c.selves()).collect();
+        let negative = selves.iter().filter(|&&t| t < 0.0).count();
+        set(
+            m,
+            "trace.negative_self_frac",
+            negative as f64 / selves.len().max(1) as f64,
+        );
+        let traced_p50 = median_or_zero(traced.cycles.iter().filter_map(|c| c.delta_us).collect());
+        let untraced_p50 = median_or_zero(untraced.delta_us());
+        report.set_num("traced_p50_us", format!("{traced_p50:.3}"));
+        report.set_num("untraced_p50_us", format!("{untraced_p50:.3}"));
+        let m = &mut report.metrics;
         set(
             m,
             "trace.overhead_frac",
