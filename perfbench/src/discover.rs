@@ -14,8 +14,7 @@ use afd_rwd::RwdBenchmark;
 
 use crate::gen::sub_seed;
 use crate::report::{metric, rss_peak_mb, Report};
-use crate::served::SETUP_REPEATS;
-use crate::stats::{chunked_tail, median_or_zero, Samples, TAIL_CHUNK};
+use crate::stats::{fastest, median_or_zero, Samples};
 use crate::trace::set;
 
 /// Row scale of the paper's relation sizes.
@@ -47,8 +46,24 @@ fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Passes whose requests give the latency and rate metrics: the fastest
+/// of the run's (about five in a 40 s window), 360 requests.
+pub const FAST_PASSES: usize = 3;
+
+/// Set-ups before the window; [`SETUPS_PER_GAP`] more run between
+/// passes.
+pub const SETUPS_BEFORE: usize = 5;
+
+/// Set-ups between two passes, each replacing the one the next pass
+/// runs on. A set-up takes a fraction of a second and the machine's
+/// speed drifts over seconds, so set-ups bunched at the start of a run
+/// would measure that one moment; spread over the run, their median
+/// follows the whole run.
+pub const SETUPS_PER_GAP: usize = 3;
+
 /// The generated relations and one engine per relation per thread
 /// count.
+#[derive(Default)]
 struct Setup {
     relations: Vec<Relation>,
     engines: Vec<AfdEngine>,
@@ -61,6 +76,15 @@ fn setup_once(seed: u64, threads: usize) -> Setup {
         .collect();
     let engines = engines(&relations, threads);
     Setup { relations, engines }
+}
+
+/// Replaces `setup` with a fresh one for `seed` (the old one is dropped
+/// first, so only one is ever alive) and records how long that took.
+fn timed_setup(setup: &mut Setup, seed: u64, threads: usize, times: &mut Vec<f64>) {
+    *setup = Setup::default();
+    let start = Instant::now();
+    *setup = setup_once(seed, threads);
+    times.push(start.elapsed().as_secs_f64());
 }
 
 fn engines(relations: &[Relation], threads: usize) -> Vec<AfdEngine> {
@@ -106,28 +130,32 @@ fn pass(
 /// statistics.
 type Found = Vec<(Vec<Discovered>, afd_discovery::LatticeStats)>;
 
-/// Passes until `window` is spent (at least one). Returns per-request
-/// seconds, per-pass seconds, the elapsed window and the last pass's
-/// output.
+/// Passes until `window` of pass time is spent (at least one), calling
+/// `between` with the set-up between passes, outside the window.
+/// Returns per-request seconds, per-pass seconds, the pass time and the
+/// last pass's output.
 fn passes(
-    engines: &mut [AfdEngine],
+    setup: &mut Setup,
     window: Duration,
     report: &mut Report,
+    between: &mut dyn FnMut(&mut Setup),
 ) -> (Vec<f64>, Vec<f64>, f64, Found) {
-    let start = Instant::now();
     let mut requests = Vec::new();
     let mut walls = Vec::new();
+    let mut timed = 0.0;
     let mut found = Vec::new();
     loop {
         found.clear();
-        let (t, wall) = pass(engines, report, Some(&mut found));
+        let (t, wall) = pass(&mut setup.engines, report, Some(&mut found));
         requests.extend(t);
         walls.push(wall);
-        if start.elapsed() >= window {
+        timed += wall;
+        if timed >= window.as_secs_f64() {
             break;
         }
+        between(setup);
     }
-    (requests, walls, start.elapsed().as_secs_f64(), found)
+    (requests, walls, timed, found)
 }
 
 /// The correctness gate: the engine's output (FDs, order and every
@@ -170,7 +198,8 @@ fn settings(report: &mut Report, threads: usize) {
     report.set_num("max_lhs", MAX_LHS);
     report.set_num("epsilon", EPSILON);
     report.set_num("threads", threads);
-    report.set_num("setup_repeats", SETUP_REPEATS);
+    report.set_num("setups_before_window", SETUPS_BEFORE);
+    report.set_num("setups_between_passes", SETUPS_PER_GAP);
 }
 
 /// The untraced run (`trace == false`) or the traced one.
@@ -179,13 +208,10 @@ pub fn run(seed: u64, seconds: u64, trace: bool, report: &mut Report) -> Result<
     settings(report, threads);
     let window = Duration::from_secs(seconds);
     let mut setup_times = Vec::new();
-    let mut setup = None;
-    for _ in 0..if trace { 1 } else { SETUP_REPEATS } {
-        let start = Instant::now();
-        setup = Some(setup_once(seed, threads));
-        setup_times.push(start.elapsed().as_secs_f64());
+    let mut setup = Setup::default();
+    for _ in 0..if trace { 1 } else { SETUPS_BEFORE } {
+        timed_setup(&mut setup, seed, threads, &mut setup_times);
     }
-    let mut setup = setup.expect("one set-up");
     report.set_num(
         "rows",
         format!(
@@ -200,7 +226,11 @@ pub fn run(seed: u64, seconds: u64, trace: bool, report: &mut Report) -> Result<
     if trace {
         return traced(&mut setup, window, seed, report);
     }
-    let (requests, walls, elapsed, found) = passes(&mut setup.engines, window, report);
+    let (requests, walls, elapsed, found) = passes(&mut setup, window, report, &mut |s| {
+        for _ in 0..SETUPS_PER_GAP {
+            timed_setup(s, seed, threads, &mut setup_times);
+        }
+    });
     let rss = rss_peak_mb();
     let mismatches = gate(&setup.relations, &found, seed);
     report.correct = mismatches == 0;
@@ -223,26 +253,27 @@ pub fn run(seed: u64, seconds: u64, trace: bool, report: &mut Report) -> Result<
         "request_us_by_relation",
         format!("[{}]", by_relation.join(", ")),
     );
-    let (tail_pct, tail) =
-        chunked_tail(&[&requests], TAIL_CHUNK).ok_or("too few requests for a tail percentile")?;
-    // Every pass does the same work, so the spread between passes is
-    // the host's: the fastest pass is the one other load on the machine
-    // disturbed least.
-    let best_p50 = requests
-        .chunks_exact(per_call)
-        .map(|pass| median_or_zero(pass.to_vec()))
-        .fold(f64::INFINITY, f64::min);
-    let best_rate = walls
+    let fast_passes = fastest(&walls, FAST_PASSES);
+    let fast = fast_passes
         .iter()
-        .map(|w| per_call as f64 / w)
-        .fold(0.0, f64::max);
+        .flat_map(|&p| &requests[p * per_call..(p + 1) * per_call])
+        .copied()
+        .collect();
+    let fast = Samples::new(fast).ok_or("no discover request completed")?;
+    let fast_s: f64 = fast_passes.iter().map(|&p| walls[p]).sum();
+    let (tail_pct, tail) = fast
+        .tail()
+        .ok_or("too few requests for a tail percentile")?;
     let req = Samples::new(requests).ok_or("no discover request completed")?;
     report.set_num("request_samples", n_requests);
+    report.set_num("fast_passes", fast_passes.len());
+    report.set_num("fast_request_samples", fast.len());
     report.set_num("tail_percentile", format!("{:.4}", tail_pct * 100.0));
     let (q1, q3) = req.quartiles();
     report.set_num("request_q1_us", format!("{:.3}", q1 * 1e6));
     report.set_num("request_q3_us", format!("{:.3}", q3 * 1e6));
     report.set_num("passes", walls.len());
+    report.set_num("setups", setup_times.len());
     report.set_num("discover_pass_s", format!("{:.6}", median_or_zero(walls)));
     report.set_num("window_p50_us", format!("{:.3}", req.median() * 1e6));
     report.set_num(
@@ -255,9 +286,9 @@ pub fn run(seed: u64, seconds: u64, trace: bool, report: &mut Report) -> Result<
             Samples::new(setup_times).expect(">= 1 set-up").median(),
             "s",
         ),
-        metric("request_p50_us", best_p50 * 1e6, "us"),
+        metric("request_p50_us", fast.median() * 1e6, "us"),
         metric("request_tail_us", tail * 1e6, "us"),
-        metric("requests_per_s", best_rate, "1/s"),
+        metric("requests_per_s", fast.len() as f64 / fast_s, "1/s"),
         metric("rss_peak_mb", rss, "MiB"),
     ];
     Ok(())
@@ -315,7 +346,7 @@ fn traced(
     seed: u64,
     report: &mut Report,
 ) -> Result<(), String> {
-    let (_, walls, _, _) = passes(&mut setup.engines, window / 2, report);
+    let (_, walls, _, _) = passes(setup, window / 2, report, &mut |_| {});
     let untraced = median_or_zero(walls);
     let mut single = engines(&setup.relations, 1);
     let measures: Vec<Box<dyn Measure>> = MEASURES

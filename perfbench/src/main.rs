@@ -65,18 +65,21 @@
 //! A served round, and a discovery pass, is the same work every time,
 //! so how much rounds of one run differ is how much other load on the
 //! machine disturbed them; on a shared 2-vCPU VM, rounds minutes apart
-//! differed by up to 1.9×. The median and the rate are therefore taken
-//! from the fastest round (pass) of the run, the one disturbed least,
-//! which is what a change to the code moves. The whole window's median
-//! and rate are in `settings` as `window_p50_us` and
-//! `window_requests_per_s`.
+//! differed by up to 1.9×. The latency and rate metrics are therefore
+//! taken from the requests of the run's *fastest units*, pooled: its 16
+//! fastest rounds (8 192 deltas on `serve_sharded_tcp`) or 3 fastest
+//! passes (360 `discover` calls). Those are the units other load
+//! disturbed least, so what they measure is what a change to the code
+//! moves, and pooling several keeps enough samples for a steady median
+//! and tail. The whole window's median and rate are in `settings` as
+//! `window_p50_us` and `window_requests_per_s`.
 //!
 //! | metric | unit | better | definition |
 //! |---|---|---|---|
-//! | `setup_s` | s | lower | median of 5 set-ups in the run: data generation, server boot, worker spawn and registration (discovery: relation generation and engine construction); correctness oracles excluded |
-//! | `request_p50_us` | us | lower | median request latency of the run's fastest round (pass) |
-//! | `request_tail_us` | us | lower | the highest percentile up to p99 with at least 10 samples beyond it (the percentile is in `settings`); with at least two 1 024-sample stretches, the median of each stretch's p99, so one burst does not decide it |
-//! | `requests_per_s` | 1/s | higher | completed requests per second in the run's fastest round (pass) |
+//! | `setup_s` | s | lower | median of the run's set-ups: on a served workload 15 before the window, each data generation, server boot, worker spawn and registration (the previous system torn down first); on `discover_rwd` relation generation and engine construction, 5 before the window and 3 between passes, outside it, each replacing the set-up the next pass runs on (one takes a tenth of a second, so set-ups spread over the run follow the machine's drifting speed less than a bunch at its start); correctness oracles excluded |
+//! | `request_p50_us` | us | lower | median request latency over the fastest units |
+//! | `request_tail_us` | us | lower | over the fastest units, the highest percentile up to p99 with at least 10 samples beyond it: p99 on a served workload, about p97 on `discover_rwd` (the percentile is in `settings`) |
+//! | `requests_per_s` | 1/s | higher | requests the fastest units completed, per second of their time |
 //! | `rss_peak_mb` | MiB | lower | `VmHWM` of this process, which hosts the server: served workloads read it after the first round (every round holds the same state, but the allocator's footprint creeps with each register/release cycle, so a later reading would track throughput), `discover_rwd` right after the window |
 //!
 //! Failures are counted, not averaged away: `attempted` counts every

@@ -30,10 +30,15 @@ use afd_stream::{ChurnPlanner, RowDelta, StreamScores, StreamSession};
 use crate::gen::{self, ChurnSession};
 use crate::outcome::Outcome;
 use crate::report::{metric, rss_peak_mb, Report};
-use crate::stats::{chunked_tail, median_or_zero, Samples, TAIL_CHUNK};
+use crate::stats::{fastest, Samples};
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPEATS: usize = 5;
+pub const SETUP_REPEATS: usize = 15;
+
+/// Rounds whose samples give the latency and rate metrics: the fastest
+/// of the run's (about 40 in a 40 s window on `serve_sharded_tcp`),
+/// 8 192 delta samples there.
+pub const FAST_ROUNDS: usize = 16;
 
 /// `ServeConfig::resident_cap`: above every served workload's session
 /// count, so nothing spills.
@@ -71,8 +76,7 @@ impl Shape {
 /// The default served path, everything resident. 16 384-row sessions:
 /// with 65 536-row ones the working set outgrew the CPU cache and the
 /// run-to-run spread reached 15–21% over 10 seeds. A round is 2 048
-/// cycles, two tail chunks, so the reset between rounds stays a small
-/// share of a run.
+/// cycles, so the reset between rounds stays a small share of a run.
 pub const SERVE_HOT: Shape = Shape {
     name: "serve_hot",
     sessions: 8,
@@ -290,19 +294,21 @@ pub struct Setup {
     pub times: Vec<f64>,
 }
 
-/// Generates inputs and boots the system `repeats` times, tearing down
-/// all but the last.
+/// Generates inputs and boots the system `repeats` times, tearing each
+/// down before the next boots (so at most one is ever alive and the
+/// peak RSS does not count two), and keeping the last.
 pub fn setup(shape: &Shape, seed: u64, root: &Path, repeats: usize) -> Result<Setup, String> {
     let mut times = Vec::with_capacity(repeats);
     let mut last = None;
     for r in 0..repeats {
+        if let Some((old, _)) = last.take() {
+            System::shutdown(old);
+        }
         let start = Instant::now();
         let inputs = Inputs::generate(shape, seed);
         let system = System::boot(shape, &inputs, root.join(format!("front-{r}")))?;
         times.push(start.elapsed().as_secs_f64());
-        if let Some((old, _)) = last.replace((system, inputs)) {
-            System::shutdown(old);
-        }
+        last = Some((system, inputs));
     }
     let (system, inputs) = last.expect("at least one set-up");
     Ok(Setup {
@@ -397,24 +403,19 @@ pub struct Window {
 }
 
 impl Window {
-    /// The fastest round: the lowest median delta latency of any round,
-    /// and the highest rate (cycles per second) of any round. Every
-    /// round does the same work, so the spread between rounds is the
-    /// host's: the best round is the one other load on the machine
-    /// disturbed least.
-    pub fn best_round(&self) -> (f64, f64) {
-        let p50 = self
-            .rounds
+    /// The [`FAST_ROUNDS`] fastest rounds, pooled: their
+    /// enqueue → reflecting-answer latencies, their cycles and their
+    /// seconds. Every round does the same work, so the slower rounds
+    /// are the ones other load on the machine disturbed most.
+    pub fn fast_rounds(&self) -> (Vec<f64>, usize, f64) {
+        let fast = fastest(&self.round_s, FAST_ROUNDS);
+        let deltas = fast
             .iter()
-            .map(|r| median_or_zero(r.iter().filter_map(|c| c.delta_us).collect()))
-            .fold(f64::INFINITY, f64::min);
-        let rate = self
-            .rounds
-            .iter()
-            .zip(&self.round_s)
-            .map(|(r, t)| r.len() as f64 / t)
-            .fold(0.0, f64::max);
-        (p50, rate)
+            .flat_map(|&r| self.rounds[r].iter().filter_map(|c| c.delta_us))
+            .collect();
+        let cycles = fast.iter().map(|&r| self.rounds[r].len()).sum();
+        let seconds = fast.iter().map(|&r| self.round_s[r]).sum();
+        (deltas, cycles, seconds)
     }
 
     /// Enqueue → reflecting-answer latencies, in order.
@@ -568,10 +569,10 @@ pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Resul
         report.set_num("gate_mismatches", mismatches);
         report.outcome.absorb(&window.outcome);
 
-        let stream = window.delta_us();
-        let (tail_pct, tail) =
-            chunked_tail(&[&stream], TAIL_CHUNK).ok_or("too few deltas for a tail percentile")?;
-        let delta = Samples::new(stream).ok_or("no delta completed in the window")?;
+        let delta = Samples::new(window.delta_us()).ok_or("no delta completed in the window")?;
+        let (fast, fast_cycles, fast_s) = window.fast_rounds();
+        let fast = Samples::new(fast).ok_or("no delta completed in the fastest rounds")?;
+        let (tail_pct, tail) = fast.tail().ok_or("too few deltas for a tail percentile")?;
         let reads = window
             .rounds
             .iter()
@@ -582,6 +583,8 @@ pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Resul
         let setup = Samples::new(times).expect("repeats >= 1");
         let cycles: usize = window.rounds.iter().map(Vec::len).sum();
         report.set_num("rounds", window.rounds.len());
+        report.set_num("fast_rounds", FAST_ROUNDS.min(window.rounds.len()));
+        report.set_num("fast_delta_samples", fast.len());
         report.set_num("delta_samples", delta.len());
         report.set_num("read_samples", reads.len());
         report.set_num("read_p50_us", format!("{:.3}", reads.median()));
@@ -597,12 +600,11 @@ pub fn run(shape: &Shape, seed: u64, seconds: u64, report: &mut Report) -> Resul
             "window_requests_per_s",
             format!("{:.3}", cycles as f64 / window.timed_s),
         );
-        let (best_p50, best_rate) = window.best_round();
         report.metrics = vec![
             metric("setup_s", setup.median(), "s"),
-            metric("request_p50_us", best_p50, "us"),
+            metric("request_p50_us", fast.median(), "us"),
             metric("request_tail_us", tail, "us"),
-            metric("requests_per_s", best_rate, "1/s"),
+            metric("requests_per_s", fast_cycles as f64 / fast_s, "1/s"),
             metric("rss_peak_mb", window.rss_mb, "MiB"),
         ];
         Ok(())

@@ -77,29 +77,19 @@ impl Samples {
     }
 }
 
-/// Samples per chunk for [`chunked_tail`]: enough for a p99 with ten
-/// samples beyond it, and a multiple of the shard checkpoint interval
-/// (64), so every chunk of a sharded run holds the same number of
-/// checkpoint pulls.
-pub const TAIL_CHUNK: usize = 1024;
-
-/// The tail of a time-ordered sample stream, robust to one burst: the
-/// median over consecutive `chunk`-sample chunks of each chunk's
-/// [`Samples::tail`] (a trailing partial chunk is dropped). Streams
-/// shorter than two chunks report their plain tail.
-pub fn chunked_tail(streams: &[&[f64]], chunk: usize) -> Option<(f64, f64)> {
-    let tails: Vec<(f64, f64)> = streams
-        .iter()
-        .flat_map(|s| s.chunks_exact(chunk))
-        .filter_map(|c| Samples::new(c.to_vec())?.tail())
-        .collect();
-    if tails.len() < 2 {
-        let all: Vec<f64> = streams.iter().flat_map(|s| s.iter().copied()).collect();
-        return Samples::new(all)?.tail();
-    }
-    let pct = tails[0].0;
-    let value = Samples::new(tails.into_iter().map(|t| t.1).collect())?.median();
-    Some((pct, value))
+/// Indices of the `k` shortest of `times` (all of them when there are
+/// fewer), shortest first; ties keep their order.
+///
+/// A run repeats the same unit of work (a round, a pass), so how far
+/// the units' times differ is how much other load on the machine
+/// disturbed them. Pooling the samples of the `k` fastest units drops
+/// the disturbed ones while keeping enough samples for a steady median
+/// and tail.
+pub fn fastest(times: &[f64], k: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..times.len()).collect();
+    order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
+    order.truncate(k);
+    order
 }
 
 /// Median of `values`, or 0 when there are none (a layer a workload
@@ -163,25 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_tail_is_the_median_chunk_tail() {
-        // Three 100-sample chunks whose tails are 89, 189 and 289 (+ a
-        // dropped partial chunk); the median chunk tail is 189.
-        let stream: Vec<f64> = (0..350).map(f64::from).collect();
-        let (_, v) = chunked_tail(&[&stream], 100).unwrap();
-        assert_eq!(v, 189.0);
-        // One burst chunk moves the plain tail but not the median.
-        let mut bursty = vec![1.0; 300];
-        bursty[150..200].iter_mut().for_each(|x| *x = 50.0);
-        assert_eq!(chunked_tail(&[&bursty], 100).unwrap().1, 1.0);
-        assert_eq!(Samples::new(bursty).unwrap().tail().unwrap().1, 50.0);
-    }
-
-    #[test]
-    fn chunked_tail_falls_back_below_two_chunks() {
-        let stream: Vec<f64> = (0..150).map(f64::from).collect();
-        let plain = Samples::new(stream.clone()).unwrap().tail();
-        assert_eq!(chunked_tail(&[&stream], 100), plain);
-        assert!(chunked_tail(&[&[1.0; 5]], 100).is_none());
+    fn fastest_picks_the_shortest_times() {
+        let times = [3.0, 1.0, 4.0, 1.0, 5.0];
+        assert_eq!(fastest(&times, 3), [1, 3, 0]);
+        assert_eq!(fastest(&times, 9), [1, 3, 0, 2, 4]);
+        assert!(fastest(&times, 0).is_empty());
+        assert!(fastest(&[], 2).is_empty());
     }
 
     #[test]
