@@ -14,7 +14,11 @@
 //! The trade-off this records: a small K bounds replay work (cheap
 //! recovery) but pays a full snapshot round-trip every K applies; a
 //! large K amortises checkpointing but replays up to K−1 deltas per
-//! recovery.
+//! recovery. One more K = 64 case first churns the session until it
+//! holds four tombstones per live row, then kills a worker right after
+//! a checkpoint: a restore re-sends one row per slot since the last
+//! compaction, dead slots included, so this case times the restore
+//! when the delete history, not the replay, sets its cost.
 //!
 //! After every recovery the merged scores are asserted **bit-identical**
 //! (`f64::to_bits`) to a fault-free in-process twin fed the same
@@ -46,6 +50,8 @@ fn median_u64(mut samples: Vec<u64>) -> u64 {
 
 struct KResult {
     checkpoint_every: u64,
+    pre_churn: u64,
+    tombstones: usize,
     fill: u64,
     apply_ns: u128,
     recovery_ns: u128,
@@ -76,12 +82,19 @@ fn main() {
         std::process::exit(1);
     });
 
+    // Churn deltas before the first kill in the last case: enough deletes
+    // for four tombstones per live row, and a multiple of its K = 64, so
+    // the first kill comes right after a checkpoint.
+    let long_churn = (4 * n / (delta_rows / 2)) as u64;
     let mut results = Vec::new();
-    for checkpoint_every in [8u64, 64, 256] {
+    for (checkpoint_every, pre_churn) in [(8u64, 0), (64, 0), (256, 0), (64, long_churn)] {
         // How far the post-checkpoint log is filled before the kill:
         // the worst case (K−1 deltas to replay), capped in smoke mode so
-        // CI stays fast.
-        let fill = if smoke {
+        // CI stays fast. The churned case kills right after a checkpoint,
+        // so its recovery time is mostly the restore itself.
+        let fill = if pre_churn > 0 {
+            0
+        } else if smoke {
             (checkpoint_every - 1).min(12)
         } else {
             checkpoint_every - 1
@@ -103,13 +116,16 @@ fn main() {
         let mut planner_a = ChurnPlanner::new(&fixture);
         let mut planner_b = ChurnPlanner::new(&fixture);
 
+        let mut tombstones = 0;
         let mut plain_times = Vec::new();
         let mut recovery_times = Vec::new();
         let mut replayed_counts = Vec::new();
-        for _ in 0..samples {
-            // Fill the log: `fill` fault-free applies (also sampling the
-            // plain apply cost, checkpoint refreshes included).
-            for _ in 0..fill {
+        for sample in 0..samples {
+            // Fill the log: `fill` fault-free applies, after the
+            // `pre_churn` history in the first sample (all of them also
+            // sample the plain apply cost, checkpoint refreshes included).
+            let applies = if sample == 0 { pre_churn + fill } else { fill };
+            for _ in 0..applies {
                 let delta = planner_a.next_delta(delta_rows);
                 let same = planner_b.next_delta(delta_rows);
                 let start = Instant::now();
@@ -118,6 +134,7 @@ fn main() {
                 twin.apply(&same).expect("valid churn delta");
             }
             // Kill worker 1 mid-run; the next apply recovers it.
+            tombstones = proc.router().n_slots() - proc.router().n_live();
             let before = proc.recovery_report();
             proc.backend_mut(1).kill();
             let delta = planner_a.next_delta(delta_rows);
@@ -141,6 +158,8 @@ fn main() {
         let report = proc.recovery_report();
         results.push(KResult {
             checkpoint_every,
+            pre_churn,
+            tombstones,
             fill,
             apply_ns: median(plain_times).as_nanos(),
             recovery_ns: median(recovery_times).as_nanos(),
@@ -157,10 +176,17 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"workload\": \"worker_recovery\", \"rows\": {n}, \"shards\": 2, \
-             \"checkpoint_every\": {}, \"log_fill\": {}, \"delta_rows\": {delta_rows}, \
-             \"apply_ns\": {}, \"recovery_ns\": {}, \"deltas_replayed\": {}, \
-             \"respawns\": {}}}{comma}",
-            r.checkpoint_every, r.fill, r.apply_ns, r.recovery_ns, r.deltas_replayed, r.respawns,
+             \"checkpoint_every\": {}, \"pre_churn\": {}, \"tombstones\": {}, \
+             \"log_fill\": {}, \"delta_rows\": {delta_rows}, \"apply_ns\": {}, \
+             \"recovery_ns\": {}, \"deltas_replayed\": {}, \"respawns\": {}}}{comma}",
+            r.checkpoint_every,
+            r.pre_churn,
+            r.tombstones,
+            r.fill,
+            r.apply_ns,
+            r.recovery_ns,
+            r.deltas_replayed,
+            r.respawns,
         );
     }
     json.push_str("  ],\n");
@@ -169,16 +195,23 @@ fn main() {
         "  \"smoke\": {smoke},\n  \"note\": \"median over samples; worker_recovery = kill one of \
          2 afd shard-worker children with its post-checkpoint log filled to log_fill deltas, \
          then time the next apply, which respawns the worker, restores its checkpoint, replays \
-         the log and retries the in-flight delta; apply_ns = fault-free apply on the same \
-         session (checkpoint refreshes included); post-recovery merged scores asserted \
-         bit-identical to a fault-free in-process twin\"\n}}\n"
+         the log and retries the in-flight delta; pre_churn = churn deltas applied before the \
+         first kill; tombstones = dead row slots across both shards at the last kill; \
+         apply_ns = fault-free apply on the same session (checkpoint refreshes included); \
+         post-recovery merged scores asserted bit-identical to a fault-free in-process twin\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");
     for r in &results {
         println!(
-            "K={:<4} fill={:<4} apply {:>10}ns  recovery {:>10}ns  replayed {:>4} deltas  \
-             ({} respawns)",
-            r.checkpoint_every, r.fill, r.apply_ns, r.recovery_ns, r.deltas_replayed, r.respawns,
+            "K={:<4} tombstones={:<7} fill={:<4} apply {:>10}ns  recovery {:>10}ns  \
+             replayed {:>4} deltas  ({} respawns)",
+            r.checkpoint_every,
+            r.tombstones,
+            r.fill,
+            r.apply_ns,
+            r.recovery_ns,
+            r.deltas_replayed,
+            r.respawns,
         );
     }
     println!("wrote {out_path}");

@@ -72,9 +72,10 @@ pub trait Transport: Send + std::fmt::Debug {
     }
 
     /// Out-of-band diagnostics for error attribution (the child's
-    /// stderr tail for stdio transports). `likely_dead` lets the
-    /// implementation briefly wait for the peer's exit first so panic
-    /// messages that raced the failure are included deterministically.
+    /// stderr tail for stdio transports). `likely_dead` says the channel
+    /// is gone, so the implementation may end the peer first (a stdio
+    /// child is killed and reaped) and include everything it wrote,
+    /// panic messages that raced the failure among them.
     fn diagnostics(&mut self, likely_dead: bool) -> Vec<String> {
         let _ = likely_dead;
         Vec::new()
@@ -194,23 +195,17 @@ impl StdioIo {
         })
     }
 
-    /// The captured stderr tail. When the failure suggests the child
-    /// died (`wait_for_exit`), briefly poll for its exit and join the
-    /// stderr thread first, so panic messages that raced the error are
-    /// included deterministically.
-    fn stderr_snapshot(&mut self, wait_for_exit: bool) -> Vec<String> {
-        if wait_for_exit {
-            for _ in 0..25 {
-                match self.child.try_wait() {
-                    Ok(Some(_)) => {
-                        if let Some(h) = self.stderr_reader.take() {
-                            let _ = h.join();
-                        }
-                        break;
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                    Err(_) => break,
-                }
+    /// The captured stderr tail. When the channel is dead (`reap`), the
+    /// child is killed and reaped and the stderr thread joined first:
+    /// once the child is gone its stderr pipe closes, so the thread
+    /// drains every line the child wrote before it failed, and panic
+    /// messages that raced the error are included deterministically.
+    fn stderr_snapshot(&mut self, reap: bool) -> Vec<String> {
+        if reap {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+            if let Some(h) = self.stderr_reader.take() {
+                let _ = h.join();
             }
         }
         self.stderr_tail

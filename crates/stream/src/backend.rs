@@ -282,20 +282,28 @@ impl<T: Transport> RemoteShard<T> {
 
     /// Builds the typed transport error for a failed protocol step:
     /// shard attribution plus the transport's diagnostics (the worker
-    /// stderr tail over stdio).
+    /// stderr tail over stdio). The channel itself still works here.
     fn fail(&mut self, kind: TransportErrorKind) -> StreamError {
-        let worker_died = matches!(
-            kind,
-            TransportErrorKind::Read(_) | TransportErrorKind::Write(_)
+        self.fail_channel(kind, false)
+    }
+
+    /// As [`Self::fail`] for a channel-level error. A read, a write or a
+    /// frame that fails to decode all end the channel (the transport's
+    /// reader stops at the first bad frame), so the worker is treated as
+    /// dead and its last stderr lines are collected after it exits.
+    fn fail_net(&mut self, e: NetError) -> StreamError {
+        let dead = matches!(
+            e,
+            NetError::Read(_) | NetError::Write(_) | NetError::Decode(_)
         );
-        let stderr = self.transport.diagnostics(worker_died);
+        self.fail_channel(net_kind(e), dead)
+    }
+
+    fn fail_channel(&mut self, kind: TransportErrorKind, dead: bool) -> StreamError {
+        let stderr = self.transport.diagnostics(dead);
         let mut err = TransportError::of_kind(kind).with_stderr(stderr);
         err.shard = self.shard_index;
         StreamError::Transport(err)
-    }
-
-    fn fail_net(&mut self, e: NetError) -> StreamError {
-        self.fail(net_kind(e))
     }
 
     fn unexpected(&mut self, req: &str, resp: &WorkerResponse) -> StreamError {

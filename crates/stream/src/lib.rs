@@ -61,14 +61,17 @@
 //!
 //! Failure is typed, never silent — and for process workers it is
 //! **recovered**, not just reported. The coordinator keeps, per shard, a
-//! framed [`SessionSnapshot`] checkpoint (refreshed every
-//! [`RecoveryConfig::checkpoint_every`] applies) plus the encoded
-//! [`RowDelta`] log since it. When a request fails with a structured
-//! [`TransportError`] (spawn / write / read / timeout / decode, plus the
-//! shard index and the worker's last stderr lines), the supervisor
-//! respawns the worker, restores the checkpoint, replays the log and
-//! retries the in-flight request — both wire forms are canonical, so the
-//! recovered state is bit-identical by construction. Every request
+//! checkpoint (the shard's live rows plus the liveness of its row-id
+//! slots, refreshed every [`RecoveryConfig::checkpoint_every`] applies)
+//! and the routed [`RowDelta`] slices since it. When a request fails
+//! with a structured [`TransportError`] (spawn / write / read / timeout
+//! / decode, plus the shard index and the worker's last stderr lines),
+//! the supervisor respawns the worker, re-inserts one row per
+//! checkpointed slot (an all-NULL row, deleted again at once, for a dead
+//! one) so the worker gets back the coordinator's own row ids, replays
+//! the slices verbatim and retries the in-flight request. The recovered
+//! worker holds the same live rows under the same ids as one that never
+//! failed, so merged score reads stay bit-identical. Every request
 //! carries a deadline ([`RecoveryConfig::request_timeout_ms`], enforced
 //! by a per-worker reader thread), so a *hung* worker becomes a timeout
 //! feeding the same path; [`ShardedSession::recovery_report`] counts

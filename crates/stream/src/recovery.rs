@@ -1,16 +1,23 @@
 //! Recovery policy and reporting for the self-healing shard fabric.
 //!
 //! A recovery-enabled [`ShardedSession`](crate::ShardedSession) keeps, per
-//! shard, a framed [`SessionSnapshot`](crate::SessionSnapshot) checkpoint
-//! plus the encoded [`RowDelta`](crate::RowDelta) log since that
-//! checkpoint. When a shard's transport fails (worker killed, pipe
-//! corrupted, request deadline elapsed), the supervisor respawns the
-//! worker, restores the checkpoint, replays the log, and retries the
-//! in-flight request — poisoning the session only once the
-//! [`retry_budget`](RecoveryConfig::retry_budget) is exhausted. Both the
-//! checkpoint and the log use the canonical `afd-wire` byte forms, so a
-//! recovered shard is bit-identical to a never-failed one by
-//! construction.
+//! shard, a checkpoint (the shard's live rows and the liveness of its
+//! row-id slots) plus the routed [`RowDelta`](crate::RowDelta) slices
+//! since that checkpoint. When a shard's transport fails (worker killed,
+//! pipe corrupted, request deadline elapsed), the supervisor respawns the
+//! worker and restores it at the coordinator's own row ids: one row per
+//! checkpointed slot (an all-NULL row for a dead slot, deleted again at
+//! once), then the logged slices verbatim. It then retries the in-flight
+//! request, poisoning the session only once the
+//! [`retry_budget`](RecoveryConfig::retry_budget) is exhausted. A
+//! recovered shard holds the same live rows under the same ids as a
+//! never-failed one, so merged score reads stay bit-identical. Replay is
+//! bounded by [`checkpoint_every`](RecoveryConfig::checkpoint_every): a
+//! recovery keeps the checkpoint it restored from, so a second failure
+//! before the next checkpoint replays the whole log again. The restore
+//! itself re-sends one row per slot the shard has had since its last
+//! compaction, tombstones included, so a long-churned session that never
+//! compacts pays for its whole delete history at every recovery.
 //!
 //! [`RecoveryConfig`] is the policy knob set (checkpoint cadence, retry
 //! budget, backoff, request deadline); [`RecoveryReport`] is the

@@ -29,14 +29,12 @@ use std::time::Duration;
 
 use afd_parallel::par_map_mut;
 use afd_relation::{AttrId, AttrSet, Column, Dictionary, Fd, Relation, Schema, Value, NULL_CODE};
-use afd_wire::{Decode as _, Encode as _};
 
 use crate::backend::{InProcShard, ProcessShard, ShardBackend, WorkerCommand};
-use crate::delta::{RowDelta, RowId, StreamError, TransportError};
+use crate::delta::{RowDelta, RowId, StreamError};
 use crate::recovery::{RecoveryConfig, RecoveryReport, ShardRecoveryStats, ShutdownReport};
 use crate::session::{CompactionReport, ScoreDiff};
 use crate::table::{IncTable, StreamScores};
-use crate::wire::SessionSnapshot;
 
 /// Stable 64-bit FNV-1a over a row's shard-key values. Deterministic
 /// across processes (unlike `DefaultHasher` guarantees), so a persisted
@@ -148,6 +146,21 @@ impl DeltaRouter {
         (self.live.get(id as usize) == Some(&true)).then(|| self.placement[id as usize])
     }
 
+    /// Liveness of every shard's local slots: per shard, by local slot.
+    /// A shard's slots are numbered in global arrival order, so each
+    /// list is the global liveness restricted to that shard.
+    pub(crate) fn slot_liveness(&self) -> Vec<Vec<bool>> {
+        let mut out: Vec<Vec<bool>> = self
+            .shard_slots
+            .iter()
+            .map(|&n| Vec::with_capacity(n as usize))
+            .collect();
+        for (&(shard, _), &live) in self.placement.iter().zip(&self.live) {
+            out[shard as usize].push(live);
+        }
+        out
+    }
+
     /// The shard a row with these values routes to.
     pub fn shard_of_row(&self, row: &[Value]) -> usize {
         if self.n_shards == 1 {
@@ -222,165 +235,19 @@ impl DeltaRouter {
     }
 }
 
-/// Sentinel for "row already dead" entries in aliases and remaps.
-const DEAD: RowId = RowId::MAX;
-
-/// Per-shard supervision state: the checkpoint + delta log that make a
-/// crashed worker recoverable, and the id-space translation that keeps
-/// the router talking to a restored worker.
-///
-/// The router numbers a shard's local slots over the shard's **full
-/// insertion history** (tombstones included). A restored worker instead
-/// numbers rows densely over what recovery re-fed it (the checkpoint's
-/// live rows, then the replayed log). `alias` is the bridge: router
-/// local slot -> current worker row id.
+/// Per-shard supervision state: what it takes to bring a crashed worker
+/// back at the router's own local row ids.
 #[derive(Debug, Clone)]
 struct ShardSupervisor {
-    /// Router local slot -> worker row id ([`DEAD`] once deleted).
-    alias: Vec<RowId>,
-    /// Liveness by worker row id.
-    w_live: Vec<bool>,
-    /// Next worker row id the current incarnation will assign.
-    w_next: RowId,
-    /// Framed [`SessionSnapshot`] of the live rows at the last checkpoint.
-    ckpt_bytes: Vec<u8>,
-    /// Worker id-space length when the checkpoint was taken.
-    ckpt_w_len: RowId,
-    /// Live rows in the checkpoint (a restored worker numbers them
-    /// `0..ckpt_n_live` in arrival order).
-    ckpt_n_live: RowId,
-    /// Pre-checkpoint worker id -> restored worker id ([`DEAD`] for rows
-    /// dead at checkpoint time).
-    ckpt_remap: Vec<RowId>,
-    /// Encoded worker-id-space [`RowDelta`] slices applied since the
-    /// checkpoint, in order — the replay tail.
-    log: Vec<Vec<u8>>,
+    /// The shard's live rows at the last checkpoint, in local slot order.
+    ckpt: Relation,
+    /// The router's liveness of the shard's local slots at the last
+    /// checkpoint (one entry per slot, tombstones included).
+    ckpt_live: Vec<bool>,
+    /// The routed slices applied since the checkpoint, in order (empty
+    /// slices skipped) — the replay tail.
+    log: Vec<RowDelta>,
     stats: ShardRecoveryStats,
-}
-
-impl ShardSupervisor {
-    fn new(empty_ckpt: Vec<u8>) -> Self {
-        ShardSupervisor {
-            alias: Vec::new(),
-            w_live: Vec::new(),
-            w_next: 0,
-            ckpt_bytes: empty_ckpt,
-            ckpt_w_len: 0,
-            ckpt_n_live: 0,
-            ckpt_remap: Vec::new(),
-            log: Vec::new(),
-            stats: ShardRecoveryStats::default(),
-        }
-    }
-
-    /// Maps a pre-recovery worker id into the restored worker's id space:
-    /// checkpoint rows renumber to their live-rank, post-checkpoint rows
-    /// follow densely.
-    fn translate_old(&self, id: RowId) -> RowId {
-        if id < self.ckpt_w_len {
-            self.ckpt_remap[id as usize]
-        } else {
-            self.ckpt_n_live + (id - self.ckpt_w_len)
-        }
-    }
-
-    /// Records a successfully applied worker-space slice: appends it to
-    /// the replay log and advances the alias/liveness bookkeeping.
-    fn commit(&mut self, translated: &RowDelta) {
-        if !translated.is_empty() {
-            self.log.push(translated.encode_to_vec());
-        }
-        for &d in &translated.deletes {
-            self.w_live[d as usize] = false;
-        }
-        for _ in &translated.inserts {
-            self.alias.push(self.w_next);
-            self.w_live.push(true);
-            self.w_next += 1;
-        }
-    }
-
-    /// Installs `bytes` (a framed snapshot of the worker's current live
-    /// rows) as the new checkpoint and truncates the replay log.
-    fn install_checkpoint(&mut self, bytes: Vec<u8>) {
-        let mut remap = vec![DEAD; self.w_next as usize];
-        let mut rank: RowId = 0;
-        for (id, &live) in self.w_live.iter().enumerate() {
-            if live {
-                remap[id] = rank;
-                rank += 1;
-            }
-        }
-        self.ckpt_bytes = bytes;
-        self.ckpt_w_len = self.w_next;
-        self.ckpt_n_live = rank;
-        self.ckpt_remap = remap;
-        self.log.clear();
-    }
-
-    /// Rewrites alias/liveness into the restored worker's id space after
-    /// a successful checkpoint+replay restore.
-    fn rebase(&mut self) {
-        let new_len = (self.ckpt_n_live + (self.w_next - self.ckpt_w_len)) as usize;
-        let mut new_live = vec![false; new_len];
-        for (old, &live) in self.w_live.iter().enumerate() {
-            let nid = self.translate_old(old as RowId);
-            if nid != DEAD {
-                new_live[nid as usize] = live;
-            }
-        }
-        for i in 0..self.alias.len() {
-            let a = self.alias[i];
-            if a != DEAD {
-                self.alias[i] = self.translate_old(a);
-            }
-        }
-        self.w_live = new_live;
-        self.w_next = new_len as RowId;
-    }
-}
-
-/// Translates a router-local delta slice into shard `sup`'s current
-/// worker id space (deletes go through the alias; inserts are verbatim).
-fn to_worker_space(sup: &ShardSupervisor, local: &RowDelta) -> RowDelta {
-    RowDelta {
-        inserts: local.inserts.clone(),
-        deletes: local
-            .deletes
-            .iter()
-            .map(|&d| sup.alias[d as usize])
-            .collect(),
-    }
-}
-
-/// A checkpoint encode/decode failure, surfaced on the transport error
-/// channel so it feeds the same recovery/poisoning paths as a worker
-/// failure.
-fn ckpt_codec_err(what: &str, shard: Option<u32>, e: &dyn std::fmt::Display) -> StreamError {
-    let mut te = TransportError::decode(format!("checkpoint {what}: {e}"));
-    te.shard = shard;
-    StreamError::Transport(te)
-}
-
-/// The in-flight request a recovery retries after restoring a shard.
-enum RetryOp<'a> {
-    /// Re-apply a router-local slice (re-translated post-restore).
-    Apply(&'a RowDelta),
-    Subscribe(&'a Fd),
-    Snapshot,
-    Compact,
-    /// Recompact the restored (pre-compaction) state, then snapshot —
-    /// retries a failure in the post-compaction checkpoint step, where
-    /// recovery necessarily lands the worker *before* its compaction.
-    CompactedSnapshot,
-}
-
-/// What a successfully retried [`RetryOp`] produced.
-enum RetryOut {
-    Done,
-    Subscribed(usize),
-    Snapshot(Relation),
-    Compacted(CompactionReport),
 }
 
 /// Per-candidate coordinator state: the global Y-id space shared by all
@@ -534,25 +401,15 @@ impl<B: ShardBackend> ShardedSession<B> {
         for (i, shard) in shards.iter_mut().enumerate() {
             shard.configure(i as u32, deadline);
         }
-        let supervisors = if shards.iter().all(ShardBackend::supports_recovery) {
-            let empty = SessionSnapshot {
-                rows: Relation::empty(schema.clone()),
-                shard_key: router.shard_key().clone(),
-                n_shards: shards.len() as u32,
-                subscriptions: Vec::new(),
-                compact_every: None,
-            }
-            .to_bytes()
-            .map_err(|e| ckpt_codec_err("encode", None, &e))?;
-            Some(
-                shards
-                    .iter()
-                    .map(|_| ShardSupervisor::new(empty.clone()))
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let supervisors = shards.iter().all(ShardBackend::supports_recovery).then(|| {
+            let empty = ShardSupervisor {
+                ckpt: Relation::empty(schema.clone()),
+                ckpt_live: Vec::new(),
+                log: Vec::new(),
+                stats: ShardRecoveryStats::default(),
+            };
+            vec![empty; shards.len()]
+        });
         Ok(ShardedSession {
             schema,
             shards,
@@ -581,7 +438,7 @@ impl<B: ShardBackend> ShardedSession<B> {
         // Fold the seed into the checkpoints so recovery never replays it
         // as a log entry.
         if self.supervisors.is_some() {
-            self.refresh_checkpoints()?;
+            self.refresh_checkpoints(false)?;
         }
         Ok(self)
     }
@@ -737,32 +594,15 @@ impl<B: ShardBackend> ShardedSession<B> {
             )));
         }
         for i in 0..self.shards.len() {
-            match self.shards[i].subscribe(&fd) {
-                Ok(cid) => debug_assert_eq!(cid, self.candidates.len(), "lockstep subscribes"),
-                Err(StreamError::Transport(te)) if self.supervisors.is_some() => {
-                    // Recovery re-subscribes the existing candidates, then
-                    // the retry subscribes the new FD — lockstep restored.
-                    match self.recover_and_retry(i, RetryOp::Subscribe(&fd), te) {
-                        Ok(RetryOut::Subscribed(cid)) => {
-                            debug_assert_eq!(cid, self.candidates.len(), "lockstep subscribes");
-                        }
-                        Ok(_) => unreachable!("subscribe retry yields a subscription"),
-                        Err(e) => {
-                            self.poisoned = Some(format!(
-                                "subscribe fan-out failed on shard {i} after recovery attempts: {e}"
-                            ));
-                            return Err(e);
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Validation passed above, so this is a backend (i.e.
-                    // transport) failure; earlier shards may already have
-                    // subscribed — refuse further mutation.
-                    self.poisoned = Some(format!("subscribe fan-out failed on shard {i}: {e}"));
-                    return Err(e);
-                }
-            }
+            // Validation passed above, so a failure is a backend (i.e.
+            // transport) failure and earlier shards may already have
+            // subscribed. Recovery re-subscribes the existing candidates,
+            // then the retry subscribes the new FD — lockstep restored.
+            let first = self.shards[i].subscribe(&fd);
+            let cid = self.recover_or_poison(i, "subscribe fan-out", true, first, |me| {
+                me.shards[i].subscribe(&fd)
+            })?;
+            debug_assert_eq!(cid, self.candidates.len(), "lockstep subscribes");
         }
         self.candidates.push(ShardedCandidate {
             fd,
@@ -842,13 +682,14 @@ impl<B: ShardBackend> ShardedSession<B> {
     /// validation `Err` leaves the session unchanged (same contract and
     /// same error values as the unsharded session). A **backend**
     /// failure mid-fan-out (a killed worker, a corrupt frame, a request
-    /// past its deadline) enters recovery on recoverable backends — the
-    /// dead shard is respawned, its checkpoint restored, the delta log
-    /// replayed and the in-flight slice retried; only a shard that stays
-    /// down past [`RecoveryConfig::retry_budget`] (or a non-recoverable
-    /// backend) poisons the session, after which score reads keep
-    /// serving the pre-delta state and every further mutation is refused
-    /// with [`StreamError::Poisoned`].
+    /// past its deadline) enters recovery on recoverable backends: the
+    /// dead shard is respawned and brought back at the router's own
+    /// local row ids from its checkpoint, the slices logged since are
+    /// replayed and the in-flight slice is retried. Only a shard that
+    /// stays down past [`RecoveryConfig::retry_budget`] (or a
+    /// non-recoverable backend) poisons the session, after which score
+    /// reads keep serving the pre-delta state and every further mutation
+    /// is refused with [`StreamError::Poisoned`].
     ///
     /// # Errors
     /// [`StreamError::Arity`] / [`StreamError::UnknownRow`] /
@@ -859,42 +700,20 @@ impl<B: ShardBackend> ShardedSession<B> {
     pub fn apply(&mut self, delta: &RowDelta) -> Result<Vec<ScoreDiff>, StreamError> {
         self.check_poisoned()?;
         let locals = self.router.route(delta)?;
-        // Supervised sessions speak to workers in worker-id space; the
-        // translated slices are also what the replay log records.
-        let translated: Option<Vec<RowDelta>> = self.supervisors.as_ref().map(|sups| {
-            locals
-                .iter()
-                .enumerate()
-                .map(|(s, local)| to_worker_space(&sups[s], local))
-                .collect()
-        });
-        let slices: &[RowDelta] = translated.as_deref().unwrap_or(&locals);
         let results = par_map_mut(&mut self.shards, self.threads, |s, shard| {
-            shard.apply(&slices[s])
+            shard.apply(&locals[s])
         });
-        for (s, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(()) => {
-                    if let Some(sups) = &mut self.supervisors {
-                        sups[s].commit(&slices[s]);
-                    }
-                }
-                Err(StreamError::Transport(te)) if self.supervisors.is_some() => {
-                    if let Err(e) = self.recover_and_retry(s, RetryOp::Apply(&locals[s]), te) {
-                        self.poisoned = Some(format!(
-                            "delta fan-out failed on shard {s} after recovery attempts: {e}"
-                        ));
-                        return Err(e);
-                    }
-                }
-                Err(err) => {
-                    // The router already re-placed the delta and some
-                    // shards may have absorbed their slice — the
-                    // coordinator's candidate scores still reflect the
-                    // pre-delta state, so reads stay consistent; mutation
-                    // is refused from here on.
-                    self.poisoned = Some(format!("delta fan-out failed: {err}"));
-                    return Err(err);
+        for ((s, result), local) in results.into_iter().enumerate().zip(locals) {
+            // On a poisoning failure the router has already placed the
+            // delta and some shards may have absorbed their slice, but
+            // the candidate scores still reflect the pre-delta state, so
+            // reads stay consistent; mutation is refused from here on.
+            self.recover_or_poison(s, "delta fan-out", true, result, |me| {
+                me.shards[s].apply(&local)
+            })?;
+            if let Some(sups) = &mut self.supervisors {
+                if !local.is_empty() {
+                    sups[s].log.push(local);
                 }
             }
         }
@@ -917,7 +736,7 @@ impl<B: ShardBackend> ShardedSession<B> {
                 .deltas_applied
                 .is_multiple_of(self.recovery.checkpoint_every)
         {
-            self.refresh_checkpoints()?;
+            self.refresh_checkpoints(false)?;
         }
         if let Some(every) = self.compact_every {
             if self.deltas_applied.is_multiple_of(every) {
@@ -927,177 +746,139 @@ impl<B: ShardBackend> ShardedSession<B> {
         Ok(diffs)
     }
 
-    /// Takes a fresh per-shard checkpoint (framed snapshot of the live
-    /// rows) and truncates the replay logs — the every-K-applies step
-    /// bounding how much a recovery has to replay. Only called on
-    /// supervised sessions.
-    fn refresh_checkpoints(&mut self) -> Result<(), StreamError> {
-        for s in 0..self.shards.len() {
-            let rel = match self.shards[s].snapshot() {
-                Ok(rel) => rel,
-                Err(StreamError::Transport(te)) => {
-                    match self.recover_and_retry(s, RetryOp::Snapshot, te) {
-                        Ok(RetryOut::Snapshot(rel)) => rel,
-                        Ok(_) => unreachable!("snapshot retry yields a snapshot"),
-                        Err(e) => {
-                            self.poisoned = Some(format!(
-                                "checkpoint refresh failed on shard {s} after recovery \
-                                 attempts: {e}"
-                            ));
-                            return Err(e);
-                        }
-                    }
+    /// Takes a fresh checkpoint of every shard (its live rows plus the
+    /// router's liveness of its slots) and truncates the replay logs:
+    /// the every-K-applies step that bounds how much a recovery replays,
+    /// and the step after a compaction renumbered every slot. Only
+    /// called on supervised sessions.
+    ///
+    /// Until its new checkpoint is in place, a failed shard is restored
+    /// from the old one. After a compaction that is the pre-compaction
+    /// state, so the retry recompacts it first; worker compaction
+    /// renumbers live rows in arrival order, which reproduces the
+    /// incarnation that died.
+    fn refresh_checkpoints(&mut self, compacted: bool) -> Result<(), StreamError> {
+        let what = if compacted {
+            "post-compaction checkpoint"
+        } else {
+            "checkpoint refresh"
+        };
+        let mut liveness = self.router.slot_liveness();
+        for (s, ckpt_live) in liveness.iter_mut().enumerate() {
+            let first = self.shards[s].snapshot();
+            let ckpt = self.recover_or_poison(s, what, true, first, |me| {
+                if compacted {
+                    me.shards[s].compact()?;
                 }
-                Err(e) => {
-                    self.poisoned = Some(format!("checkpoint refresh failed on shard {s}: {e}"));
-                    return Err(e);
-                }
-            };
-            let bytes = match self.encode_ckpt(rel, s) {
-                Ok(bytes) => bytes,
-                Err(e) => {
-                    self.poisoned = Some(format!("checkpoint refresh failed on shard {s}: {e}"));
-                    return Err(e);
-                }
-            };
-            self.supervisors.as_mut().expect("supervised")[s].install_checkpoint(bytes);
+                me.shards[s].snapshot()
+            })?;
+            let sup = &mut self.supervisors.as_mut().expect("supervised")[s];
+            sup.ckpt = ckpt;
+            sup.ckpt_live = std::mem::take(ckpt_live);
+            sup.log.clear();
         }
         Ok(())
     }
 
-    /// Frames `rel` as the shard's checkpoint [`SessionSnapshot`].
-    fn encode_ckpt(&self, rel: Relation, shard: usize) -> Result<Vec<u8>, StreamError> {
-        SessionSnapshot {
-            rows: rel,
-            shard_key: self.router.shard_key().clone(),
-            n_shards: self.shards.len() as u32,
-            subscriptions: self.candidates.iter().map(|c| c.fd.clone()).collect(),
-            compact_every: self.compact_every,
-        }
-        .to_bytes()
-        .map_err(|e| ckpt_codec_err("encode", Some(shard as u32), &e))
-    }
-
-    /// Runs the full recovery loop for shard `s` after a transport
-    /// failure: backoff, respawn, restore (re-subscribe, checkpoint
-    /// seed, log replay), then retry the in-flight `op`. Every step may
-    /// fail again; the loop spends at most
-    /// [`RecoveryConfig::retry_budget`] attempts before giving up with
-    /// the last error (the caller poisons). A successful recovery
-    /// rebuilds the global Y space — a restored worker's side-id
-    /// numbering can differ (scores never observe Y identity, so merged
-    /// reads stay bit-identical).
-    fn recover_and_retry(
+    /// Settles one request to shard `s` whose first attempt returned
+    /// `first`.
+    ///
+    /// On a supervised session a transport failure enters recovery:
+    /// back off, [`restore`](Self::restore) the shard, and re-run the
+    /// request through `retry`, for at most
+    /// [`RecoveryConfig::retry_budget`] attempts. A recovered request
+    /// rebuilds the global Y space (a restored worker's side-id
+    /// numbering can differ; scores never observe Y identity). A failure
+    /// recovery could not heal always poisons the session as "`what`
+    /// failed"; any other failure poisons only when `poison` is set.
+    /// Either way the caller gets the last error.
+    fn recover_or_poison<T>(
         &mut self,
         s: usize,
-        op: RetryOp<'_>,
-        first: TransportError,
-    ) -> Result<RetryOut, StreamError> {
-        let budget = self.recovery.retry_budget;
-        let base = self.recovery.backoff_ms;
-        let mut last_err = StreamError::Transport(first);
-        for attempt in 0..budget {
-            if base > 0 {
-                let shift = attempt.min(6);
-                std::thread::sleep(Duration::from_millis(base.saturating_mul(1 << shift)));
+        what: &str,
+        poison: bool,
+        first: Result<T, StreamError>,
+        mut retry: impl FnMut(&mut Self) -> Result<T, StreamError>,
+    ) -> Result<T, StreamError> {
+        let mut err = match first {
+            Ok(out) => return Ok(out),
+            Err(e @ StreamError::Transport(_)) if self.supervisors.is_some() => e,
+            Err(e) => {
+                if poison {
+                    self.poisoned = Some(format!("{what} failed on shard {s}: {e}"));
+                }
+                return Err(e);
             }
-            if let Err(e) = self.try_recover(s) {
-                last_err = e;
+        };
+        for attempt in 0..self.recovery.retry_budget {
+            let backoff = self.recovery.backoff_ms.saturating_mul(1 << attempt.min(6));
+            if backoff > 0 {
+                std::thread::sleep(Duration::from_millis(backoff));
+            }
+            if let Err(e) = self.restore(s) {
+                err = e;
                 continue;
             }
-            match self.run_op(s, &op) {
+            match retry(self) {
                 Ok(out) => {
                     self.rebuild_y_space();
                     return Ok(out);
                 }
-                Err(StreamError::Transport(te)) => last_err = StreamError::Transport(te),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-
-    /// One restore attempt for shard `s`: respawn a fresh worker,
-    /// re-subscribe the current candidates, seed the checkpoint rows,
-    /// replay the post-checkpoint log (translated into the restored id
-    /// space) and take a fresh checkpoint. All fallible steps run before
-    /// any supervisor bookkeeping mutates, so a failed attempt leaves
-    /// the checkpoint/alias state consistent for the next try (only the
-    /// respawn/replay counters advance).
-    fn try_recover(&mut self, s: usize) -> Result<(), StreamError> {
-        self.shards[s].respawn()?;
-        self.supervisors.as_mut().expect("supervised")[s]
-            .stats
-            .respawns += 1;
-        let fds: Vec<Fd> = self.candidates.iter().map(|c| c.fd.clone()).collect();
-        for fd in &fds {
-            self.shards[s].subscribe(fd)?;
-        }
-        let (ckpt_rows, log) = {
-            let sup = &self.supervisors.as_ref().expect("supervised")[s];
-            let snap = SessionSnapshot::from_bytes(&sup.ckpt_bytes)
-                .map_err(|e| ckpt_codec_err("decode", Some(s as u32), &e))?;
-            (snap.rows, sup.log.clone())
-        };
-        if ckpt_rows.n_rows() > 0 {
-            let seed = RowDelta::insert_only((0..ckpt_rows.n_rows()).map(|r| ckpt_rows.row(r)));
-            self.shards[s].apply(&seed)?;
-        }
-        let mut replayed = 0u64;
-        for entry in &log {
-            let delta = RowDelta::decode_exact(entry)
-                .map_err(|e| ckpt_codec_err("log replay decode", Some(s as u32), &e))?;
-            let translated = {
-                let sup = &self.supervisors.as_ref().expect("supervised")[s];
-                RowDelta {
-                    deletes: delta
-                        .deletes
-                        .iter()
-                        .map(|&d| sup.translate_old(d))
-                        .collect(),
-                    inserts: delta.inserts,
+                Err(e @ StreamError::Transport(_)) => err = e,
+                Err(e) => {
+                    err = e;
+                    break;
                 }
-            };
-            self.shards[s].apply(&translated)?;
-            replayed += 1;
+            }
         }
-        let rel = self.shards[s].snapshot()?;
-        let n_live_now = self.shards[s].n_live();
-        let bytes = self.encode_ckpt(rel, s)?;
-        // Commit: every fallible step is behind us — move the supervisor
-        // into the restored id space and install the fresh checkpoint.
-        let sup = &mut self.supervisors.as_mut().expect("supervised")[s];
-        sup.stats.deltas_replayed += replayed;
-        sup.rebase();
-        sup.install_checkpoint(bytes);
-        debug_assert_eq!(sup.ckpt_n_live as usize, n_live_now);
-        Ok(())
+        self.poisoned = Some(format!(
+            "{what} failed on shard {s} after recovery attempts: {err}"
+        ));
+        Err(err)
     }
 
-    /// Re-runs the request a recovery interrupted, against the restored
-    /// shard.
-    fn run_op(&mut self, s: usize, op: &RetryOp<'_>) -> Result<RetryOut, StreamError> {
-        match op {
-            RetryOp::Apply(local) => {
-                let slice = {
-                    let sups = self.supervisors.as_ref().expect("supervised");
-                    to_worker_space(&sups[s], local)
-                };
-                self.shards[s].apply(&slice)?;
-                self.supervisors.as_mut().expect("supervised")[s].commit(&slice);
-                Ok(RetryOut::Done)
-            }
-            RetryOp::Subscribe(fd) => Ok(RetryOut::Subscribed(self.shards[s].subscribe(fd)?)),
-            RetryOp::Snapshot => Ok(RetryOut::Snapshot(self.shards[s].snapshot()?)),
-            RetryOp::Compact => Ok(RetryOut::Compacted(self.shards[s].compact()?)),
-            RetryOp::CompactedSnapshot => {
-                // Worker-side compaction renumbers live rows in arrival
-                // order — deterministic, so recompacting the restored
-                // state reproduces the incarnation that died.
-                self.shards[s].compact()?;
-                Ok(RetryOut::Snapshot(self.shards[s].snapshot()?))
+    /// Respawns shard `s` and brings it back at the router's own local
+    /// row ids: re-subscribe the candidates, insert one row per local
+    /// slot the shard had at its checkpoint (the checkpoint row for a
+    /// live slot, an all-NULL row for a dead one), delete the dead
+    /// slots, then replay the logged slices verbatim. A NULL cell is
+    /// never interned and a side key holding one is never encoded, so
+    /// the all-NULL rows never reach a side index or an [`IncTable`].
+    /// Only the counters change, so a failed attempt leaves the
+    /// supervisor ready for the next one.
+    ///
+    /// The slot insert carries one row per slot since the shard's last
+    /// compaction, tombstones included, in one frame: on a churned,
+    /// never-compacted session it grows with the delete history, as the
+    /// worker's own row log does, not with `checkpoint_every`.
+    fn restore(&mut self, s: usize) -> Result<(), StreamError> {
+        self.shards[s].respawn()?;
+        let sups = self.supervisors.as_mut().expect("supervised");
+        sups[s].stats.respawns += 1;
+        let (shard, sup) = (&mut self.shards[s], &sups[s]);
+        for cand in &self.candidates {
+            shard.subscribe(&cand.fd)?;
+        }
+        let mut slots = RowDelta::new();
+        let mut dead = RowDelta::new();
+        let mut ckpt_rows = 0..sup.ckpt.n_rows();
+        for (id, &live) in (0..).zip(&sup.ckpt_live) {
+            if live {
+                let r = ckpt_rows.next().expect("one checkpoint row per live slot");
+                slots.inserts.push(sup.ckpt.row(r));
+            } else {
+                slots.inserts.push(vec![Value::Null; self.schema.arity()]);
+                dead.deletes.push(id);
             }
         }
+        for delta in [&slots, &dead].into_iter().chain(&sup.log) {
+            if !delta.is_empty() {
+                shard.apply(delta)?;
+            }
+        }
+        let replayed = sup.log.len() as u64;
+        sups[s].stats.deltas_replayed += replayed;
+        Ok(())
     }
 
     /// Rebuilds the global Y-id space of every candidate from the shards'
@@ -1137,25 +918,13 @@ impl<B: ShardBackend> ShardedSession<B> {
         self.check_poisoned()?;
         let mut locals = Vec::with_capacity(self.shards.len());
         for s in 0..self.shards.len() {
-            let rel = match self.shards[s].snapshot() {
-                Ok(rel) => rel,
-                Err(StreamError::Transport(te)) if self.supervisors.is_some() => {
-                    match self.recover_and_retry(s, RetryOp::Snapshot, te) {
-                        Ok(RetryOut::Snapshot(rel)) => rel,
-                        Ok(_) => unreachable!("snapshot retry yields a snapshot"),
-                        Err(e) => {
-                            // A half-restored worker no longer matches the
-                            // router's placements.
-                            self.poisoned = Some(format!(
-                                "snapshot fan-out failed on shard {s} after recovery \
-                                 attempts: {e}"
-                            ));
-                            return Err(e);
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
-            };
+            // Reading changes nothing, so only a failed recovery poisons:
+            // a half-restored worker no longer matches the router's
+            // placements.
+            let first = self.shards[s].snapshot();
+            let rel = self.recover_or_poison(s, "snapshot fan-out", false, first, |me| {
+                me.shards[s].snapshot()
+            })?;
             locals.push(rel);
         }
         let arity = self.schema.arity();
@@ -1208,18 +977,20 @@ impl<B: ShardBackend> ShardedSession<B> {
 
     /// Compacts every shard — each shard verifies its incremental PLIs,
     /// contingency tables and scores against a batch rebuild of **its
-    /// slice of the snapshot** — then renumbers the global ids and
-    /// rebuilds the Y-id coordination state.
+    /// slice of the snapshot** — then renumbers the global ids, rebuilds
+    /// the Y-id coordination state and, on a supervised session, takes
+    /// fresh checkpoints at the renumbered ids.
     ///
     /// # Errors
     /// [`StreamError::Diverged`] if any shard's incremental state
     /// disagrees with its batch rebuild (that shard is left unswapped for
     /// post-mortem), [`StreamError::Transport`] on unrecovered worker
     /// failure. A worker that dies anywhere in the compaction flow is
-    /// restored to its pre-compaction state (checkpoint + log replay),
-    /// recompacted if needed, and the interrupted step retried; only an
-    /// exhausted retry budget **poisons** the session (score reads keep
-    /// working; every further `apply`/`compact` is refused).
+    /// restored to its pre-compaction state (its checkpoint plus the
+    /// logged slices, at the router's pre-compaction ids), recompacted
+    /// if needed, and the interrupted step retried; only an exhausted
+    /// retry budget **poisons** the session (score reads keep working;
+    /// every further `apply`/`compact` is refused).
     pub fn compact(&mut self) -> Result<CompactionReport, StreamError> {
         self.check_poisoned()?;
         let before: Vec<StreamScores> = (0..self.candidates.len())
@@ -1228,33 +999,15 @@ impl<B: ShardBackend> ShardedSession<B> {
         let mut rows_dropped = 0;
         let mut n_live = 0;
         for i in 0..self.shards.len() {
-            let report = match self.shards[i].compact() {
-                Ok(report) => report,
-                Err(StreamError::Transport(te)) if self.supervisors.is_some() => {
-                    match self.recover_and_retry(i, RetryOp::Compact, te) {
-                        Ok(RetryOut::Compacted(report)) => report,
-                        Ok(_) => unreachable!("compact retry yields a report"),
-                        Err(e) => {
-                            self.poisoned = Some(format!(
-                                "compaction fan-out failed on shard {i} after recovery \
-                                 attempts: {e}"
-                            ));
-                            return Err(e);
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Shards 0..i already renumbered their local ids but
-                    // the router still holds the old placements. A
-                    // transport failure is unrecoverable regardless of
-                    // position (the worker may or may not have compacted).
-                    if i > 0 || matches!(e, StreamError::Transport(_)) {
-                        self.poisoned =
-                            Some(format!("compaction fan-out failed on shard {i}: {e}"));
-                    }
-                    return Err(e);
-                }
-            };
+            let first = self.shards[i].compact();
+            // Shards 0..i already renumbered their local ids but the
+            // router still holds the old placements, and a transport
+            // failure is unrecoverable regardless of position (the worker
+            // may or may not have compacted): either poisons.
+            let poison = i > 0 || matches!(first, Err(StreamError::Transport(_)));
+            let report = self.recover_or_poison(i, "compaction fan-out", poison, first, |me| {
+                me.shards[i].compact()
+            })?;
             rows_dropped += report.rows_dropped;
             n_live += report.n_live;
         }
@@ -1268,51 +1021,10 @@ impl<B: ShardBackend> ShardedSession<B> {
                 "compaction must not move merged scores"
             );
         }
-        // Every shard renumbered densely: reset the supervisors' aliasing
-        // to identity and install fresh checkpoints. The supervisor still
-        // holds the *pre*-compaction checkpoint here, so a failure is
-        // recovered by restoring that state and recompacting before the
-        // snapshot is retried ([`RetryOp::CompactedSnapshot`]).
+        // The logged slices name pre-compaction ids: checkpoint every
+        // shard at the renumbered ones.
         if self.supervisors.is_some() {
-            for s in 0..self.shards.len() {
-                let rel = match self.shards[s].snapshot() {
-                    Ok(rel) => rel,
-                    Err(StreamError::Transport(te)) => {
-                        match self.recover_and_retry(s, RetryOp::CompactedSnapshot, te) {
-                            Ok(RetryOut::Snapshot(rel)) => rel,
-                            Ok(_) => unreachable!("compacted-snapshot retry yields a snapshot"),
-                            Err(e) => {
-                                self.poisoned = Some(format!(
-                                    "post-compaction checkpoint failed on shard {s} after \
-                                     recovery attempts: {e}"
-                                ));
-                                return Err(e);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        self.poisoned = Some(format!(
-                            "post-compaction checkpoint failed on shard {s}: {e}"
-                        ));
-                        return Err(e);
-                    }
-                };
-                let n = rel.n_rows() as RowId;
-                let bytes = match self.encode_ckpt(rel, s) {
-                    Ok(bytes) => bytes,
-                    Err(e) => {
-                        self.poisoned = Some(format!(
-                            "post-compaction checkpoint failed on shard {s}: {e}"
-                        ));
-                        return Err(e);
-                    }
-                };
-                let sup = &mut self.supervisors.as_mut().expect("supervised")[s];
-                sup.alias = (0..n).collect();
-                sup.w_live = vec![true; n as usize];
-                sup.w_next = n;
-                sup.install_checkpoint(bytes);
-            }
+            self.refresh_checkpoints(true)?;
         }
         Ok(CompactionReport {
             rows_dropped,
@@ -1325,6 +1037,7 @@ impl<B: ShardBackend> ShardedSession<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::TransportError;
     use crate::session::StreamSession;
 
     fn schema3() -> Schema {
@@ -1707,7 +1420,8 @@ mod tests {
     fn recovery_replays_deletes_and_serves_later_deletes() {
         // Checkpoint every 3 applies; the fault lands after deletes have
         // entered the replay log, and more deletes follow recovery — the
-        // alias translation is exercised on both sides of the failure.
+        // restored worker must answer to the router's ids on both sides
+        // of the failure.
         let fault = WorkerFault {
             site: 9,
             kind: WorkerFaultKind::Kill,
@@ -1741,6 +1455,55 @@ mod tests {
         }
         // Compaction still verifies cleanly post-recovery.
         s.compact().unwrap();
+        single.compact().unwrap();
+        assert!(s.scores(cid).bits_eq(&single.scores(c1)));
+    }
+
+    #[test]
+    fn two_recoveries_from_one_checkpoint_replay_the_whole_log() {
+        // One shard, so router ids are the worker's ids. The checkpoint
+        // after the third delta holds dead slots (0 and 4); two kills
+        // follow before the next checkpoint, and the second recovery
+        // restores the same checkpoint and replays every slice since.
+        let kill = WorkerFault {
+            site: 1,
+            kind: WorkerFaultKind::Kill,
+        };
+        let mut s = chaos_session(vec![None], 3);
+        let mut single = StreamSession::new(schema3());
+        let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        let c1 = single.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        let rows = fixture_rows();
+        let script: Vec<RowDelta> = vec![
+            RowDelta::insert_only(rows[..10].to_vec()),
+            RowDelta::delete_only([0, 4]),
+            RowDelta::insert_only(rows[10..20].to_vec()),
+            RowDelta::delete_only([12, 7]),
+            RowDelta::insert_only(rows[20..30].to_vec()),
+            RowDelta::delete_only([2, 25, 19]),
+            RowDelta::insert_only(rows[30..].to_vec()),
+            RowDelta::delete_only([30, 1, 33]),
+        ];
+        for (step, d) in script.iter().enumerate() {
+            if step == 4 || step == 5 {
+                s.backend_mut(0).arm(kill);
+            }
+            s.apply(d).unwrap();
+            single.apply(d).unwrap();
+            assert!(s.scores(cid).bits_eq(&single.scores(c1)), "step {step}");
+        }
+        let report = s.recovery_report();
+        assert_eq!(report.total_respawns(), 2, "{report:?}");
+        // First recovery replays step 3; the second replays steps 3 and 4.
+        assert_eq!(report.total_deltas_replayed(), 3, "{report:?}");
+        let snap = s.snapshot().unwrap();
+        let want = single.relation().snapshot();
+        assert_eq!(snap.n_rows(), want.n_rows());
+        for r in 0..want.n_rows() {
+            assert_eq!(snap.row(r), want.row(r));
+        }
+        let report = s.compact().unwrap();
+        assert_eq!(report.rows_dropped, 10);
         single.compact().unwrap();
         assert!(s.scores(cid).bits_eq(&single.scores(c1)));
     }

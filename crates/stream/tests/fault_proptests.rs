@@ -1,7 +1,8 @@
 //! Fault-injection property tests for the self-healing shard fabric:
 //! for N ∈ {1, 2, 4} shards, **any single fault at any protocol step**
 //! (kill / truncate / garbage / stall, site and victim shard derived
-//! deterministically from a seed via [`FaultPlan`]) must recover
+//! deterministically from a seed via [`FaultPlan`]), plus a second fault
+//! on the same victim once the first is recovered, must recover
 //! bit-identically to a fault-free unsharded run — same merged scores
 //! (`f64::to_bits`), same live rows in the same global order.
 
@@ -131,12 +132,23 @@ proptest! {
                 max_site,
                 25,
             );
+            // A second fault on the same victim, armed once the first has
+            // been recovered. Its site counts the restored incarnation's
+            // requests, restore included: a low site fires at the next
+            // request, a higher one later. Either the two recoveries
+            // restore the same checkpoint or one lies between them.
+            let second = FaultPlan::single(seed.rotate_left(32), n_shards, 12, 25).fault;
             let mut sharded = chaos_session(&schema, n_shards, &plan, checkpoint_every);
             let sharded_cids: Vec<usize> = fds
                 .iter()
                 .map(|fd| sharded.subscribe(fd.clone()).unwrap())
                 .collect();
+            let mut armed = false;
             for d in &deltas {
+                if !armed && sharded.recovery_report().total_respawns() >= 1 {
+                    sharded.backend_mut(plan.shard as usize).arm(second);
+                    armed = true;
+                }
                 sharded.apply(d).unwrap();
             }
             for (ci, &scid) in single_cids.iter().enumerate() {
