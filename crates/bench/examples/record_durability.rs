@@ -22,18 +22,13 @@
 //!    ∈ {1, 8, 64}: what a caller buys by widening the window of
 //!    re-loseable (but never corrupting) registry transitions.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_engine::{AfdEngine, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, Fd};
 use afd_serve::{AfdServe, DurabilityConfig, ServeConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
+use std::time::Instant;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("afd-durab-{tag}-{}", std::process::id()));

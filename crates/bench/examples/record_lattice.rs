@@ -10,17 +10,18 @@
 //! hash-scattered high-cardinality ones (whose pair/triple partitions
 //! are near-unique — the TANE case where stripping pays), plus a planted
 //! noisy `(A, B) -> C`. `discover_all` runs end-to-end at `max_lhs = 3`
-//! on both the stripped/pooled/fused lattice (`afd_discovery::lattice`)
+//! on both the stripped/fused lattice (`afd_discovery::lattice`)
 //! and the retained full-codes reference
 //! (`afd_discovery::naive_lattice`), after asserting their outputs are
 //! bit-identical.
 //!
-//! Acceptance bars (the host is single-core, so both wins come from
-//! work/allocation reduction, not parallelism):
+//! Acceptance bars (both sides run at `threads = 1`, so both wins come
+//! from work/allocation reduction, not parallelism):
 //!
 //! * end-to-end `discover_all` ≥ 2× vs the reference;
-//! * peak lattice node bytes ≥ 4× below the reference
-//!   (live pooled bytes vs `O(rows)` full-codes nodes).
+//! * peak lattice node bytes ≥ 4× below the reference (one level's
+//!   parents plus open children, stripped vs `O(rows)` full-codes
+//!   nodes).
 //!
 //! Also records the shared-encoding delta (`m` attribute encodings per
 //! run vs the reference's `m` per RHS = `O(m²)`).
@@ -28,6 +29,7 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample so CI can
 //! exercise the full path quickly.
 
+use afd_bench::median;
 use afd_core::G3Prime;
 use afd_discovery::{naive_lattice, try_discover_all_stats, LatticeConfig};
 use afd_relation::{AttrSet, Relation, Schema, Value};
@@ -38,15 +40,15 @@ use std::time::{Duration, Instant};
 /// Median wall time of `f` over `samples` runs.
 fn time(samples: usize, mut f: impl FnMut()) -> Duration {
     f(); // warm-up
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
+    median(
+        (0..samples)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed()
+            })
+            .collect(),
+    )
 }
 
 /// Hash scatter (splitmix64 finalizer): high-cardinality pseudo-random
@@ -168,8 +170,7 @@ fn main() {
         "encode_shared_vs_per_rhs n={n:<7} shared {t_shared:>12?} per-rhs {t_per_rhs:>12?} speedup {encode_speedup:>6.2}x"
     );
     println!(
-        "peak lattice bytes     stripped {stripped_peak:>12} full-codes {naive_peak:>12} ratio {byte_ratio:>6.2}x (held incl. pool free list: {})",
-        stripped_stats.peak_held_bytes
+        "peak lattice bytes     stripped {stripped_peak:>12} full-codes {naive_peak:>12} ratio {byte_ratio:>6.2}x"
     );
     for lvl in &stripped_stats.levels {
         println!(
@@ -178,10 +179,7 @@ fn main() {
             lvl.node_bytes, lvl.stored_rows
         );
     }
-    println!(
-        "  pool: fresh {} reuses {} base_bytes {}",
-        stripped_stats.pool_fresh_allocs, stripped_stats.pool_reuses, stripped_stats.base_bytes
-    );
+    println!("  base_bytes {}", stripped_stats.base_bytes);
 
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     let _ = writeln!(
@@ -199,11 +197,8 @@ fn main() {
     json.push_str("  ],\n  \"memory\": {\n");
     let _ = writeln!(
         json,
-        "    \"full_codes_peak_node_bytes\": {naive_peak},\n    \"stripped_peak_node_bytes\": {stripped_peak},\n    \"reduction\": {byte_ratio:.2},\n    \"stripped_peak_held_bytes\": {},\n    \"stripped_base_bytes\": {},\n    \"pool_fresh_allocs\": {},\n    \"pool_reuses\": {}",
-        stripped_stats.peak_held_bytes,
+        "    \"full_codes_peak_node_bytes\": {naive_peak},\n    \"stripped_peak_node_bytes\": {stripped_peak},\n    \"reduction\": {byte_ratio:.2},\n    \"stripped_base_bytes\": {}",
         stripped_stats.base_bytes,
-        stripped_stats.pool_fresh_allocs,
-        stripped_stats.pool_reuses,
     );
     json.push_str("  },\n  \"levels\": [\n");
     for (i, lvl) in stripped_stats.levels.iter().enumerate() {
@@ -224,7 +219,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = write!(
         json,
-        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (single-core host: all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); outputs asserted bit-identical before timing; peak bytes = high-water live node partition storage on both sides (stripped also reports peak_held = live + retained pool free-list capacity); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
+        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once in one RHS search on both sides (a level's parents plus its open children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
         cfg.max_lhs, cfg.epsilon
     );
     std::fs::write(&out_path, json).expect("write JSON");

@@ -31,22 +31,12 @@
 //! Requires `target/<profile>/afd` to exist (`cargo build --release`
 //! first); the example exits with a clear error otherwise.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_relation::{AttrId, AttrSet, Fd};
 use afd_stream::{ChurnPlanner, ProcessShard, RecoveryConfig, ShardedSession, WorkerCommand};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn median_u64(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
+use std::time::Instant;
 
 struct KResult {
     checkpoint_every: u64,
@@ -163,7 +153,7 @@ fn main() {
             fill,
             apply_ns: median(plain_times).as_nanos(),
             recovery_ns: median(recovery_times).as_nanos(),
-            deltas_replayed: median_u64(replayed_counts),
+            deltas_replayed: median(replayed_counts),
             respawns: report.total_respawns(),
         });
         assert!(proc.shutdown().clean(), "healed workers shut down cleanly");

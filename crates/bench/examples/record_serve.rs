@@ -26,7 +26,7 @@
 //! backpressure at the configured caps surfaces as the typed
 //! `ServeError::Backpressure`.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_engine::{AfdEngine, DeltaRequest, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, Fd, Value};
 use afd_serve::{AfdServe, ServeConfig, ServeError};
@@ -58,11 +58,6 @@ fn rss_bytes() -> Option<u64> {
 fn percentile(sorted: &[Duration], p: usize) -> u128 {
     let idx = (sorted.len() * p / 100).min(sorted.len() - 1);
     sorted[idx].as_nanos()
-}
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// A single-insert delta, deterministic in `i`, inside the fixture's

@@ -19,17 +19,12 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample per shard
 //! count so CI can exercise the full path in well under a second.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_relation::{AttrId, AttrSet, Fd};
 use afd_stream::{ChurnPlanner, DeltaRouter, ShardedSession, StreamSession};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 struct Record {
     shards: usize,

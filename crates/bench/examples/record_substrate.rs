@@ -11,7 +11,7 @@
 //! kernel substrate is a ≥ 3× speedup of `ContingencyTable::from_codes`
 //! and `Pli::refine` on the 8 192-row fixture.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_core::G3Prime;
 use afd_discovery::{discover_all_threaded, LatticeConfig};
 use afd_relation::{
@@ -25,17 +25,17 @@ use std::time::{Duration, Instant};
 fn time(samples: usize, iters: usize, mut f: impl FnMut()) -> Duration {
     // Warm-up.
     f();
-    let mut medians: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed() / iters as u32
-        })
-        .collect();
-    medians.sort_unstable();
-    medians[medians.len() / 2]
+    median(
+        (0..samples)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    f();
+                }
+                start.elapsed() / iters as u32
+            })
+            .collect(),
+    )
 }
 
 struct Record {

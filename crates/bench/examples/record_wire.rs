@@ -26,7 +26,7 @@
 //! Requires `target/<profile>/afd` to exist (`cargo build --release`
 //! first); the example exits with a clear error otherwise.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_relation::{AttrId, AttrSet, Fd, Relation};
 use afd_stream::{
     ChurnPlanner, ProcessShard, RowDelta, SessionSnapshot, ShardedSession, WorkerCommand,
@@ -35,11 +35,6 @@ use afd_wire::{Decode, Encode};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 fn mib_per_s(bytes: usize, d: Duration) -> f64 {
     bytes as f64 / (1 << 20) as f64 / d.as_secs_f64().max(1e-12)

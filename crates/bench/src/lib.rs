@@ -1,8 +1,9 @@
 //! # afd-bench
 //!
 //! Criterion benchmarks for the AFD measure study. The benches live in
-//! `benches/`; this library only hosts shared fixture builders so the
-//! bench targets stay small.
+//! `benches/`; this library only hosts shared fixture builders and
+//! sample statistics so the bench targets and `record_*` examples stay
+//! small.
 
 use afd_relation::{AttrId, AttrSet, ContingencyTable, Relation};
 use afd_synth::{generate_positive, GenParams};
@@ -30,9 +31,26 @@ pub fn fixture_table(n: usize, seed: u64) -> ContingencyTable {
     )
 }
 
+/// The median of `samples`: the middle element after sorting (the
+/// upper middle for an even count).
+///
+/// # Panics
+/// Panics on an empty sample.
+pub fn median<T: Ord + Copy>(mut samples: Vec<T>) -> T {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_takes_the_upper_middle() {
+        assert_eq!(median(vec![3, 1, 2]), 2);
+        assert_eq!(median(vec![4, 1, 3, 2]), 3);
+        assert_eq!(median(vec![7u64]), 7);
+    }
 
     #[test]
     fn fixtures_have_requested_shape() {

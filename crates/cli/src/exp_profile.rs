@@ -179,11 +179,9 @@ pub fn profile(opts: &ProfileOptions) -> Result<(), String> {
         }
         if let Some(stats) = &resp.lattice {
             println!(
-                "  lattice: {} candidates evaluated, peak node storage {} bytes (pool reuse {}/{})",
+                "  lattice: {} candidates evaluated, peak node storage {} bytes",
                 stats.total_candidates(),
-                stats.peak_node_bytes,
-                stats.pool_reuses,
-                stats.pool_reuses + stats.pool_fresh_allocs
+                stats.peak_node_bytes
             );
             for lvl in &stats.levels {
                 println!(

@@ -1,6 +1,6 @@
 //! Levelwise lattice search for **non-linear** AFDs (multi-attribute
-//! LHS), TANE-style — on stripped partitions, pooled code buffers and a
-//! fused generation/evaluation pipeline.
+//! LHS), TANE-style — on stripped partitions and a fused
+//! generation/evaluation pipeline.
 //!
 //! The paper's concluding observation motivates this module: because
 //! LHS-uniqueness tends to 1 as the LHS grows, only uniqueness-insensitive
@@ -43,12 +43,13 @@
 //! code vector on the sequential critical path between level
 //! evaluations; here nothing `O(rows)` happens outside the workers.
 //!
-//! **Pooled buffers.** Node CSR vectors come from a [`CodePool`]: closed
-//! nodes return their buffers, the next level's children reuse them, so
-//! steady-state level transitions allocate no fresh code buffers. The
-//! pool's high-water mark is the "peak lattice bytes" that
-//! `record_lattice` benchmarks (bar: ≥ 4× below the full-codes
-//! reference on the 65 536-row fixture).
+//! **Node storage.** Children refine into per-worker buffers; only a
+//! child that stays open (and is not on the last level) copies its
+//! clusters into vectors it owns. A level's parents are dropped when the
+//! level ends, so the most node storage alive at once in a search is one
+//! level's parents plus its open children — the "peak lattice bytes"
+//! ([`LatticeStats::peak_node_bytes`]) that `record_lattice` benchmarks
+//! (bar: ≥ 4× below the full-codes reference on the 65 536-row fixture).
 //!
 //! **Exactness pruning.** Emitted *and* exactly-satisfied LHS sets go
 //! into one [`SubsetIndex`]; candidate generation skips any superset
@@ -74,7 +75,6 @@ use afd_relation::{
     Relation, Scratch, NULL_CODE,
 };
 
-use crate::pool::CodePool;
 use crate::threshold::Discovered;
 
 /// The ε both discovery front doors default to (`LatticeConfig` here,
@@ -182,34 +182,25 @@ impl LevelStats {
 }
 
 /// Aggregated statistics of a lattice run ([`try_discover_all_stats`]);
-/// per-RHS runs are summed level-wise, byte peaks come from the shared
-/// pool's run-wide high-water mark (see
-/// [`LatticeStats::peak_node_bytes`]).
+/// per-RHS runs are summed level-wise and their byte peaks maximised
+/// (see [`LatticeStats::peak_node_bytes`]). Nothing here depends on the
+/// thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatticeStats {
     /// Per-level accounting, summed across RHS searches.
     pub levels: Vec<LevelStats>,
-    /// High-water mark of **live** node partition bytes (data committed
-    /// to open or under-evaluation nodes; the full-codes reference
-    /// reports its live node vectors here). For `discover_all` this is
-    /// the pool-wide peak across every RHS search: with `threads = 1`
-    /// (sequential RHS sweeps — the `record_lattice` setting) that
-    /// equals the worst single search, while a multi-threaded RHS
-    /// fan-out reports the true aggregate working set of all
-    /// concurrently active searches.
+    /// Most node partition bytes one RHS search holds at once: the
+    /// largest sum, over its levels, of the level's parents plus its
+    /// open children (level-1 nodes borrow the shared bases and count
+    /// 0). The full-codes reference counts its dense node vectors at the
+    /// same point: parents plus every generated child. For
+    /// `discover_all` this is the maximum over the RHS searches — the
+    /// worst single search, however many run at once.
     pub peak_node_bytes: u64,
-    /// High-water mark of everything the pool keeps resident, retained
-    /// free-list capacity included (0 for the reference path, which
-    /// returns freed vectors to the allocator).
-    pub peak_held_bytes: u64,
     /// Bytes of the shared per-attribute encodings + stripped bases
     /// (allocated once per run, not per node; 0 for the reference path,
     /// which re-encodes per RHS instead).
     pub base_bytes: u64,
-    /// Code buffers allocated fresh by the pool.
-    pub pool_fresh_allocs: u64,
-    /// Code buffers served from the pool's free list.
-    pub pool_reuses: u64,
 }
 
 impl LatticeStats {
@@ -224,10 +215,7 @@ impl LatticeStats {
         }
         self.levels.sort_by_key(|l| l.level);
         self.peak_node_bytes = self.peak_node_bytes.max(other.peak_node_bytes);
-        self.peak_held_bytes = self.peak_held_bytes.max(other.peak_held_bytes);
         self.base_bytes = self.base_bytes.max(other.base_bytes);
-        self.pool_fresh_allocs += other.pool_fresh_allocs;
-        self.pool_reuses += other.pool_reuses;
     }
 
     /// Candidates evaluated across all levels.
@@ -235,7 +223,8 @@ impl LatticeStats {
         self.levels.iter().map(|l| l.candidates).sum()
     }
 
-    /// Records a byte level, keeping the maximum (reference-path hook).
+    /// Records the node bytes alive at one point of a search, keeping
+    /// the maximum.
     pub(crate) fn note_bytes(&mut self, bytes: u64) {
         self.peak_node_bytes = self.peak_node_bytes.max(bytes);
     }
@@ -393,12 +382,12 @@ impl RhsData {
 
 /// Where an open node's stripped CSR lives: level-1 nodes share their
 /// attribute base read-only (zero per-node storage); refined nodes own
-/// pooled buffers.
+/// their buffers.
 enum NodeStore {
     /// Index into the shared `AttrBase` slice.
     Shared(usize),
-    /// Pooled CSR buffers owned by this node.
-    Pooled { rows: Vec<u32>, starts: Vec<u32> },
+    /// CSR buffers owned by this node.
+    Owned { rows: Vec<u32>, starts: Vec<u32> },
 }
 
 /// An open stripped node: CSR clusters plus the sorted NULL-dropped rows
@@ -410,11 +399,11 @@ struct Node {
 }
 
 impl Node {
-    /// The node's CSR clusters (shared base or pooled).
+    /// The node's CSR clusters (shared base or owned).
     fn csr<'a>(&'a self, bases: &'a [AttrBase]) -> (&'a [u32], &'a [u32]) {
         match &self.store {
             NodeStore::Shared(i) => (&bases[*i].rows, &bases[*i].starts),
-            NodeStore::Pooled { rows, starts } => (rows, starts),
+            NodeStore::Owned { rows, starts } => (rows, starts),
         }
     }
 
@@ -423,7 +412,7 @@ impl Node {
     fn bytes(&self) -> u64 {
         let owned = match &self.store {
             NodeStore::Shared(_) => 0,
-            NodeStore::Pooled { rows, starts } => rows.len() + starts.len(),
+            NodeStore::Owned { rows, starts } => rows.len() + starts.len(),
         };
         ((owned + self.dropped.len()) * std::mem::size_of::<u32>()) as u64
     }
@@ -438,15 +427,7 @@ impl Node {
     fn dropped_rows<'a>(&'a self, bases: &'a [AttrBase]) -> &'a [u32] {
         match &self.store {
             NodeStore::Shared(i) => &bases[*i].dropped,
-            NodeStore::Pooled { .. } => &self.dropped,
-        }
-    }
-
-    /// Returns any pooled buffers for reuse.
-    fn recycle(self, pool: &CodePool) {
-        if let NodeStore::Pooled { rows, starts } = self.store {
-            pool.release(rows);
-            pool.release(starts);
+            NodeStore::Owned { .. } => &self.dropped,
         }
     }
 }
@@ -473,7 +454,7 @@ enum Verdict {
 /// Per-worker state: kernel scratch, refinement output buffers, and a
 /// dense code buffer for the NULL/full-table fallback reconstruction.
 /// Children that close (the common case) live and die entirely in these
-/// buffers — only open nodes copy into pooled storage.
+/// buffers — only open nodes copy into storage of their own.
 #[derive(Default)]
 struct EvalCtx {
     scratch: Scratch,
@@ -635,7 +616,6 @@ fn search_rhs(
     measure: &dyn Measure,
     cfg: LatticeConfig,
     threads: usize,
-    pool: &CodePool,
     stash: &CtxStash,
 ) -> (Vec<Discovered>, LatticeStats) {
     let rhs_data = RhsData::build(&bases[rhs.index()]);
@@ -711,8 +691,7 @@ fn search_rhs(
             break;
         }
         // Nodes of the final level can never become refinement parents;
-        // they are scored in the worker's buffers and never copied into
-        // pooled storage.
+        // they are scored in the worker's buffers and never copied out.
         let last_level = level == cfg.max_lhs;
         let mut lvl = LevelStats {
             level,
@@ -755,7 +734,7 @@ fn search_rhs(
                 let (p_rows, p_starts) = parent.csr(bases);
                 let b = &bases[d.attr.index()];
                 // Refine into the worker's own buffers: children that
-                // close (the common case) never touch the pool.
+                // close (the common case) are never copied out.
                 let EvalCtx {
                     scratch,
                     rows_buf,
@@ -785,23 +764,15 @@ fn search_rhs(
                     cfg.epsilon,
                 );
                 if matches!(v, Verdict::Open) && !last_level {
-                    // Exact-fit pooled copies: the pool holds open-node
-                    // storage only, so its high-water mark tracks the
-                    // true working set.
-                    let mut rows = pool.acquire_hint(rows_buf.len());
-                    rows.extend_from_slice(rows_buf);
-                    pool.commit(&rows);
-                    let mut starts = pool.acquire_hint(starts_buf.len());
-                    starts.extend_from_slice(starts_buf);
-                    pool.commit(&starts);
-                    (
-                        v,
-                        Some(Node {
-                            attrs: d.attrs.clone(),
-                            store: NodeStore::Pooled { rows, starts },
-                            dropped,
-                        }),
-                    )
+                    let node = Node {
+                        attrs: d.attrs.clone(),
+                        store: NodeStore::Owned {
+                            rows: rows_buf.to_vec(),
+                            starts: starts_buf.to_vec(),
+                        },
+                        dropped,
+                    };
+                    (v, Some(node))
                 } else {
                     (v, None)
                 }
@@ -830,17 +801,13 @@ fn search_rhs(
                 }
             }
         }
-        // Parents served every child of this level; recycle them.
-        for node in frontier.drain(..) {
-            node.recycle(pool);
-        }
+        lvl.node_bytes = next.iter().map(Node::bytes).sum();
+        lvl.stored_rows = next.iter().map(|n| n.stored_rows(bases)).sum();
+        // Parents and open children are alive together here; the
+        // parents served every child of this level and are dropped.
+        stats.note_bytes(frontier.iter().map(Node::bytes).sum::<u64>() + lvl.node_bytes);
         frontier = next;
-        lvl.node_bytes = frontier.iter().map(Node::bytes).sum();
-        lvl.stored_rows = frontier.iter().map(|n| n.stored_rows(bases)).sum();
         stats.levels.push(lvl);
-    }
-    for node in frontier {
-        node.recycle(pool);
     }
     out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.fd.cmp(&b.fd)));
     (out, stats)
@@ -896,7 +863,6 @@ pub fn try_discover_for_rhs_stats(
 ) -> Result<(Vec<Discovered>, LatticeStats), LatticeError> {
     cfg.validate()?;
     let bases = build_bases(rel, threads);
-    let pool = CodePool::new();
     let stash = CtxStash::default();
     let (out, mut stats) = search_rhs(
         rel.n_rows(),
@@ -906,14 +872,9 @@ pub fn try_discover_for_rhs_stats(
         measure,
         cfg,
         threads,
-        &pool,
         &stash,
     );
-    stats.peak_node_bytes = stats.peak_node_bytes.max(pool.peak_live_bytes());
-    stats.peak_held_bytes = pool.peak_held_bytes();
     stats.base_bytes = bases.iter().map(AttrBase::bytes).sum();
-    stats.pool_fresh_allocs = pool.fresh_allocs();
-    stats.pool_reuses = pool.reuses();
     Ok((out, stats))
 }
 
@@ -956,13 +917,11 @@ pub fn try_discover_all_stats(
 ) -> Result<(Vec<Discovered>, LatticeStats), LatticeError> {
     cfg.validate()?;
     let bases = build_bases(rel, threads);
-    let pool = CodePool::new();
     let stash = CtxStash::default();
     let rhss: Vec<AttrId> = rel.schema().attrs().collect();
     // Parallelism is across RHS attributes; each per-RHS search runs
     // sequentially (threads = 1) to avoid nested fan-out. The shared
-    // pool and worker-context stash recycle buffers across RHS
-    // searches too.
+    // worker-context stash recycles scratch across RHS searches too.
     let per_rhs = afd_parallel::par_map(&rhss, threads, |_, &rhs| {
         search_rhs(
             rel.n_rows(),
@@ -972,7 +931,6 @@ pub fn try_discover_all_stats(
             measure,
             cfg,
             1,
-            &pool,
             &stash,
         )
     });
@@ -982,11 +940,7 @@ pub fn try_discover_all_stats(
         out.extend(found);
         stats.absorb(&s);
     }
-    stats.peak_node_bytes = stats.peak_node_bytes.max(pool.peak_live_bytes());
-    stats.peak_held_bytes = pool.peak_held_bytes();
     stats.base_bytes = bases.iter().map(AttrBase::bytes).sum();
-    stats.pool_fresh_allocs = pool.fresh_allocs();
-    stats.pool_reuses = pool.reuses();
     out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.fd.cmp(&b.fd)));
     Ok((out, stats))
 }
@@ -1255,8 +1209,6 @@ mod tests {
         }
         assert!(stats.peak_node_bytes > 0);
         assert!(stats.base_bytes > 0);
-        // Steady state reuses pooled buffers across levels and RHSs.
-        assert!(stats.pool_reuses > 0, "{stats:?}");
     }
 
     #[test]

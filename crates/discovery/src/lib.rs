@@ -5,16 +5,14 @@
 //! * [`threshold`]: the paper's induced discovery algorithm `A_f^ε` over
 //!   linear candidates;
 //! * [`lattice`]: TANE-style levelwise search for minimal **non-linear**
-//!   AFDs (multi-attribute LHS) on stripped partitions with pooled code
-//!   buffers, fused refine+score parallel levels, and exactness +
-//!   minimality pruning — the use case for which the paper recommends
-//!   the LHS-uniqueness-insensitive measures (g3′, RFI′⁺, µ⁺);
+//!   AFDs (multi-attribute LHS) on stripped partitions with fused
+//!   refine+score parallel levels and exactness + minimality pruning —
+//!   the use case for which the paper recommends the
+//!   LHS-uniqueness-insensitive measures (g3′, RFI′⁺, µ⁺);
 //! * [`naive_lattice`]: the retained full-codes lattice (`O(rows)` per
 //!   node, sequential per-child clone + refine) — the reference the
 //!   stripped lattice is proptest-pinned against bit for bit, mirroring
 //!   `afd_relation::naive`;
-//! * [`pool`]: the recycling code-buffer pool behind the lattice's
-//!   zero-allocation level transitions;
 //! * [`g3_pli`]: the classic PLI fast path for `g3` (ablation baseline).
 //!
 //! ```
@@ -33,7 +31,6 @@
 pub mod g3_pli;
 pub mod lattice;
 pub mod naive_lattice;
-pub mod pool;
 pub mod threshold;
 
 pub use g3_pli::g3_from_pli;
@@ -42,5 +39,4 @@ pub use lattice::{
     try_discover_all_stats, try_discover_for_rhs_stats, LatticeConfig, LatticeError, LatticeStats,
     LevelStats, DEFAULT_EPSILON,
 };
-pub use pool::CodePool;
 pub use threshold::{discover_linear, rank_linear, Discovered};

@@ -7,7 +7,7 @@
 //! refines it sequentially through the pair-code kernel between the
 //! parallel level evaluations. This is exactly the pre-stripped search:
 //! correct, deterministic, and the baseline `record_lattice` measures
-//! the stripped/pooled/fused rewrite against.
+//! the stripped/fused rewrite against.
 
 use afd_core::Measure;
 use afd_parallel::{max_threads, par_map_with};

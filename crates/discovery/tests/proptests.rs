@@ -124,10 +124,11 @@ proptest! {
         }
     }
 
-    /// The stripped/pooled lattice is pinned **bit-identical** to the
+    /// The stripped lattice is pinned **bit-identical** to the
     /// retained full-codes reference (`afd_discovery::naive_lattice`,
     /// mirroring `afd_relation::naive`): same FDs, same order, same
-    /// `f64::to_bits` scores — across thread counts and level caps.
+    /// `f64::to_bits` scores — across thread counts and level caps. Its
+    /// search statistics do not depend on the thread count either.
     #[test]
     fn stripped_lattice_bit_identical_to_naive(rel in rel3(), eps in 0.0f64..0.95) {
         for name in ["g3'", "mu+"] {
@@ -136,8 +137,13 @@ proptest! {
                 let cfg = LatticeConfig { max_lhs, epsilon: eps };
                 let reference =
                     afd_discovery::naive_lattice::discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
+                let (_, stats1) =
+                    afd_discovery::try_discover_all_stats(&rel, measure.as_ref(), cfg, 1).unwrap();
                 for threads in [1usize, 2, 4] {
-                    let stripped = discover_all_threaded(&rel, measure.as_ref(), cfg, threads);
+                    let (stripped, stats) = afd_discovery::try_discover_all_stats(
+                        &rel, measure.as_ref(), cfg, threads).unwrap();
+                    prop_assert_eq!(&stats, &stats1,
+                        "{} max_lhs={} threads={}", name, max_lhs, threads);
                     prop_assert_eq!(stripped.len(), reference.len(),
                         "{} max_lhs={} threads={}", name, max_lhs, threads);
                     for (a, b) in stripped.iter().zip(&reference) {

@@ -348,7 +348,7 @@ impl AfdEngine {
     }
 
     /// Runs discovery on the current snapshot: threshold over linear
-    /// candidates for `max_lhs == 1`, the stripped/pooled
+    /// candidates for `max_lhs == 1`, the stripped
     /// level-synchronous parallel lattice search otherwise (per-level
     /// node/byte statistics come back on
     /// [`DiscoverResponse::lattice`]).

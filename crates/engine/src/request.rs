@@ -209,7 +209,7 @@ pub struct DiscoverResponse {
     pub found: Vec<Discovered>,
     /// Per-level node/byte accounting of the lattice search (`None` for
     /// the linear threshold path): candidates evaluated, subset-index
-    /// prunes, open-node storage bytes, and the pool's peak — the
+    /// prunes, open-node storage bytes, and the peak node bytes — the
     /// numbers `record_lattice` tracks.
     pub lattice: Option<LatticeStats>,
 }

@@ -622,14 +622,13 @@ mod tests {
         let _ = hold.join();
     }
 
+    /// A port nothing listens on: port 1 is outside the ephemeral range,
+    /// so no test's `bind("127.0.0.1:0")` can be handed it.
+    const DEAD_ADDR: &str = "127.0.0.1:1";
+
     #[test]
     fn tcp_connect_failure_is_typed() {
-        // Bind-then-drop yields a port with (very likely) no listener.
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        match TcpTransport::connect(&addr.to_string()) {
+        match TcpTransport::connect(DEAD_ADDR) {
             Err(NetError::Connect(_)) => {}
             other => panic!("expected connect error, got {other:?}"),
         }
@@ -637,10 +636,6 @@ mod tests {
 
     #[test]
     fn reconnect_backoff_gives_up_with_attempt_count() {
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
         let (live, handle) = echo_listener();
         let mut t = TcpTransport::connect(&live.to_string())
             .unwrap()
@@ -649,7 +644,7 @@ mod tests {
                 initial_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(2),
             });
-        t.addr = addr; // Redirect reconnects at the dead port.
+        t.addr = DEAD_ADDR.parse().unwrap(); // Redirect reconnects at the dead port.
         match t.reconnect() {
             Err(NetError::Connect(msg)) => assert!(msg.contains("3 attempt(s)"), "{msg}"),
             other => panic!("expected connect error, got {other:?}"),

@@ -218,9 +218,9 @@ pub fn combine_codes_with(
 
 /// Builds a stripped partition (CSR clusters of size ≥ 2, ordered by
 /// first row, rows ascending within each cluster) from dense per-row
-/// group codes, writing into caller-owned buffers (the lattice's pooled
-/// vectors). Rows with [`NULL_CODE`] are appended to `out_dropped`
-/// (ascending) instead.
+/// group codes, writing into caller-owned buffers (the lattice's
+/// per-attribute bases). Rows with [`NULL_CODE`] are appended to
+/// `out_dropped` (ascending) instead.
 ///
 /// `bound` is an exclusive upper bound on the non-NULL codes (e.g. the
 /// encoding's `n_groups`).
@@ -278,7 +278,8 @@ pub fn strip_codes_into(
 /// Refines a stripped partition (`rows`/`starts`, the layout
 /// [`strip_codes_into`] produces) by another attribute's per-row codes,
 /// writing the stripped partition of the union set into caller-owned
-/// buffers — the TANE partition product on pooled storage.
+/// buffers — the TANE partition product (the lattice refines into
+/// per-worker buffers it reuses across candidates).
 ///
 /// Within each input cluster, rows are re-grouped by `codes` (NULL rows
 /// fall out, subclusters of size 1 are stripped); the output clusters are
@@ -377,7 +378,7 @@ fn sort_clusters_by_first_row(scratch: &mut Scratch, rows: &mut Vec<u32>, starts
         new_rows.extend_from_slice(&rows[s..e]);
     }
     new_starts.push(new_rows.len() as u32);
-    // Swap contents back into the caller's (pooled) buffers.
+    // Swap contents back into the caller's buffers.
     std::mem::swap(rows, &mut new_rows);
     std::mem::swap(starts, &mut new_starts);
     scratch.buf_a = new_rows;

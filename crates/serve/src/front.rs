@@ -883,19 +883,13 @@ impl ServeFront {
         for worker in workers {
             let _ = worker.join();
         }
+        let stats = self.shared.stats_overlaid(&self.shared.serve());
         let shared = Arc::try_unwrap(self.shared)
             .unwrap_or_else(|_| unreachable!("all front-door threads joined"));
         let serve = shared
             .serve
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let stats = {
-            let mut stats = serve.stats();
-            stats.connections_accepted = shared.accepted.load(Ordering::Relaxed);
-            stats.connections_rejected = shared.rejected.load(Ordering::Relaxed);
-            stats.connections_dropped = shared.dropped.load(Ordering::Relaxed);
-            stats
-        };
         (serve, stats)
     }
 }
@@ -907,7 +901,10 @@ impl ServeFront {
 /// deadline-bounded request/response wrapper over [`afd_net::Client`].
 /// Every method sends one request frame and decodes one response frame;
 /// a server-side failure comes back as the typed [`ServeError`] the
-/// server answered with.
+/// server answered with. A transport failure ([`ServeError::Io`]: a
+/// missed deadline, a dropped connection) severs the connection, as
+/// [`afd_net::Client`] does: every later request fails with
+/// [`ServeError::Io`] until the caller connects a new client.
 #[derive(Debug)]
 pub struct ServeClient {
     client: Client,

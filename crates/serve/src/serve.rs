@@ -323,17 +323,9 @@ pub struct AfdServe {
     clock: u64,
     global_pending: usize,
     spill_bytes: u64,
-    ticks: u64,
-    deltas_applied: u64,
-    deltas_failed: u64,
-    evictions: u64,
-    restores: u64,
-    rejected_session: u64,
-    rejected_global: u64,
-    spill_remove_failed: u64,
-    restore_failed: u64,
-    journal_appends: u64,
-    journal_compactions: u64,
+    /// Lifetime counters; [`AfdServe::stats`] overlays the point-in-time
+    /// fields on top.
+    stats: ServeStats,
 }
 
 impl AfdServe {
@@ -386,17 +378,7 @@ impl AfdServe {
             clock: 0,
             global_pending: 0,
             spill_bytes: 0,
-            ticks: 0,
-            deltas_applied: 0,
-            deltas_failed: 0,
-            evictions: 0,
-            restores: 0,
-            rejected_session: 0,
-            rejected_global: 0,
-            spill_remove_failed: 0,
-            restore_failed: 0,
-            journal_appends: 0,
-            journal_compactions: 0,
+            stats: ServeStats::default(),
         }
     }
 
@@ -592,13 +574,13 @@ impl AfdServe {
     /// Spill/journal errors; typed [`BackpressureScope::Disk`]
     /// backpressure on a full disk (state intact, retryable).
     pub fn checkpoint(&mut self) -> Result<usize, ServeError> {
-        let evictions0 = self.evictions;
+        let evictions0 = self.stats.evictions;
         self.evict_down_to(0)?;
         if let Some(j) = self.journal.as_mut() {
             j.sync_now(&mut self.persister)?;
         }
         self.compact_now()?;
-        Ok((self.evictions - evictions0) as usize)
+        Ok((self.stats.evictions - evictions0) as usize)
     }
 
     /// Registers a live engine as a session. The engine starts resident;
@@ -662,7 +644,7 @@ impl AfdServe {
             // (unless the simulated process just died — then recovery
             // will quarantine it as orphaned, which is the point).
             if !matches!(e, ServeError::InjectedCrash(_)) && fs::remove_file(&path).is_err() {
-                self.spill_remove_failed += 1;
+                self.stats.spill_remove_failed += 1;
             }
             return Err(e);
         }
@@ -692,7 +674,7 @@ impl AfdServe {
         let tenant = self.slab.get_mut(h)?;
         if tenant.pending.len() >= session_cap {
             let pending = tenant.pending.len();
-            self.rejected_session += 1;
+            self.stats.rejected_session += 1;
             return Err(ServeError::Backpressure {
                 scope: BackpressureScope::Session,
                 cap: session_cap,
@@ -700,7 +682,7 @@ impl AfdServe {
             });
         }
         if global_pending >= global_cap {
-            self.rejected_global += 1;
+            self.stats.rejected_global += 1;
             return Err(ServeError::Backpressure {
                 scope: BackpressureScope::Global,
                 cap: global_cap,
@@ -739,9 +721,9 @@ impl AfdServe {
         let started = Instant::now();
         let budget = self.cfg.budget;
         let mut report = TickReport::default();
-        let (restores0, evictions0) = (self.restores, self.evictions);
+        let (restores0, evictions0) = (self.stats.restores, self.stats.evictions);
         let mut retry_next_tick: Vec<u32> = Vec::new();
-        self.ticks += 1;
+        self.stats.ticks += 1;
         while report.deltas_applied < budget.max_deltas {
             if let Some(max_micros) = budget.max_micros {
                 if started.elapsed().as_micros() >= u128::from(max_micros) {
@@ -758,7 +740,7 @@ impl AfdServe {
             }
             self.touch(slot);
             if let Err(e) = self.make_resident(slot) {
-                self.restore_failed += 1;
+                self.stats.restore_failed += 1;
                 report.restore_failed += 1;
                 match e {
                     ServeError::CorruptSpill { .. } => {
@@ -770,7 +752,7 @@ impl AfdServe {
                         tenant.pending.clear();
                         tenant.in_ready = false;
                         self.global_pending -= dropped;
-                        self.deltas_failed += dropped as u64;
+                        self.stats.deltas_failed += dropped as u64;
                         report.deltas_failed += dropped;
                         continue;
                     }
@@ -809,8 +791,8 @@ impl AfdServe {
                 self.ready.push_back(slot);
             }
             self.global_pending -= drained;
-            self.deltas_applied += applied as u64;
-            self.deltas_failed += failed as u64;
+            self.stats.deltas_applied += applied as u64;
+            self.stats.deltas_failed += failed as u64;
             report.deltas_applied += applied;
             report.deltas_failed += failed;
             report.sessions_visited += 1;
@@ -829,8 +811,8 @@ impl AfdServe {
         if report.deltas_applied >= budget.max_deltas && self.global_pending > 0 {
             report.budget_exhausted = true;
         }
-        report.restores = (self.restores - restores0) as usize;
-        report.evictions = (self.evictions - evictions0) as usize;
+        report.restores = (self.stats.restores - restores0) as usize;
+        report.evictions = (self.stats.evictions - evictions0) as usize;
         report.remaining = self.global_pending;
         self.maybe_compact()?;
         Ok(report)
@@ -950,27 +932,14 @@ impl AfdServe {
     /// counters).
     #[must_use]
     pub fn stats(&self) -> ServeStats {
+        // The library object never sees connections (they stay 0); the
+        // socket front door overlays them before answering a census.
         ServeStats {
             sessions: self.slab.len(),
             resident: self.lru.len(),
             pending: self.global_pending,
             spill_bytes: self.spill_bytes,
-            ticks: self.ticks,
-            deltas_applied: self.deltas_applied,
-            deltas_failed: self.deltas_failed,
-            evictions: self.evictions,
-            restores: self.restores,
-            rejected_session: self.rejected_session,
-            rejected_global: self.rejected_global,
-            spill_remove_failed: self.spill_remove_failed,
-            restore_failed: self.restore_failed,
-            journal_appends: self.journal_appends,
-            journal_compactions: self.journal_compactions,
-            // The library object never sees connections; the socket
-            // front door overlays these before answering a census.
-            connections_accepted: 0,
-            connections_rejected: 0,
-            connections_dropped: 0,
+            ..self.stats
         }
     }
 
@@ -1006,7 +975,7 @@ impl AfdServe {
     ) -> Result<(), ServeError> {
         if let Some(j) = self.journal.as_mut() {
             j.append(&mut self.persister, op, slot, generation, spill_len)?;
-            self.journal_appends += 1;
+            self.stats.journal_appends += 1;
         }
         Ok(())
     }
@@ -1035,7 +1004,7 @@ impl AfdServe {
             &mut self.persister,
         )?;
         self.journal = Some(j);
-        self.journal_compactions += 1;
+        self.stats.journal_compactions += 1;
         Ok(())
     }
 
@@ -1075,7 +1044,7 @@ impl AfdServe {
             Err(e @ ServeError::InjectedCrash(_)) => Err(e),
             Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(_) => {
-                self.spill_remove_failed += 1;
+                self.stats.spill_remove_failed += 1;
                 Ok(())
             }
         }
@@ -1145,7 +1114,7 @@ impl AfdServe {
         self.spill_bytes -= tenant.spill_len;
         tenant.spill_len = 0;
         self.remove_spill(&path)?;
-        self.restores += 1;
+        self.stats.restores += 1;
         self.lru_insert(slot);
         Ok(())
     }
@@ -1210,7 +1179,7 @@ impl AfdServe {
         let tenant = self.slab.at_mut(slot).expect("live slot");
         tenant.spill_len = len;
         self.spill_bytes += len;
-        self.evictions += 1;
+        self.stats.evictions += 1;
         let _ = (*engine).shutdown();
         Ok(())
     }

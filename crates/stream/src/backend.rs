@@ -16,7 +16,7 @@
 //!   `afd shard-worker --listen` session over a **TCP connection**,
 //!   possibly on another machine. After every mutating request the
 //!   worker ships its per-candidate state back; the coordinator decodes
-//!   it and merges via [`IncTable::merge`], **bit-identical** to the
+//!   it and merges via [`IncTable::merged_scores`], **bit-identical** to the
 //!   in-process path (every maintained aggregate is an integer, so the
 //!   codec round-trip is exact).
 //!
@@ -688,14 +688,11 @@ mod tests {
 
     #[test]
     fn tcp_connect_failure_is_typed_spawn() {
-        // Bind-then-drop yields a port with (very likely) no listener;
-        // the failed dial must classify as a spawn-stage failure.
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
+        // Port 1 is outside the ephemeral range, so no test's
+        // `bind("127.0.0.1:0")` can be listening there; the refused dial
+        // must classify as a spawn-stage failure.
         let schema = Schema::new(["X", "Y"]).unwrap();
-        match TcpShard::connect(&addr.to_string(), &schema) {
+        match TcpShard::connect("127.0.0.1:1", &schema) {
             Err(StreamError::Transport(te)) => {
                 assert!(matches!(te.kind, TransportErrorKind::Spawn(_)), "{te:?}");
             }

@@ -29,8 +29,9 @@
 //!   [`DeltaRouter`] splits each delta by shard-key value (the key must
 //!   be contained in every tracked LHS, so X-groups stay shard-local),
 //!   applies fan out across `afd-parallel` scoped threads, and score
-//!   reads merge the per-shard [`IncTable`]s via [`IncTable::merge`] —
-//!   bit-identical to an unsharded session over the same history.
+//!   reads merge the per-shard [`IncTable`]s via
+//!   [`IncTable::merged_scores`] — bit-identical to an unsharded session
+//!   over the same history.
 //!
 //! Score reads are bitwise deterministic: every floating-point reduction
 //! iterates ordered count histograms, so a session that ingested a
@@ -51,7 +52,7 @@
 //!   worker's full per-candidate state ([`wire::ShardState`]: the
 //!   [`IncTable`] merge inputs plus value-level Y side keys), which the
 //!   coordinator decodes and merges through the same
-//!   [`IncTable::merge`] as in-process shards. All maintained
+//!   [`IncTable::merged_scores`] as in-process shards. All maintained
 //!   aggregates are integers, so the codec round-trip is exact and the
 //!   merged reads are **bit-identical** across backends — pinned by
 //!   process-spawning proptests for N ∈ {1, 2, 4} (`crates/cli`

@@ -322,7 +322,7 @@ impl StreamSession {
     }
 
     /// The delta-maintained joint-count table of candidate `cid` — the
-    /// input to cross-shard [`IncTable::merge`]s.
+    /// input to cross-shard [`IncTable::merged_scores`] reads.
     pub fn table(&self, cid: usize) -> &IncTable {
         &self.tracked[cid].table
     }

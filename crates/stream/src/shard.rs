@@ -274,7 +274,7 @@ struct ShardedCandidate {
 ///   checksummed `afd-wire` stdin/stdout protocol: the coordinator
 ///   routes encoded delta slices out, decodes each worker's refreshed
 ///   [`IncTable`] state back, and merges through the existing
-///   [`IncTable::merge`] — **bit-identical** to the in-process path
+///   [`IncTable::merged_scores`] — **bit-identical** to the in-process path
 ///   (every maintained aggregate is an integer; the codec is exact).
 ///
 /// `apply` routes the delta ([`DeltaRouter`]), fans the per-shard slices
@@ -530,8 +530,8 @@ impl<B: ShardBackend> ShardedSession<B> {
     /// Diagnostic counter: on a **poisoned** session this reflects the
     /// router's view, which may include a partially-fanned-out delta —
     /// only [`ShardedSession::scores`] is guaranteed to serve the last
-    /// consistent state there ([`ShardedSession::snapshot`] and
-    /// [`ShardedSession::merged_table`] refuse with typed errors).
+    /// consistent state there ([`ShardedSession::snapshot`] refuses with
+    /// a typed error).
     pub fn n_live(&self) -> usize {
         self.router.n_live()
     }
@@ -650,22 +650,6 @@ impl<B: ShardBackend> ShardedSession<B> {
                 cand.y_remap[s].push(g);
             }
         }
-    }
-
-    /// Merges candidate `cid`'s per-shard tables into one [`IncTable`]
-    /// over the whole relation (O(aggregate state), not O(rows)).
-    ///
-    /// # Errors
-    /// [`StreamError::Transport`] on a poisoned session: after a
-    /// mid-fan-out failure the shard tables and the coordinator's Y
-    /// remaps may disagree, so a merge could panic or lie — only the
-    /// cached [`ShardedSession::scores`] stay served.
-    pub fn merged_table(&self, cid: usize) -> Result<IncTable, StreamError> {
-        self.check_poisoned()?;
-        let cand = &self.candidates[cid];
-        Ok(IncTable::merge(self.shards.iter().enumerate().map(
-            |(s, shard)| (shard.table(cid), cand.y_remap[s].as_slice()),
-        )))
     }
 
     /// The current merged scores of candidate `cid` — bit-identical to a
@@ -1293,11 +1277,10 @@ mod tests {
         ));
         assert!(matches!(s.compact(), Err(StreamError::Poisoned(_))));
         assert!(s.scores(cid).bits_eq(&before));
-        // Snapshot and table merges are refused too: the router's
-        // placements ran ahead of the shard contents, so either could
-        // panic or contradict the served scores.
+        // Snapshots are refused too: the router's placements ran ahead
+        // of the shard contents, so one could panic or contradict the
+        // served scores.
         assert!(matches!(s.snapshot(), Err(StreamError::Poisoned(_))));
-        assert!(matches!(s.merged_table(cid), Err(StreamError::Poisoned(_))));
         // All-zero recovery report for a non-recoverable topology.
         assert_eq!(s.recovery_report().total_respawns(), 0);
     }

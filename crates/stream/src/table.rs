@@ -272,72 +272,6 @@ impl IncTable {
         }
     }
 
-    /// Merges shard tables into one table covering their union.
-    ///
-    /// Each part comes with a *Y-side remap* `local id -> global id`
-    /// (length ≥ the part's largest live Y id + 1) identifying which local
-    /// Y ids across shards denote the same Y value. The caller guarantees
-    /// the parts' **X-group key spaces are value-disjoint** (rows were
-    /// hash-partitioned by a key the X side determines — see
-    /// `DeltaRouter`); under that contract every X-side aggregate is a
-    /// plain sum, while the Y margins (`b_j`, their squares and histogram)
-    /// are re-derived from the remapped, summed column totals.
-    ///
-    /// The merge is **order-independent by design**: all maintained
-    /// aggregates are integers or count-value histograms, so any part
-    /// order yields bit-identical [`IncTable::scores`] — and those scores
-    /// are bit-identical to a single unsharded table over the same rows.
-    pub fn merge<'a>(parts: impl IntoIterator<Item = (&'a IncTable, &'a [u32])>) -> IncTable {
-        let mut out = IncTable::new();
-        let mut next_x: u32 = 0;
-        // Global column totals, summed across shards by global Y id.
-        let mut cols: BTreeMap<u32, u64> = BTreeMap::new();
-        for (t, y_map) in parts {
-            out.n += t.n;
-            out.nonzero_cells += t.nonzero_cells;
-            out.sum_row_max += t.sum_row_max;
-            out.violating_mass += t.violating_mass;
-            out.sum_sq_rows += t.sum_sq_rows;
-            out.sum_sq_cells += t.sum_sq_cells;
-            for (&v, &mult) in &t.hist_rows {
-                *out.hist_rows.entry(v).or_insert(0) += mult;
-            }
-            for (&v, &mult) in &t.hist_cells {
-                *out.hist_cells.entry(v).or_insert(0) += mult;
-            }
-            for (&shape, &mult) in &t.hist_row_shape {
-                *out.hist_row_shape.entry(shape).or_insert(0) += mult;
-            }
-            // X groups are disjoint by contract; renumber them densely
-            // (in sorted local-id order so the merged map is
-            // deterministic) and remap their cell keys to global Y ids.
-            let mut xs: Vec<u32> = t.groups.keys().copied().collect();
-            xs.sort_unstable();
-            for x in xs {
-                let g = &t.groups[&x];
-                out.groups.insert(
-                    next_x,
-                    XGroup {
-                        total: g.total,
-                        sq: g.sq,
-                        max: g.max,
-                        ys: g.ys.iter().map(|(&y, &c)| (y_map[y as usize], c)).collect(),
-                    },
-                );
-                next_x += 1;
-            }
-            for (&y, &b) in &t.col_totals {
-                *cols.entry(y_map[y as usize]).or_insert(0) += b;
-            }
-        }
-        for (&y, &b) in &cols {
-            out.col_totals.insert(y, b);
-            out.sum_sq_cols += b * b;
-            hist_inc(&mut out.hist_cols, b);
-        }
-        out
-    }
-
     /// The current scores of the incremental measure family.
     ///
     /// Applies the paper's conventions exactly like
@@ -365,12 +299,24 @@ impl IncTable {
         .scores()
     }
 
-    /// The scores of the *union* of shard tables — bit-identical to
-    /// `IncTable::merge(parts).scores()` (same contract: X-group key
-    /// spaces value-disjoint, remaps to a shared Y-id space) but without
-    /// materialising the merged group/cell maps, which scores never
-    /// read. Cost is O(histograms + column totals), not
-    /// O(groups + cells) — the coordinator's per-apply read path.
+    /// The scores of the *union* of shard tables, bit-identical to the
+    /// [`IncTable::scores`] of one unsharded table over the same rows.
+    ///
+    /// Each part comes with a *Y-side remap* `local id -> global id`
+    /// (length ≥ the part's largest live Y id + 1) identifying which local
+    /// Y ids across shards denote the same Y value. The caller guarantees
+    /// the parts' **X-group key spaces are value-disjoint** (rows were
+    /// hash-partitioned by a key the X side determines — see
+    /// `DeltaRouter`); under that contract every X-side aggregate is a
+    /// plain sum, while the Y margins (`b_j`, their squares and histogram)
+    /// are re-derived from the remapped, summed column totals.
+    ///
+    /// The merge is **order-independent by design**: all maintained
+    /// aggregates are integers or count-value histograms, so any part
+    /// order yields bit-identical scores. Nothing merges the group/cell
+    /// maps, which scores never read, so the cost is
+    /// O(histograms + column totals), not O(groups + cells) — the
+    /// coordinator's per-apply read path.
     pub fn merged_scores<'a>(
         parts: impl IntoIterator<Item = (&'a IncTable, &'a [u32])>,
     ) -> StreamScores {
@@ -513,7 +459,7 @@ impl ScoreAggregates<'_> {
 
 /// `IncTable` is the unit the coordinator⇄worker wire protocol moves:
 /// after every applied delta slice, a process-backed shard ships its
-/// tables back for [`IncTable::merge`] / [`IncTable::merged_scores`].
+/// tables back for [`IncTable::merged_scores`].
 ///
 /// Layout: `n`, then the X-groups **sorted by local id** (each with its
 /// total/sq/max and its `(y, count)` cells sorted by `y`), the column
@@ -856,36 +802,16 @@ mod tests {
         s1.insert(0, 0);
         s1.insert(0, 1);
         let (m0, m1): (&[u32], &[u32]) = (&[0, 1], &[1, 2]);
-        let merged = IncTable::merge([(&s0, m0), (&s1, m1)]);
-        assert_eq!(merged.n(), whole.n());
-        assert_eq!(merged.n_x(), whole.n_x());
-        assert_eq!(merged.n_y(), whole.n_y());
-        assert_eq!(merged.nonzero_cells(), whole.nonzero_cells());
-        assert_eq!(merged.sum_sq_cols, whole.sum_sq_cols);
-        assert_eq!(merged.hist_cols, whole.hist_cols);
-        assert!(merged.scores().bits_eq(&whole.scores()));
-        // The materialisation-free score merge agrees bit-for-bit.
-        let light = IncTable::merged_scores([(&s0, m0), (&s1, m1)]);
-        assert!(light.bits_eq(&whole.scores()));
+        assert!(IncTable::merged_scores([(&s0, m0), (&s1, m1)]).bits_eq(&whole.scores()));
         // Reversed part order: bit-identical scores.
-        let swapped = IncTable::merge([(&s1, m1), (&s0, m0)]);
-        assert!(swapped.scores().bits_eq(&whole.scores()));
         assert!(IncTable::merged_scores([(&s1, m1), (&s0, m0)]).bits_eq(&whole.scores()));
-        // A merged table keeps working as a live table.
-        let mut live = merged;
-        live.insert(99, 7);
-        live.delete(99, 7);
-        assert!(live.scores().bits_eq(&whole.scores()));
     }
 
     #[test]
     fn merge_of_single_part_is_identity_for_scores() {
         let t = fixture();
         let map: Vec<u32> = vec![0, 1];
-        let merged = IncTable::merge([(&t, map.as_slice())]);
-        assert!(merged.scores().bits_eq(&t.scores()));
-        assert_eq!(merged.hist_rows, t.hist_rows);
-        assert_eq!(merged.hist_row_shape, t.hist_row_shape);
+        assert!(IncTable::merged_scores([(&t, map.as_slice())]).bits_eq(&t.scores()));
     }
 
     #[test]

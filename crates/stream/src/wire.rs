@@ -17,7 +17,8 @@
 //! never interleaves. Every mutating response carries the worker's full
 //! per-candidate state ([`ShardState`]: the [`IncTable`] merge inputs
 //! plus the value-level Y side keys) — the coordinator decodes it and
-//! merges via [`IncTable::merge`], bit-identical to in-process shards.
+//! merges via [`IncTable::merged_scores`], bit-identical to in-process
+//! shards.
 
 use afd_relation::{AttrSet, Fd, Relation, Schema, Value};
 use afd_wire::{decode_framed, encode_framed, Decode, DecodeError, Encode, Reader, FRAME_OVERHEAD};

@@ -2,7 +2,7 @@
 //!
 //! A hand-rolled, versioned, checksummed binary codec for shipping AFD
 //! engine state between processes — the wire format the ROADMAP asked
-//! for so `IncTable::merge` inputs (and whole session snapshots) can
+//! for so `IncTable::merged_scores` inputs (and whole session snapshots) can
 //! come from shard workers living in other processes.
 //!
 //! No serde, no network stack, no external dependencies: the build

@@ -93,9 +93,9 @@
 //!   scored through implicit-singleton contingency tables
 //!   ([`ContingencyTable::from_stripped_with`]) so per-node work and
 //!   memory shrink monotonically up the lattice instead of staying
-//!   `O(rows)`. Node buffers come from a recycling
-//!   [`discovery::CodePool`] (zero fresh allocations at steady state;
-//!   the pool's live high-water mark is surfaced on the response's
+//!   `O(rows)`. Only open children copy their clusters out of the
+//!   worker's refine buffers (the peak of one level's parents plus open
+//!   children is surfaced on the response's
 //!   [`discovery::LatticeStats`]), per-attribute encodings are computed
 //!   once and shared across every RHS search, and supersets of exact
 //!   *and* emitted LHS sets are pruned through one bitmask subset index
@@ -135,7 +135,7 @@
 //!    membership), the joint counts of an [`stream::IncTable`] (cells,
 //!    margins, `Σ max`, `Σ n²`), and **count-value histograms** from
 //!    which the eleven fast measures ([`StreamScores`]) are read back.
-//! 3. Score reads merge the per-shard tables (`IncTable::merge`: sum
+//! 3. Score reads merge the per-shard tables (`IncTable::merged_scores`: sum
 //!    counts and histograms; column totals re-derived through a
 //!    coordinator-owned global Y-id space). Because every
 //!    floating-point reduction iterates ordered histograms, the merge is
