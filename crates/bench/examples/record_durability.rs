@@ -17,7 +17,9 @@
 //!    the assertion that the journal's append adds **≤ 10%** to the
 //!    median evict. The spill write itself (tmp → write → fsync →
 //!    rename) is identical in both modes; the journal's marginal cost is
-//!    one ~25-byte buffered append.
+//!    one ~25-byte buffered append. Both servers run side by side and
+//!    their cycles alternate, so a change in the host's speed during the
+//!    run moves both medians instead of the ratio.
 //! 3. **Fsync cadence sweep** — median evict latency at `fsync_every`
 //!    ∈ {1, 8, 64}: what a caller buys by widening the window of
 //!    re-loseable (but never corrupting) registry transitions.
@@ -25,10 +27,10 @@
 use afd_bench::{fixture_relation, median};
 use afd_engine::{AfdEngine, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, Fd};
-use afd_serve::{AfdServe, DurabilityConfig, ServeConfig};
+use afd_serve::{AfdServe, DurabilityConfig, ServeConfig, SessionHandle};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("afd-durab-{tag}-{}", std::process::id()));
@@ -47,34 +49,75 @@ fn template_snapshot(rows: usize) -> Vec<u8> {
         .bytes
 }
 
+/// One server holding one session, timing explicit evicts and
+/// first-touch restores.
+struct EvictRig {
+    dir: PathBuf,
+    serve: AfdServe,
+    h: SessionHandle,
+    evicts: Vec<Duration>,
+    restores: Vec<Duration>,
+}
+
+impl EvictRig {
+    fn new(tag: &str, durability: DurabilityConfig, snapshot: &[u8]) -> Self {
+        let dir = scratch_dir(tag);
+        let mut cfg = ServeConfig::new(&dir);
+        cfg.durability = durability;
+        let mut serve = AfdServe::new(cfg).expect("valid durability config");
+        let h = serve.register_snapshot(snapshot).expect("one session");
+        EvictRig {
+            dir,
+            serve,
+            h,
+            evicts: Vec::new(),
+            restores: Vec::new(),
+        }
+    }
+
+    fn cycle(&mut self) {
+        self.serve.scores(self.h, 0).expect("warm");
+        let start = Instant::now();
+        self.serve.evict(self.h).expect("explicit evict");
+        self.evicts.push(start.elapsed());
+        let start = Instant::now();
+        self.serve.scores(self.h, 0).expect("first touch restores");
+        self.restores.push(start.elapsed());
+    }
+
+    /// Median evict and restore latency; tears the server down.
+    fn medians(self) -> (u128, u128) {
+        drop(self.serve);
+        let _ = std::fs::remove_dir_all(&self.dir);
+        (
+            median(self.evicts).as_nanos(),
+            median(self.restores).as_nanos(),
+        )
+    }
+}
+
 /// Median explicit-evict and first-touch-restore latency for one
-/// session under the given durability mode.
-fn evict_restore_median(
-    tag: &str,
-    durability: DurabilityConfig,
+/// session under each durability mode. Every mode's server is built up
+/// front and their cycles alternate, with the first mode switching each
+/// cycle, so drift in the host's speed lands on every mode alike
+/// instead of on whichever ran later.
+fn evict_restore_medians(
+    modes: &[(&str, DurabilityConfig)],
     cycles: usize,
     rows: usize,
-) -> (u128, u128) {
-    let dir = scratch_dir(tag);
-    let mut cfg = ServeConfig::new(&dir);
-    cfg.durability = durability;
-    let mut serve = AfdServe::new(cfg).expect("valid durability config");
+) -> Vec<(u128, u128)> {
     let snapshot = template_snapshot(rows);
-    let h = serve.register_snapshot(&snapshot).expect("one session");
-    let mut evicts = Vec::with_capacity(cycles);
-    let mut restores = Vec::with_capacity(cycles);
-    for _ in 0..cycles {
-        serve.scores(h, 0).expect("warm");
-        let start = Instant::now();
-        serve.evict(h).expect("explicit evict");
-        evicts.push(start.elapsed());
-        let start = Instant::now();
-        serve.scores(h, 0).expect("first touch restores");
-        restores.push(start.elapsed());
+    let mut rigs: Vec<EvictRig> = modes
+        .iter()
+        .map(|&(tag, durability)| EvictRig::new(tag, durability, &snapshot))
+        .collect();
+    for c in 0..cycles {
+        for k in 0..rigs.len() {
+            let i = if c % 2 == 0 { k } else { rigs.len() - 1 - k };
+            rigs[i].cycle();
+        }
     }
-    drop(serve);
-    let _ = std::fs::remove_dir_all(&dir);
-    (median(evicts).as_nanos(), median(restores).as_nanos())
+    rigs.into_iter().map(EvictRig::medians).collect()
 }
 
 fn main() {
@@ -155,13 +198,19 @@ fn main() {
     }
 
     // ------------------------------------- 2. journal overhead on evict
-    let (ephemeral_evict, ephemeral_restore) =
-        evict_restore_median("eph", DurabilityConfig::ephemeral(), cycles, rows);
     let relaxed = DurabilityConfig {
         fsync_every: 64,
         ..DurabilityConfig::default()
     };
-    let (durable_evict, durable_restore) = evict_restore_median("dur64", relaxed, cycles, rows);
+    let medians = evict_restore_medians(
+        &[("eph", DurabilityConfig::ephemeral()), ("dur64", relaxed)],
+        cycles,
+        rows,
+    );
+    let [(ephemeral_evict, ephemeral_restore), (durable_evict, durable_restore)] = medians[..]
+    else {
+        unreachable!("one median pair per mode");
+    };
     let overhead_pct = if ephemeral_evict > 0 {
         (durable_evict as f64 / ephemeral_evict as f64 - 1.0) * 100.0
     } else {
@@ -186,7 +235,7 @@ fn main() {
             ..DurabilityConfig::default()
         };
         let (evict_ns, restore_ns) =
-            evict_restore_median(&format!("fs{fsync_every}"), durability, cycles, rows);
+            evict_restore_medians(&[(&format!("fs{fsync_every}"), durability)], cycles, rows)[0];
         println!("fsync_every {fsync_every:>2}: evict {evict_ns} ns, restore {restore_ns} ns");
         sweep_rows.push((fsync_every, evict_ns, restore_ns));
     }
@@ -236,8 +285,8 @@ fn main() {
          snapshot with the registry journal on, drop, then time AfdServe::recover (journal \
          replay + validation scan of every spill file; asserts zero lost / zero quarantined); \
          evict_journal_overhead = median explicit evict with and without the journal at \
-         fsync_every=64, asserted <= 10% apart (the spill write itself is synced identically in \
-         both modes); fsync_cadence_sweep = median evict at fsync_every 1/8/64 — the cost of \
+         fsync_every=64, the two servers' cycles alternating, asserted <= 10% apart (the spill \
+         write itself is synced identically in both modes); fsync_cadence_sweep = median evict at fsync_every 1/8/64 — the cost of \
          making every registry transition durable the moment it returns\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");

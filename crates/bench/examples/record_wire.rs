@@ -16,8 +16,8 @@
 //!   `ShardedSession<ProcessShard>` (spawning the workspace's own `afd`
 //!   binary from `target/<profile>/`), merged score reads asserted
 //!   bit-identical after every delta. The recorded ratio is the price of
-//!   crash isolation: route + encode + pipe + worker apply + state
-//!   decode, versus an in-memory apply.
+//!   crash isolation: route + encode + pipe + worker apply + patch
+//!   decode and write, versus an in-memory apply.
 //!
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample per
 //! workload so CI exercises the full path (worker processes included)
@@ -163,7 +163,9 @@ fn main() {
          framed_snapshot_roundtrip = SessionSnapshot to_bytes + from_bytes including FNV \
          checksum verification; process_backend_apply = one churn delta through a 2-worker \
          ShardedSession<ProcessShard> (afd shard-worker children, stdin/stdout wire frames, \
-         full per-candidate IncTable state decoded back) vs a 2-shard in-process session, \
+         each apply answered with a patch of the touched IncTable groups, columns and histograms \
+         that the coordinator writes into its copy of the shard state) vs a 2-shard in-process \
+         session, \
          merged score reads asserted bit-identical after every delta and after worker-side \
          compaction\"\n}}\n"
     );

@@ -579,7 +579,7 @@ impl Shared {
     ) -> ServeResponse {
         if let ServeRequest::Hello { token, tenant: who } = req {
             return match &self.cfg.auth_token {
-                Some(expect) if *expect != token => {
+                Some(expect) if !tokens_match(expect, &token) => {
                     ServeResponse::Err(ServeError::Auth("bad token".to_string()))
                 }
                 _ => {
@@ -656,6 +656,18 @@ impl Shared {
             ServeRequest::Shutdown => ServeResponse::Ok,
         }
     }
+}
+
+/// Token equality whose running time does not depend on where the
+/// first differing byte is: every byte of `expect` is compared, with no
+/// early exit, and a length mismatch is folded into the same result.
+fn tokens_match(expect: &str, got: &str) -> bool {
+    let (expect, got) = (expect.as_bytes(), got.as_bytes());
+    let mut diff = expect.len() ^ got.len();
+    for (i, &b) in expect.iter().enumerate() {
+        diff |= usize::from(b ^ got.get(i).copied().unwrap_or(0));
+    }
+    diff == 0
 }
 
 fn respond(stream: &mut TcpStream, resp: &ServeResponse) -> std::io::Result<()> {
@@ -1321,6 +1333,17 @@ mod tests {
         front.wait_shutdown(); // returns because the accept loop ended
         let (_serve, stats) = front.stop();
         assert_eq!(stats.connections_accepted, 1);
+    }
+
+    #[test]
+    fn token_comparison_checks_every_byte_and_the_length() {
+        assert!(tokens_match("s3cret", "s3cret"));
+        assert!(tokens_match("", ""));
+        assert!(!tokens_match("s3cret", "s3creT"));
+        assert!(!tokens_match("s3cret", "s3cr"));
+        assert!(!tokens_match("s3cr", "s3cret"));
+        assert!(!tokens_match("s3cret", ""));
+        assert!(!tokens_match("", "s3cret"));
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!   `afd shard-worker` **child process** over stdin/stdout;
 //!   [`TcpShard`] (= `RemoteShard<TcpTransport>`) is an
 //!   `afd shard-worker --listen` session over a **TCP connection**,
-//!   possibly on another machine. After every mutating request the
-//!   worker ships its per-candidate state back; the coordinator decodes
-//!   it and merges via [`IncTable::merged_scores`], **bit-identical** to the
-//!   in-process path (every maintained aggregate is an integer, so the
-//!   codec round-trip is exact).
+//!   possibly on another machine. A subscribe or a compaction ships the
+//!   worker's full per-candidate state back, and every apply ships a
+//!   [`ShardPatch`] of what it changed, which the coordinator writes
+//!   into its copy of that state. It merges via
+//!   [`IncTable::merged_scores`], **bit-identical** to the in-process
+//!   path (every maintained aggregate is an integer, so the codec
+//!   round-trip is exact).
 //!
 //! # Fault model and the recovery lifecycle
 //!
@@ -59,7 +61,9 @@ use crate::delta::{RowDelta, StreamError, TransportError, TransportErrorKind};
 use crate::fault::AFD_WORKER_FAULTS_ENV;
 use crate::session::{CompactionReport, StreamSession};
 use crate::table::IncTable;
-use crate::wire::{ShardState, WorkerRequestRef, WorkerResponse, KIND_REQUEST, KIND_RESPONSE};
+use crate::wire::{
+    ShardPatch, ShardState, WorkerRequestRef, WorkerResponse, KIND_REQUEST, KIND_RESPONSE,
+};
 
 pub use afd_net::WorkerCommand;
 
@@ -231,12 +235,15 @@ fn net_kind(e: NetError) -> TransportErrorKind {
 /// the transport's reader thread so every request carries a deadline
 /// ([`ShardBackend::configure`]); a hung worker surfaces as
 /// [`TransportErrorKind::Timeout`] instead of blocking the coordinator.
-/// Every mutating response carries the worker's full per-candidate
-/// state ([`ShardState`]); the coordinator reads
-/// [`ShardBackend::table`] &co from that cache, so score merges never
-/// block on the worker between deltas. The transport retains its
-/// recipe (spawn command / socket address), so the supervisor can
-/// [`respawn`](ShardBackend::respawn) a failed incarnation.
+/// The coordinator keeps a mirror of the worker's per-candidate state
+/// ([`ShardState`]): `Subscribed` and `Compacted` answers replace it
+/// whole, and each `Applied` answer's [`ShardPatch`] is written into it
+/// in O(patch), after bounds checks, so the mirror stays equal to the
+/// worker's state. [`ShardBackend::table`] &co read the mirror, so
+/// score merges never block on the worker between deltas. The
+/// transport retains its recipe (spawn command / socket address), so
+/// the supervisor can [`respawn`](ShardBackend::respawn) a failed
+/// incarnation.
 #[derive(Debug)]
 pub struct RemoteShard<T: Transport> {
     transport: T,
@@ -344,26 +351,60 @@ impl<T: Transport> RemoteShard<T> {
     /// fault model says a corrupted worker must surface as a typed
     /// error, never a coordinator panic.
     fn accept_state(&mut self, state: ShardState, expected: usize) -> Result<(), StreamError> {
-        if state.candidates.len() != expected {
-            return Err(self.fail(TransportErrorKind::Decode(format!(
-                "worker state carries {} candidate(s), coordinator tracks {expected}",
-                state.candidates.len()
-            ))));
-        }
-        for (cid, cand) in state.candidates.iter().enumerate() {
-            if let Some(max) = cand.table.max_y_id() {
-                if max as usize >= cand.y_keys.len() {
-                    return Err(self.fail(TransportErrorKind::Decode(format!(
-                        "worker state for candidate {cid} references Y id {max} beyond its {} \
-                         Y key(s)",
-                        cand.y_keys.len()
-                    ))));
-                }
-            }
+        let ys = state
+            .candidates
+            .iter()
+            .map(|c| (c.table.max_y_id(), c.y_keys.len()));
+        if let Some(why) = refusal("state", state.candidates.len(), expected, ys) {
+            return Err(self.fail(TransportErrorKind::Decode(why)));
         }
         self.state = state;
         Ok(())
     }
+
+    /// Writes a worker's [`ShardPatch`] into the state mirror after the
+    /// same checks as [`Self::accept_state`], counting the patch's new
+    /// Y keys. A refused patch leaves the mirror as it was.
+    fn accept_patch(&mut self, patch: ShardPatch) -> Result<(), StreamError> {
+        let tracked = self.state.candidates.len();
+        let ys = self
+            .state
+            .candidates
+            .iter()
+            .zip(&patch.candidates)
+            .map(|(c, p)| (p.table.max_y_id(), c.y_keys.len() + p.new_y_keys.len()));
+        if let Some(why) = refusal("patch", patch.candidates.len(), tracked, ys) {
+            return Err(self.fail(TransportErrorKind::Decode(why)));
+        }
+        self.state.apply_patch(patch);
+        Ok(())
+    }
+}
+
+/// Why a worker's `what` (state or patch) must be refused: it carries
+/// `got` candidates where the coordinator tracks `tracked`, or, per
+/// candidate, its largest Y id is not below the Y keys the coordinator
+/// would hold after accepting it (`ys` yields both, in candidate order).
+fn refusal(
+    what: &str,
+    got: usize,
+    tracked: usize,
+    ys: impl Iterator<Item = (Option<u32>, usize)>,
+) -> Option<String> {
+    if got != tracked {
+        return Some(format!(
+            "worker {what} carries {got} candidate(s), coordinator tracks {tracked}"
+        ));
+    }
+    ys.enumerate().find_map(|(cid, (max, keys))| {
+        let max = max?;
+        (max as usize >= keys).then(|| {
+            format!(
+                "worker {what} for candidate {cid} references Y id {max} beyond its {keys} Y \
+                 key(s)"
+            )
+        })
+    })
 }
 
 impl ProcessShard {
@@ -436,9 +477,8 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
     }
 
     fn apply(&mut self, delta: &RowDelta) -> Result<(), StreamError> {
-        let expected = self.state.candidates.len();
         match self.request(&WorkerRequestRef::Apply(delta))? {
-            WorkerResponse::Applied(state) => self.accept_state(state, expected),
+            WorkerResponse::Applied(patch) => self.accept_patch(patch),
             other => Err(self.unexpected("Apply", &other)),
         }
     }
@@ -703,5 +743,163 @@ mod tests {
     #[test]
     fn sibling_binary_misses_cleanly() {
         assert!(WorkerCommand::sibling_binary("no-such-binary-here").is_none());
+    }
+
+    /// A transport that answers each request with the next scripted
+    /// response, as a (possibly broken) worker would.
+    #[derive(Debug)]
+    struct Scripted(std::collections::VecDeque<WorkerResponse>);
+
+    impl Transport for Scripted {
+        fn send(&mut self, _frame: &[u8]) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn recv(&mut self, _deadline: Duration) -> Result<(u8, Vec<u8>), NetError> {
+            use afd_wire::Encode;
+            let resp = self
+                .0
+                .pop_front()
+                .ok_or(NetError::Read("script ended".into()))?;
+            Ok((KIND_RESPONSE, resp.encode_to_vec()))
+        }
+
+        fn reconnect(&mut self) -> Result<(), NetError> {
+            Err(NetError::Connect("scripted".into()))
+        }
+
+        fn finish(&mut self, _deadline: Duration) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn peer(&self) -> String {
+            "scripted".into()
+        }
+    }
+
+    fn schema() -> Schema {
+        Schema::new(["X", "Y"]).unwrap()
+    }
+
+    fn rows(pairs: &[(i64, i64)]) -> RowDelta {
+        RowDelta::insert_only(
+            pairs
+                .iter()
+                .map(|&(x, y)| vec![Value::Int(x), Value::Int(y)]),
+        )
+    }
+
+    /// A worker-side session with one candidate over three rows.
+    fn worker_session() -> StreamSession {
+        let mut session = StreamSession::new(schema());
+        session.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        session.apply(&rows(&[(1, 10), (1, 11), (2, 20)])).unwrap();
+        session
+    }
+
+    /// A remote shard whose mirror holds [`worker_session`]'s state from
+    /// the subscribe answer, scripted to answer `then` next.
+    fn scripted(then: Vec<WorkerResponse>) -> RemoteShard<Scripted> {
+        let mut script = vec![
+            WorkerResponse::Ok,
+            WorkerResponse::Subscribed {
+                cid: 0,
+                state: crate::worker::shard_state(&worker_session()),
+            },
+        ];
+        script.extend(then);
+        let mut shard = RemoteShard::from_transport(Scripted(script.into()), &schema()).unwrap();
+        assert_eq!(
+            shard.subscribe(&Fd::linear(AttrId(0), AttrId(1))).unwrap(),
+            0
+        );
+        shard
+    }
+
+    fn assert_decode_error(r: Result<impl std::fmt::Debug, StreamError>) {
+        match r {
+            Err(StreamError::Transport(te)) => {
+                assert!(matches!(te.kind, TransportErrorKind::Decode(_)), "{te:?}");
+            }
+            other => panic!("expected a decode transport error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn patches_keep_the_mirror_equal_to_the_worker() {
+        let mut session = StreamSession::new(schema());
+        session.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        let subscribed = crate::worker::shard_state(&session);
+        let mut script = vec![
+            WorkerResponse::Ok,
+            WorkerResponse::Subscribed {
+                cid: 0,
+                state: subscribed,
+            },
+        ];
+        let deltas = [
+            rows(&[(1, 10), (1, 11), (2, 20)]),
+            RowDelta::delete_only([1]),
+            rows(&[(3, 30), (1, 11)]),
+        ];
+        let mut states = Vec::new();
+        for d in &deltas {
+            session.apply(d).unwrap();
+            script.push(WorkerResponse::Applied(crate::worker::shard_patch(
+                &session,
+            )));
+            states.push(crate::worker::shard_state(&session));
+        }
+        let mut shard = RemoteShard::from_transport(Scripted(script.into()), &schema()).unwrap();
+        shard.subscribe(&Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        for (d, state) in deltas.iter().zip(states) {
+            shard.apply(d).unwrap();
+            assert_eq!(shard.state, state);
+        }
+    }
+
+    #[test]
+    fn patch_naming_a_y_id_past_the_keys_is_refused_untouched() {
+        // The worker's next apply assigns Y id 3; the patch drops its key.
+        let mut worker = worker_session();
+        worker.apply(&rows(&[(3, 30)])).unwrap();
+        let mut patch = crate::worker::shard_patch(&worker);
+        assert_eq!(patch.candidates[0].new_y_keys.len(), 1);
+        patch.candidates[0].new_y_keys.clear();
+        let mut shard = scripted(vec![WorkerResponse::Applied(patch)]);
+        let (before, keys) = (shard.table(0).clone(), shard.n_y_side_ids(0));
+        assert_decode_error(shard.apply(&rows(&[(3, 30)])));
+        assert_eq!(shard.table(0), &before);
+        assert_eq!(shard.n_y_side_ids(0), keys);
+        assert_eq!(shard.n_live(), 3);
+    }
+
+    #[test]
+    fn patch_with_the_wrong_candidate_count_is_refused_untouched() {
+        let mut worker = worker_session();
+        worker.apply(&rows(&[(1, 12)])).unwrap();
+        let mut patch = crate::worker::shard_patch(&worker);
+        patch.candidates.push(patch.candidates[0].clone());
+        let mut shard = scripted(vec![WorkerResponse::Applied(patch)]);
+        let before = shard.table(0).clone();
+        assert_decode_error(shard.apply(&rows(&[(1, 12)])));
+        assert_eq!(shard.table(0), &before);
+        assert_eq!(shard.n_live(), 3);
+    }
+
+    #[test]
+    fn full_state_naming_a_y_id_past_its_keys_is_refused_untouched() {
+        // A second subscribe answered with a state whose new candidate's
+        // table references Y ids it ships no key for.
+        let worker = worker_session();
+        let mut bad = crate::worker::shard_state(&worker);
+        let mut cand = bad.candidates[0].clone();
+        cand.y_keys.truncate(1);
+        bad.candidates.push(cand);
+        let mut shard = scripted(vec![WorkerResponse::Subscribed { cid: 1, state: bad }]);
+        let (before, keys) = (shard.table(0).clone(), shard.n_y_side_ids(0));
+        assert_decode_error(shard.subscribe(&Fd::linear(AttrId(1), AttrId(0))));
+        assert_eq!(shard.table(0), &before);
+        assert_eq!(shard.n_y_side_ids(0), keys);
     }
 }

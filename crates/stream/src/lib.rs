@@ -48,15 +48,19 @@
 //! * [`ProcessShard`]: an `afd shard-worker` **child process** (spawned
 //!   via [`WorkerCommand`]) speaking the `afd-wire` protocol over its
 //!   stdin/stdout. Every frame is length-prefixed, versioned and
-//!   FNV-checksummed; each applied delta slice comes back as the
+//!   FNV-checksummed. A subscribe or a compaction comes back as the
 //!   worker's full per-candidate state ([`wire::ShardState`]: the
-//!   [`IncTable`] merge inputs plus value-level Y side keys), which the
-//!   coordinator decodes and merges through the same
+//!   [`IncTable`] merge inputs plus value-level Y side keys); each
+//!   applied delta slice comes back as a [`wire::ShardPatch`] — the
+//!   scalar aggregates, the X groups and Y columns the slice touched,
+//!   the count histograms and the keys of newly assigned Y side ids —
+//!   which the coordinator writes into its copy of that state in
+//!   O(patch) before merging through the same
 //!   [`IncTable::merged_scores`] as in-process shards. All maintained
-//!   aggregates are integers, so the codec round-trip is exact and the
-//!   merged reads are **bit-identical** across backends — pinned by
-//!   process-spawning proptests for N ∈ {1, 2, 4} (`crates/cli`
-//!   integration tests).
+//!   aggregates are integers, so the codec round-trip is exact, the copy
+//!   stays equal to the worker's state, and the merged reads are
+//!   **bit-identical** across backends — pinned by process-spawning
+//!   proptests for N ∈ {1, 2, 4} (`crates/cli` integration tests).
 //!
 //! ## Fault model: supervised recovery, deadlines, fault injection
 //!
@@ -143,6 +147,6 @@ pub use session::{
     plis_equal, tables_equal, CompactionReport, IncrementalRelation, ScoreDiff, StreamSession,
 };
 pub use shard::{DeltaRouter, ShardedSession};
-pub use table::{IncTable, StreamScores};
+pub use table::{IncTable, StreamScores, TablePatch};
 pub use wire::{SessionSnapshot, SnapshotStats};
 pub use worker::{run_worker, run_worker_listener, run_worker_with_fault};

@@ -23,7 +23,7 @@ use afd_relation::{
 };
 
 use crate::delta::{RowDelta, RowId, StreamError};
-use crate::table::{IncTable, StreamScores};
+use crate::table::{IncTable, StreamScores, TablePatch};
 
 /// An append-only relation log with tombstone deletes.
 ///
@@ -165,6 +165,13 @@ struct TrackedCandidate {
     row_y: Vec<u32>,
     table: IncTable,
     last: StreamScores,
+    /// X and Y side ids counted in or out since the current apply began
+    /// (repeats allowed), and the Y side ids assigned before it — what a
+    /// shard worker's patch reports. Reset by [`Self::begin_apply`] and
+    /// after subscribe.
+    touched_x: Vec<u32>,
+    touched_y: Vec<u32>,
+    y_ids_before: usize,
 }
 
 impl TrackedCandidate {
@@ -185,6 +192,8 @@ impl TrackedCandidate {
         self.row_y.push(yj);
         if xi != NULL_CODE && yj != NULL_CODE {
             self.table.insert(xi, yj);
+            self.touched_x.push(xi);
+            self.touched_y.push(yj);
         }
     }
 
@@ -192,7 +201,15 @@ impl TrackedCandidate {
         let (xi, yj) = (self.row_x[slot], self.row_y[slot]);
         if xi != NULL_CODE && yj != NULL_CODE {
             self.table.delete(xi, yj);
+            self.touched_x.push(xi);
+            self.touched_y.push(yj);
         }
+    }
+
+    fn begin_apply(&mut self) {
+        self.touched_x.clear();
+        self.touched_y.clear();
+        self.y_ids_before = self.y_index.keys.len();
     }
 }
 
@@ -296,12 +313,19 @@ impl StreamSession {
             row_y: Vec::with_capacity(self.inc.n_slots()),
             table: IncTable::new(),
             last: StreamScores::exact(),
+            touched_x: Vec::new(),
+            touched_y: Vec::new(),
+            y_ids_before: 0,
         };
         let mut buf = Vec::new();
         for slot in 0..self.inc.n_slots() {
             t.ingest_slot(&self.inc.rel, slot, self.inc.live[slot], &mut buf);
         }
         t.last = t.table.scores();
+        // The build is not an apply: drop its O(rows) lists outright.
+        t.touched_x = Vec::new();
+        t.touched_y = Vec::new();
+        t.y_ids_before = t.y_index.keys.len();
         self.tracked.push(t);
         Ok(self.tracked.len() - 1)
     }
@@ -325,6 +349,25 @@ impl StreamSession {
     /// input to cross-shard [`IncTable::merged_scores`] reads.
     pub fn table(&self, cid: usize) -> &IncTable {
         &self.tracked[cid].table
+    }
+
+    /// The table patch of candidate `cid`'s last apply: the state of
+    /// every X group and Y column it counted rows in or out of, read
+    /// through [`IncTable::patch`] (empty right after subscribe).
+    ///
+    /// A patch describes exactly one apply. It is only meaningful on a
+    /// session without auto-compaction (shard workers never enable it),
+    /// because a compaction inside the apply renumbers every side id.
+    pub(crate) fn table_patch(&self, cid: usize) -> TablePatch {
+        let t = &self.tracked[cid];
+        t.table.patch(&t.touched_x, &t.touched_y)
+    }
+
+    /// The Y side ids candidate `cid`'s last apply assigned: the range
+    /// `first..n_y_side_ids(cid)` (empty right after subscribe).
+    pub(crate) fn new_y_side_ids(&self, cid: usize) -> std::ops::Range<usize> {
+        let t = &self.tracked[cid];
+        t.y_ids_before..t.y_index.keys.len()
     }
 
     /// Number of Y side ids ever assigned for candidate `cid` (dense,
@@ -390,6 +433,9 @@ impl StreamSession {
                     got: row.len(),
                 });
             }
+        }
+        for t in &mut self.tracked {
+            t.begin_apply();
         }
         // Deletes first: ids refer to pre-delta rows by contract.
         for &id in &delta.deletes {

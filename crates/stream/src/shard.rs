@@ -272,10 +272,12 @@ struct ShardedCandidate {
 /// * `ShardedSession<ProcessShard>` (via [`ShardedSession::spawn`])
 ///   drives one `afd shard-worker` child process per shard over the
 ///   checksummed `afd-wire` stdin/stdout protocol: the coordinator
-///   routes encoded delta slices out, decodes each worker's refreshed
-///   [`IncTable`] state back, and merges through the existing
-///   [`IncTable::merged_scores`] — **bit-identical** to the in-process path
-///   (every maintained aggregate is an integer; the codec is exact).
+///   routes encoded delta slices out, writes each worker's answer (a
+///   patch of the [`IncTable`] groups, columns and histograms the slice
+///   changed) into its copy of that shard's state, and merges through
+///   the existing [`IncTable::merged_scores`] — **bit-identical** to the
+///   in-process path (every maintained aggregate is an integer; the
+///   codec is exact).
 ///
 /// `apply` routes the delta ([`DeltaRouter`]), fans the per-shard slices
 /// across `afd-parallel` scoped threads, then refreshes each candidate's

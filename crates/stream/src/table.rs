@@ -48,6 +48,15 @@ struct XGroup {
 /// `O(distinct count values)`, not `O(K)`.
 type CountHist = BTreeMap<u64, u64>;
 
+/// The largest Y id among column keys `cols` and the cells of `groups`.
+fn max_y_id<'a>(
+    cols: impl Iterator<Item = u32>,
+    groups: impl Iterator<Item = &'a XGroup>,
+) -> Option<u32> {
+    let cells = groups.flat_map(|g| g.ys.keys().copied()).max();
+    cols.max().into_iter().chain(cells).max()
+}
+
 fn hist_inc(h: &mut CountHist, v: u64) {
     if v > 0 {
         *h.entry(v).or_insert(0) += 1;
@@ -138,13 +147,75 @@ impl IncTable {
     /// totals) — what a coordinator bounds-checks a decoded shard table
     /// against before handing it a Y remap slice.
     pub fn max_y_id(&self) -> Option<u32> {
-        let cols = self.col_totals.keys().copied().max();
-        let cells = self
-            .groups
-            .values()
-            .flat_map(|g| g.ys.keys().copied())
-            .max();
-        cols.into_iter().chain(cells).max()
+        max_y_id(self.col_totals.keys().copied(), self.groups.values())
+    }
+
+    /// The current state of X groups `xs` and Y columns `ys` (each may
+    /// repeat; absent ones are recorded as gone), plus the scalar
+    /// aggregates and the four count histograms whole — what
+    /// [`IncTable::apply_patch`] needs to bring a copy of this table that
+    /// matched it before those groups and columns last changed back into
+    /// exact equality. O(|xs| + |ys| + histograms).
+    pub fn patch(&self, xs: &[u32], ys: &[u32]) -> TablePatch {
+        let mut xs = xs.to_vec();
+        xs.sort_unstable();
+        xs.dedup();
+        let mut ys = ys.to_vec();
+        ys.sort_unstable();
+        ys.dedup();
+        TablePatch {
+            n: self.n,
+            nonzero_cells: self.nonzero_cells,
+            sum_row_max: self.sum_row_max,
+            violating_mass: self.violating_mass,
+            sum_sq_rows: self.sum_sq_rows,
+            sum_sq_cols: self.sum_sq_cols,
+            sum_sq_cells: self.sum_sq_cells,
+            groups: xs
+                .into_iter()
+                .map(|x| (x, self.groups.get(&x).cloned().unwrap_or_default()))
+                .collect(),
+            cols: ys
+                .into_iter()
+                .map(|y| (y, self.col_totals.get(&y).copied().unwrap_or(0)))
+                .collect(),
+            hist_rows: self.hist_rows.clone(),
+            hist_cols: self.hist_cols.clone(),
+            hist_cells: self.hist_cells.clone(),
+            hist_row_shape: self.hist_row_shape.clone(),
+        }
+    }
+
+    /// Writes a [`TablePatch`] taken by [`IncTable::patch`] into this
+    /// table: scalars and histograms are replaced, each named group and
+    /// column is set to its patched state or removed when gone.
+    /// O(patch).
+    pub fn apply_patch(&mut self, patch: TablePatch) {
+        self.n = patch.n;
+        self.nonzero_cells = patch.nonzero_cells;
+        self.sum_row_max = patch.sum_row_max;
+        self.violating_mass = patch.violating_mass;
+        self.sum_sq_rows = patch.sum_sq_rows;
+        self.sum_sq_cols = patch.sum_sq_cols;
+        self.sum_sq_cells = patch.sum_sq_cells;
+        for (x, g) in patch.groups {
+            if g.total == 0 {
+                self.groups.remove(&x);
+            } else {
+                self.groups.insert(x, g);
+            }
+        }
+        for (y, b) in patch.cols {
+            if b == 0 {
+                self.col_totals.remove(&y);
+            } else {
+                self.col_totals.insert(y, b);
+            }
+        }
+        self.hist_rows = patch.hist_rows;
+        self.hist_cols = patch.hist_cols;
+        self.hist_cells = patch.hist_cells;
+        self.hist_row_shape = patch.hist_row_shape;
     }
 
     /// `true` iff the (NULL-filtered) FD holds exactly: every X-group
@@ -455,11 +526,123 @@ impl ScoreAggregates<'_> {
     }
 }
 
+/// What one apply changed in a shard's [`IncTable`], taken by
+/// [`IncTable::patch`] and written by [`IncTable::apply_patch`]: the
+/// absolute scalar aggregates, the new state of every X group and Y
+/// column the apply touched (a group with total 0, or a column total of
+/// 0, means it is gone), and the four count histograms whole. The
+/// histograms are bounded by the number of distinct count values, so a
+/// patch grows with the delta, not with the table.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TablePatch {
+    n: u64,
+    nonzero_cells: u64,
+    sum_row_max: u64,
+    violating_mass: u64,
+    sum_sq_rows: u64,
+    sum_sq_cols: u64,
+    sum_sq_cells: u64,
+    /// Touched X groups, sorted by id.
+    groups: Vec<(u32, XGroup)>,
+    /// Touched Y column totals, sorted by id.
+    cols: Vec<(u32, u64)>,
+    hist_rows: CountHist,
+    hist_cols: CountHist,
+    hist_cells: CountHist,
+    hist_row_shape: BTreeMap<(u64, u64), u64>,
+}
+
+impl TablePatch {
+    /// The largest Y side id the patch names (touched columns and the
+    /// cells of touched groups) — what a coordinator bounds-checks
+    /// against its Y keys before applying the patch.
+    pub(crate) fn max_y_id(&self) -> Option<u32> {
+        max_y_id(
+            self.cols.iter().map(|&(y, _)| y),
+            self.groups.iter().map(|(_, g)| g),
+        )
+    }
+}
+
 // ------------------------------------------------------------- wire form
 
-/// `IncTable` is the unit the coordinator⇄worker wire protocol moves:
-/// after every applied delta slice, a process-backed shard ships its
-/// tables back for [`IncTable::merged_scores`].
+fn encode_hist(h: &CountHist, out: &mut Vec<u8>) {
+    (h.len() as u32).encode(out);
+    for (&k, &v) in h {
+        k.encode(out);
+        v.encode(out);
+    }
+}
+
+fn decode_hist(r: &mut Reader<'_>) -> Result<CountHist, DecodeError> {
+    let len = r.len_prefix("count histogram", 16)?;
+    let mut h = CountHist::new();
+    for _ in 0..len {
+        let k = u64::decode(r)?;
+        let v = u64::decode(r)?;
+        h.insert(k, v);
+    }
+    Ok(h)
+}
+
+fn encode_shapes(h: &BTreeMap<(u64, u64), u64>, out: &mut Vec<u8>) {
+    (h.len() as u32).encode(out);
+    for (&(a, sq), &mult) in h {
+        a.encode(out);
+        sq.encode(out);
+        mult.encode(out);
+    }
+}
+
+fn decode_shapes(r: &mut Reader<'_>) -> Result<BTreeMap<(u64, u64), u64>, DecodeError> {
+    let n_shapes = r.len_prefix("row-shape histogram", 24)?;
+    let mut h = BTreeMap::new();
+    for _ in 0..n_shapes {
+        let a = u64::decode(r)?;
+        let sq = u64::decode(r)?;
+        let mult = u64::decode(r)?;
+        h.insert((a, sq), mult);
+    }
+    Ok(h)
+}
+
+/// One X group: id, total/sq/max, then its `(y, count)` cells sorted by
+/// `y` (canonical bytes).
+fn encode_group(x: u32, g: &XGroup, out: &mut Vec<u8>) {
+    x.encode(out);
+    g.total.encode(out);
+    g.sq.encode(out);
+    g.max.encode(out);
+    let mut ys: Vec<(u32, u64)> = g.ys.iter().map(|(&y, &c)| (y, c)).collect();
+    ys.sort_unstable();
+    ys.encode(out);
+}
+
+fn decode_group(r: &mut Reader<'_>) -> Result<(u32, XGroup), DecodeError> {
+    let x = u32::decode(r)?;
+    let total = u64::decode(r)?;
+    let sq = u64::decode(r)?;
+    let max = u64::decode(r)?;
+    let ys: Vec<(u32, u64)> = Vec::decode(r)?;
+    Ok((
+        x,
+        XGroup {
+            total,
+            sq,
+            max,
+            ys: ys.into_iter().collect(),
+        },
+    ))
+}
+
+/// Byte budget of one encoded group before its cells.
+const GROUP_MIN_BYTES: usize = 4 + 8 * 3 + 4;
+
+/// `IncTable` is the full-state unit of the coordinator⇄worker wire
+/// protocol: a shard ships its tables whole when a candidate is
+/// subscribed or the shard is compacted, and a [`TablePatch`] after
+/// every applied delta slice; the coordinator reads both through
+/// [`IncTable::merged_scores`].
 ///
 /// Layout: `n`, then the X-groups **sorted by local id** (each with its
 /// total/sq/max and its `(y, count)` cells sorted by `y`), the column
@@ -471,26 +654,12 @@ impl ScoreAggregates<'_> {
 /// original.
 impl Encode for IncTable {
     fn encode(&self, out: &mut Vec<u8>) {
-        fn hist(h: &CountHist, out: &mut Vec<u8>) {
-            (h.len() as u32).encode(out);
-            for (&k, &v) in h {
-                k.encode(out);
-                v.encode(out);
-            }
-        }
         self.n.encode(out);
         let mut xs: Vec<u32> = self.groups.keys().copied().collect();
         xs.sort_unstable();
         (xs.len() as u32).encode(out);
         for x in xs {
-            let g = &self.groups[&x];
-            x.encode(out);
-            g.total.encode(out);
-            g.sq.encode(out);
-            g.max.encode(out);
-            let mut ys: Vec<(u32, u64)> = g.ys.iter().map(|(&y, &c)| (y, c)).collect();
-            ys.sort_unstable();
-            ys.encode(out);
+            encode_group(x, &self.groups[&x], out);
         }
         let mut cols: Vec<(u32, u64)> = self.col_totals.iter().map(|(&y, &b)| (y, b)).collect();
         cols.sort_unstable();
@@ -501,48 +670,21 @@ impl Encode for IncTable {
         self.sum_sq_rows.encode(out);
         self.sum_sq_cols.encode(out);
         self.sum_sq_cells.encode(out);
-        hist(&self.hist_rows, out);
-        hist(&self.hist_cols, out);
-        hist(&self.hist_cells, out);
-        (self.hist_row_shape.len() as u32).encode(out);
-        for (&(a, sq), &mult) in &self.hist_row_shape {
-            a.encode(out);
-            sq.encode(out);
-            mult.encode(out);
-        }
+        encode_hist(&self.hist_rows, out);
+        encode_hist(&self.hist_cols, out);
+        encode_hist(&self.hist_cells, out);
+        encode_shapes(&self.hist_row_shape, out);
     }
 }
 
 impl Decode for IncTable {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        fn hist(r: &mut Reader<'_>) -> Result<CountHist, DecodeError> {
-            let len = r.len_prefix("count histogram", 16)?;
-            let mut h = CountHist::new();
-            for _ in 0..len {
-                let k = u64::decode(r)?;
-                let v = u64::decode(r)?;
-                h.insert(k, v);
-            }
-            Ok(h)
-        }
         let mut t = IncTable::new();
         t.n = u64::decode(r)?;
-        let n_groups = r.len_prefix("X groups", 4 + 8 * 3 + 4)?;
+        let n_groups = r.len_prefix("X groups", GROUP_MIN_BYTES)?;
         for _ in 0..n_groups {
-            let x = u32::decode(r)?;
-            let total = u64::decode(r)?;
-            let sq = u64::decode(r)?;
-            let max = u64::decode(r)?;
-            let ys: Vec<(u32, u64)> = Vec::decode(r)?;
-            t.groups.insert(
-                x,
-                XGroup {
-                    total,
-                    sq,
-                    max,
-                    ys: ys.into_iter().collect(),
-                },
-            );
+            let (x, g) = decode_group(r)?;
+            t.groups.insert(x, g);
         }
         let cols: Vec<(u32, u64)> = Vec::decode(r)?;
         t.col_totals = cols.into_iter().collect();
@@ -552,17 +694,61 @@ impl Decode for IncTable {
         t.sum_sq_rows = u64::decode(r)?;
         t.sum_sq_cols = u64::decode(r)?;
         t.sum_sq_cells = u64::decode(r)?;
-        t.hist_rows = hist(r)?;
-        t.hist_cols = hist(r)?;
-        t.hist_cells = hist(r)?;
-        let n_shapes = r.len_prefix("row-shape histogram", 24)?;
-        for _ in 0..n_shapes {
-            let a = u64::decode(r)?;
-            let sq = u64::decode(r)?;
-            let mult = u64::decode(r)?;
-            t.hist_row_shape.insert((a, sq), mult);
-        }
+        t.hist_rows = decode_hist(r)?;
+        t.hist_cols = decode_hist(r)?;
+        t.hist_cells = decode_hist(r)?;
+        t.hist_row_shape = decode_shapes(r)?;
         Ok(t)
+    }
+}
+
+/// Layout: the seven scalar aggregates, the touched groups (sorted by
+/// id, each encoded as in [`IncTable`]'s form), the touched column
+/// totals sorted by id, and the four histograms. Canonical and exact,
+/// like the table's own form.
+impl Encode for TablePatch {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.n.encode(out);
+        self.nonzero_cells.encode(out);
+        self.sum_row_max.encode(out);
+        self.violating_mass.encode(out);
+        self.sum_sq_rows.encode(out);
+        self.sum_sq_cols.encode(out);
+        self.sum_sq_cells.encode(out);
+        (self.groups.len() as u32).encode(out);
+        for (x, g) in &self.groups {
+            encode_group(*x, g, out);
+        }
+        self.cols.encode(out);
+        encode_hist(&self.hist_rows, out);
+        encode_hist(&self.hist_cols, out);
+        encode_hist(&self.hist_cells, out);
+        encode_shapes(&self.hist_row_shape, out);
+    }
+}
+
+impl Decode for TablePatch {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut p = TablePatch {
+            n: u64::decode(r)?,
+            nonzero_cells: u64::decode(r)?,
+            sum_row_max: u64::decode(r)?,
+            violating_mass: u64::decode(r)?,
+            sum_sq_rows: u64::decode(r)?,
+            sum_sq_cols: u64::decode(r)?,
+            sum_sq_cells: u64::decode(r)?,
+            ..TablePatch::default()
+        };
+        let n_groups = r.len_prefix("patched X groups", GROUP_MIN_BYTES)?;
+        p.groups = (0..n_groups)
+            .map(|_| decode_group(r))
+            .collect::<Result<_, _>>()?;
+        p.cols = Vec::decode(r)?;
+        p.hist_rows = decode_hist(r)?;
+        p.hist_cols = decode_hist(r)?;
+        p.hist_cells = decode_hist(r)?;
+        p.hist_row_shape = decode_shapes(r)?;
+        Ok(p)
     }
 }
 
@@ -823,6 +1009,28 @@ mod tests {
         assert_eq!(t.max_y_id(), Some(7));
         t.delete(0, 7);
         assert_eq!(t.max_y_id(), Some(3));
+    }
+
+    #[test]
+    fn patch_of_touched_ids_brings_a_stale_copy_to_equality() {
+        let mut t = fixture();
+        let mut copy = t.clone();
+        // Empties group 1 and column 0's share of it, adds group 2 and
+        // column 3, moves group 0's majority.
+        for _ in 0..4 {
+            t.delete(1, 0);
+        }
+        t.insert(2, 3);
+        t.insert(0, 1);
+        t.insert(0, 1);
+        t.insert(0, 1);
+        let patch = t.patch(&[1, 1, 1, 1, 2, 0, 0, 0], &[0, 0, 0, 0, 3, 1, 1, 1]);
+        assert_eq!(patch.max_y_id(), Some(3));
+        let back = TablePatch::decode_exact(&patch.encode_to_vec()).expect("patch decodes");
+        assert_eq!(back, patch);
+        copy.apply_patch(back);
+        assert_eq!(copy, t);
+        assert!(copy.scores().bits_eq(&t.scores()));
     }
 
     #[test]

@@ -14,18 +14,19 @@
 //!
 //! The protocol is strict request/response: the coordinator writes one
 //! request frame and reads exactly one response frame, so worker stdout
-//! never interleaves. Every mutating response carries the worker's full
-//! per-candidate state ([`ShardState`]: the [`IncTable`] merge inputs
-//! plus the value-level Y side keys) — the coordinator decodes it and
-//! merges via [`IncTable::merged_scores`], bit-identical to in-process
-//! shards.
+//! never interleaves. `Subscribed` and `Compacted` carry the worker's
+//! full per-candidate state ([`ShardState`]: the [`IncTable`] merge
+//! inputs plus the value-level Y side keys); `Applied` carries only what
+//! the apply changed ([`ShardPatch`]), which the coordinator writes into
+//! its copy of that state. It then merges via
+//! [`IncTable::merged_scores`], bit-identical to in-process shards.
 
 use afd_relation::{AttrSet, Fd, Relation, Schema, Value};
 use afd_wire::{decode_framed, encode_framed, Decode, DecodeError, Encode, Reader, FRAME_OVERHEAD};
 
 use crate::delta::{RowDelta, RowId, StreamError, TransportError, TransportErrorKind};
 use crate::session::{CompactionReport, ScoreDiff};
-use crate::table::{IncTable, StreamScores};
+use crate::table::{IncTable, StreamScores, TablePatch};
 
 /// Frame kind of coordinator → worker [`WorkerRequest`]s.
 pub const KIND_REQUEST: u8 = 1;
@@ -306,6 +307,21 @@ pub struct ShardState {
     pub candidates: Vec<CandidateState>,
 }
 
+impl ShardState {
+    /// Writes a worker's [`ShardPatch`] into this copy of its state,
+    /// in O(patch). The copy must equal the worker's state from just
+    /// before the apply the patch describes; the patch must carry one
+    /// entry per candidate and name no Y id past the keys it leaves
+    /// (`RemoteShard` checks both before calling this).
+    pub fn apply_patch(&mut self, patch: ShardPatch) {
+        self.n_live = patch.n_live;
+        for (cand, p) in self.candidates.iter_mut().zip(patch.candidates) {
+            cand.table.apply_patch(p.table);
+            cand.y_keys.extend(p.new_y_keys);
+        }
+    }
+}
+
 impl Encode for ShardState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.n_live.encode(out);
@@ -318,6 +334,62 @@ impl Decode for ShardState {
         Ok(ShardState {
             n_live: u64::decode(r)?,
             candidates: Vec::<CandidateState>::decode(r)?,
+        })
+    }
+}
+
+/// One candidate's change over one apply: its [`TablePatch`] and the
+/// value-level keys of the Y side ids the apply assigned (appended, in
+/// id order, to the coordinator's copy of [`CandidateState::y_keys`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CandidatePatch {
+    /// The touched groups and columns, scalars and histograms.
+    pub table: TablePatch,
+    /// Keys of the newly assigned Y side ids, in id order.
+    pub new_y_keys: Vec<Vec<Value>>,
+}
+
+impl Encode for CandidatePatch {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.table.encode(out);
+        self.new_y_keys.encode(out);
+    }
+}
+
+impl Decode for CandidatePatch {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(CandidatePatch {
+            table: TablePatch::decode(r)?,
+            new_y_keys: Vec::<Vec<Value>>::decode(r)?,
+        })
+    }
+}
+
+/// What a worker answers to an `Apply`: the shard's live row count plus
+/// one [`CandidatePatch`] per candidate, subscription order. Applied to
+/// the [`ShardState`] the coordinator held before the apply, it yields
+/// exactly the worker's state after it, at a cost that grows with the
+/// delta rather than with the shard.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardPatch {
+    /// Live rows in this shard after the apply.
+    pub n_live: u64,
+    /// Per-candidate patches, subscription order.
+    pub candidates: Vec<CandidatePatch>,
+}
+
+impl Encode for ShardPatch {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.n_live.encode(out);
+        self.candidates.encode(out);
+    }
+}
+
+impl Decode for ShardPatch {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(ShardPatch {
+            n_live: u64::decode(r)?,
+            candidates: Vec::<CandidatePatch>::decode(r)?,
         })
     }
 }
@@ -440,8 +512,9 @@ pub enum WorkerResponse {
         /// Full state after the subscribe.
         state: ShardState,
     },
-    /// `Apply` done: the refreshed state the coordinator merges.
-    Applied(ShardState),
+    /// `Apply` done: what the apply changed, for the coordinator to
+    /// patch its copy of the shard's state with before it merges.
+    Applied(ShardPatch),
     /// `Snapshot` result: live rows in local arrival order.
     Snapshot(Relation),
     /// `Compact` done (verification passed): report + refreshed state
@@ -458,10 +531,13 @@ pub enum WorkerResponse {
 
 const RESP_OK: u8 = 0;
 const RESP_SUBSCRIBED: u8 = 1;
-const RESP_APPLIED: u8 = 2;
+// Tag 2 answered `Apply` with a full `ShardState`. It is retired, so an
+// older worker's answer decodes to `DecodeError::BadTag` instead of
+// being misread as a patch.
 const RESP_SNAPSHOT: u8 = 3;
 const RESP_COMPACTED: u8 = 4;
 const RESP_ERR: u8 = 5;
+const RESP_APPLIED_PATCH: u8 = 6;
 
 impl Encode for WorkerResponse {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -472,9 +548,9 @@ impl Encode for WorkerResponse {
                 cid.encode(out);
                 state.encode(out);
             }
-            WorkerResponse::Applied(state) => {
-                out.push(RESP_APPLIED);
-                state.encode(out);
+            WorkerResponse::Applied(patch) => {
+                out.push(RESP_APPLIED_PATCH);
+                patch.encode(out);
             }
             WorkerResponse::Snapshot(rel) => {
                 out.push(RESP_SNAPSHOT);
@@ -501,7 +577,7 @@ impl Decode for WorkerResponse {
                 cid: u32::decode(r)?,
                 state: ShardState::decode(r)?,
             }),
-            RESP_APPLIED => Ok(WorkerResponse::Applied(ShardState::decode(r)?)),
+            RESP_APPLIED_PATCH => Ok(WorkerResponse::Applied(ShardPatch::decode(r)?)),
             RESP_SNAPSHOT => Ok(WorkerResponse::Snapshot(Relation::decode(r)?)),
             RESP_COMPACTED => Ok(WorkerResponse::Compacted {
                 report: CompactionReport::decode(r)?,
@@ -759,6 +835,13 @@ mod tests {
         }
         let mut table = IncTable::new();
         table.insert(0, 0);
+        let patch = ShardPatch {
+            n_live: 1,
+            candidates: vec![CandidatePatch {
+                table: table.patch(&[0, 1], &[0]),
+                new_y_keys: vec![vec![Value::Int(9)]],
+            }],
+        };
         let state = ShardState {
             n_live: 1,
             candidates: vec![CandidateState {
@@ -772,7 +855,7 @@ mod tests {
                 cid: 0,
                 state: state.clone(),
             },
-            WorkerResponse::Applied(state.clone()),
+            WorkerResponse::Applied(patch),
             WorkerResponse::Snapshot(Relation::from_pairs([(1, 2)])),
             WorkerResponse::Compacted {
                 report: CompactionReport {
@@ -800,6 +883,26 @@ mod tests {
                 _ => assert_eq!(&back, resp),
             }
         }
+    }
+
+    #[test]
+    fn retired_full_state_apply_tag_is_a_bad_tag() {
+        // An older worker answered `Apply` with tag 2 and a full state.
+        let state = ShardState {
+            n_live: 0,
+            candidates: Vec::new(),
+        };
+        let mut payload = vec![2u8];
+        state.encode(&mut payload);
+        let mut frame = Vec::new();
+        afd_wire::write_frame(KIND_RESPONSE, &payload, &mut frame).unwrap();
+        assert_eq!(
+            decode_framed::<WorkerResponse>(KIND_RESPONSE, &frame),
+            Err(DecodeError::BadTag {
+                what: "WorkerResponse",
+                tag: 2
+            })
+        );
     }
 
     #[test]

@@ -17,8 +17,11 @@ use afd_wire::{encode_framed, read_frame_from, Decode, FrameReadError, StreamFra
 use crate::delta::{StreamError, TransportError};
 use crate::fault::{WorkerFault, WorkerFaultKind, AFD_WORKER_FAULTS_ENV};
 use crate::session::StreamSession;
+#[cfg(doc)]
+use crate::table::IncTable;
 use crate::wire::{
-    CandidateState, ShardState, WorkerRequest, WorkerResponse, KIND_REQUEST, KIND_RESPONSE,
+    CandidatePatch, CandidateState, ShardPatch, ShardState, WorkerRequest, WorkerResponse,
+    KIND_REQUEST, KIND_RESPONSE,
 };
 
 /// The full coordinator-visible state of a worker's session: live row
@@ -30,6 +33,29 @@ pub fn shard_state(session: &StreamSession) -> ShardState {
             .map(|cid| CandidateState {
                 table: session.table(cid).clone(),
                 y_keys: (0..session.n_y_side_ids(cid))
+                    .map(|id| session.y_side_values(cid, id as u32))
+                    .collect(),
+            })
+            .collect(),
+    }
+}
+
+/// What the session's last apply changed, as the worker answers it: live
+/// row count plus, per candidate, the [`IncTable::patch`] of the X groups
+/// and Y columns the apply counted rows in or out of, and the keys of
+/// the Y side ids it assigned. Applied to the [`shard_state`] taken just
+/// before that apply, it gives `shard_state(session)` exactly.
+///
+/// Describes exactly one apply, so the session must not auto-compact:
+/// `Init` builds worker sessions without a compaction cadence.
+pub fn shard_patch(session: &StreamSession) -> ShardPatch {
+    ShardPatch {
+        n_live: session.relation().n_live() as u64,
+        candidates: (0..session.n_candidates())
+            .map(|cid| CandidatePatch {
+                table: session.table_patch(cid),
+                new_y_keys: session
+                    .new_y_side_ids(cid)
                     .map(|id| session.y_side_values(cid, id as u32))
                     .collect(),
             })
@@ -59,7 +85,7 @@ fn handle(session: &mut Option<StreamSession>, req: WorkerRequest) -> WorkerResp
                     Err(e) => WorkerResponse::Err(e),
                 },
                 WorkerRequest::Apply(delta) => match session.apply(&delta) {
-                    Ok(_) => WorkerResponse::Applied(shard_state(session)),
+                    Ok(_) => WorkerResponse::Applied(shard_patch(session)),
                     Err(e) => WorkerResponse::Err(e),
                 },
                 WorkerRequest::Snapshot => WorkerResponse::Snapshot(session.relation().snapshot()),
@@ -247,6 +273,20 @@ mod tests {
         vec![Value::Int(x), Value::Int(y)]
     }
 
+    /// The state a coordinator mirrors: a `Subscribed` answer's full
+    /// state with an `Applied` answer's patch written into it.
+    fn patched_state(subscribed: &WorkerResponse, applied: &WorkerResponse) -> ShardState {
+        let WorkerResponse::Subscribed { state, .. } = subscribed else {
+            panic!("expected Subscribed, got {subscribed:?}");
+        };
+        let WorkerResponse::Applied(patch) = applied else {
+            panic!("expected Applied, got {applied:?}");
+        };
+        let mut state = state.clone();
+        state.apply_patch(patch.clone());
+        state
+    }
+
     #[test]
     fn worker_tracks_a_session_and_ships_state() {
         let schema = Schema::new(["X", "Y"]).unwrap();
@@ -277,18 +317,17 @@ mod tests {
                 row(1, 11),
             ]))
             .unwrap();
-        match &resps[2] {
-            WorkerResponse::Applied(state) => {
-                assert_eq!(state.n_live, 4);
-                assert_eq!(&state.candidates[cid].table, local.table(cid));
-                assert_eq!(state.candidates[cid].y_keys.len(), local.n_y_side_ids(cid));
-                assert!(state.candidates[cid]
-                    .table
-                    .scores()
-                    .bits_eq(&local.scores(cid)));
-            }
-            other => panic!("expected Applied, got {other:?}"),
-        }
+        // The subscribe ships full state; the apply's patch brings it
+        // up to the worker's post-apply state.
+        let state = patched_state(&resps[1], &resps[2]);
+        assert_eq!(state.n_live, 4);
+        assert_eq!(&state.candidates[cid].table, local.table(cid));
+        assert_eq!(state.candidates[cid].y_keys.len(), local.n_y_side_ids(cid));
+        assert!(state.candidates[cid]
+            .table
+            .scores()
+            .bits_eq(&local.scores(cid)));
+        assert_eq!(state, shard_state(&local));
         match &resps[3] {
             WorkerResponse::Snapshot(rel) => assert_eq!(rel.n_rows(), 4),
             other => panic!("expected Snapshot, got {other:?}"),
@@ -440,9 +479,7 @@ mod tests {
             WorkerRequest::Subscribe(fd.clone()),
             WorkerRequest::Apply(delta.clone()),
         ]);
-        let WorkerResponse::Applied(state) = &resps[2] else {
-            panic!("expected Applied");
-        };
+        let state = &patched_state(&resps[1], &resps[2]);
         let mut local = StreamSession::new(schema);
         let cid = local.subscribe(fd).unwrap();
         local.apply(&delta).unwrap();

@@ -2,11 +2,14 @@
 //! `decode(encode(x)) == x` (bit-exact floats, canonical bytes) for
 //! every type the coordinator⇄worker protocol and the session snapshot
 //! move, plus corrupted/truncated-byte fuzz asserting typed
-//! [`DecodeError`]s — never panics.
+//! [`DecodeError`]s — never panics — and the patch protocol: a state
+//! copy patched after every apply stays equal to the worker's state.
 
 use afd_relation::{AttrId, AttrSet, Fd, Relation, Schema, Value};
 use afd_stream::wire::{CandidateState, ShardState, WorkerResponse, KIND_RESPONSE};
-use afd_stream::{IncTable, RowDelta, ScoreDiff, SessionSnapshot, StreamScores, StreamSession};
+use afd_stream::{
+    worker, IncTable, RowDelta, RowId, ScoreDiff, SessionSnapshot, StreamScores, StreamSession,
+};
 use afd_wire::{decode_framed, encode_framed, Decode, DecodeError, Encode};
 use proptest::prelude::*;
 
@@ -150,25 +153,92 @@ proptest! {
             .map(|&(_, x, y)| vec![Value::Int(i64::from(x)), Value::Int(i64::from(y))])
             .collect();
         session.apply(&RowDelta::insert_only(rows)).unwrap();
-        let resp = WorkerResponse::Applied(ShardState {
-            n_live: session.relation().n_live() as u64,
-            candidates: vec![CandidateState {
-                table: session.table(cid).clone(),
-                y_keys: (0..session.n_y_side_ids(cid))
-                    .map(|id| session.y_side_values(cid, id as u32))
-                    .collect(),
-            }],
-        });
+        let resp = WorkerResponse::Subscribed {
+            cid: cid as u32,
+            state: ShardState {
+                n_live: session.relation().n_live() as u64,
+                candidates: vec![CandidateState {
+                    table: session.table(cid).clone(),
+                    y_keys: (0..session.n_y_side_ids(cid))
+                        .map(|id| session.y_side_values(cid, id as u32))
+                        .collect(),
+                }],
+            },
+        };
         let frame = encode_framed(KIND_RESPONSE, &resp).unwrap();
         let back: WorkerResponse =
             decode_framed(KIND_RESPONSE, &frame).expect("framed response decodes");
         prop_assert_eq!(&back, &resp);
         // The decoded table still reads bit-identical scores.
-        if let WorkerResponse::Applied(state) = back {
+        if let WorkerResponse::Subscribed { state, .. } = back {
             prop_assert!(state.candidates[0]
                 .table
                 .scores()
                 .bits_eq(&session.scores(cid)));
         }
     }
+
+    #[test]
+    fn shard_patches_roundtrip_and_keep_a_mirror_exact(trace in churn_trace()) {
+        // The coordinator's view of a worker: full state at subscribe,
+        // then one framed patch per apply.
+        let mut session = StreamSession::new(Schema::new(["A", "B", "C"]).unwrap());
+        session.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        let mut mirror = worker::shard_state(&session);
+        let mut live: Vec<RowId> = Vec::new();
+        let mut next: RowId = 0;
+        for (i, (inserts, picks)) in trace.iter().enumerate() {
+            if i == 1 {
+                // A second candidate joins over rows already churned.
+                let fd = Fd::new(AttrSet::new([AttrId(0), AttrId(2)]), AttrSet::single(AttrId(1)));
+                session.subscribe(fd.unwrap()).unwrap();
+                mirror = worker::shard_state(&session);
+            }
+            let mut deletes = Vec::new();
+            for &p in picks {
+                if !live.is_empty() {
+                    deletes.push(live.swap_remove(p as usize % live.len()));
+                }
+            }
+            let delta = RowDelta {
+                inserts: inserts
+                    .iter()
+                    .map(|&(a, b, c)| vec![Value::from(a), Value::from(b), Value::from(c)])
+                    .collect(),
+                deletes,
+            };
+            live.extend(next..next + inserts.len() as RowId);
+            next += inserts.len() as RowId;
+            session.apply(&delta).unwrap();
+            let resp = WorkerResponse::Applied(worker::shard_patch(&session));
+            let frame = encode_framed(KIND_RESPONSE, &resp).unwrap();
+            let back: WorkerResponse =
+                decode_framed(KIND_RESPONSE, &frame).expect("framed patch decodes");
+            prop_assert_eq!(&back, &resp);
+            let WorkerResponse::Applied(patch) = back else {
+                unreachable!("round-tripped above");
+            };
+            mirror.apply_patch(patch);
+            prop_assert_eq!(&mirror, &worker::shard_state(&session));
+        }
+    }
+}
+
+/// A churn trace of deltas: rows to insert (any cell may be NULL) and
+/// picks that choose live rows to delete.
+type Churn = Vec<(Vec<(Option<i64>, Option<i64>, Option<i64>)>, Vec<u32>)>;
+
+fn churn_trace() -> impl Strategy<Value = Churn> {
+    let row = (
+        prop::option::weighted(0.85, 0i64..5),
+        prop::option::weighted(0.85, 0i64..6),
+        prop::option::weighted(0.85, 0i64..3),
+    );
+    prop::collection::vec(
+        (
+            prop::collection::vec(row, 0..12),
+            prop::collection::vec(0u32..1024, 0..8),
+        ),
+        2..16,
+    )
 }

@@ -225,8 +225,14 @@ impl From<std::io::Error> for FrameReadError {
     }
 }
 
+/// The most payload [`read_frame_from`] reads (and allocates) ahead of
+/// the bytes that have arrived.
+const READ_STEP: usize = 64 << 10;
+
 /// Reads one frame off a byte stream; [`StreamFrame::Eof`] on a clean
-/// end-of-stream at a frame boundary.
+/// end-of-stream at a frame boundary. The payload buffer grows by at
+/// most 64 KiB per read, so memory follows the bytes received, not the
+/// length the header announces.
 ///
 /// # Errors
 /// [`FrameReadError::Io`] on transport failure or mid-frame EOF,
@@ -269,8 +275,15 @@ pub fn read_frame_from(r: &mut impl Read) -> Result<StreamFrame, FrameReadError>
         }
         .into());
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer as bytes arrive, so a peer that announces a huge
+    // frame and sends little of it cannot make us allocate the whole
+    // announced length up front.
+    let mut payload = Vec::with_capacity(len.min(READ_STEP));
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(READ_STEP), 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     let mut sum_bytes = [0u8; 8];
     r.read_exact(&mut sum_bytes)?;
     let got = u64::from_le_bytes(sum_bytes);
@@ -384,5 +397,42 @@ mod tests {
             read_frame_from(&mut cursor),
             Err(FrameReadError::Io(_))
         ));
+    }
+
+    /// A stream that records the largest buffer any `read` was asked to
+    /// fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_ask: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_ask = self.largest_ask.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn announced_length_is_not_read_ahead_of_the_bytes() {
+        // A header announcing the largest legal payload, 16 bytes of it,
+        // then EOF.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        bytes.push(1);
+        bytes.extend_from_slice(&(MAX_PAYLOAD as u32).to_le_bytes());
+        bytes.extend_from_slice(&[0xAB; 16]);
+        let mut r = Recording {
+            bytes: &bytes,
+            largest_ask: 0,
+        };
+        match read_frame_from(&mut r) {
+            Err(FrameReadError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+            }
+            other => panic!("expected a mid-frame EOF, got {other:?}"),
+        }
+        assert!(r.largest_ask <= 64 << 10, "asked {} bytes", r.largest_ask);
     }
 }

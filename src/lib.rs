@@ -173,7 +173,11 @@
 //!   ship (`IncTable` counts, margins, histograms) is an integer — so a
 //!   process-backed session's merged score reads are **bit-identical**
 //!   to the in-process backend and the batch kernels (proptest-pinned
-//!   for N ∈ {1, 2, 4} worker processes).
+//!   for N ∈ {1, 2, 4} worker processes). A worker ships its full
+//!   state only on subscribe and compaction; after each applied delta
+//!   it ships a patch of the groups, columns and histograms the delta
+//!   changed, which the coordinator writes into its copy of the shard's
+//!   state.
 //! * **Fault model**: the shard fabric is **self-healing**. Every
 //!   coordinator→worker request carries a deadline, and a worker that
 //!   dies, corrupts a frame or stalls past it surfaces as a structured
