@@ -10,18 +10,20 @@
 //! hash-scattered high-cardinality ones (whose pair/triple partitions
 //! are near-unique — the TANE case where stripping pays), plus a planted
 //! noisy `(A, B) -> C`. `discover_all` runs end-to-end at `max_lhs = 3`
-//! on both the stripped/fused lattice (`afd_discovery::lattice`)
-//! and the retained full-codes reference
-//! (`afd_discovery::naive_lattice`), after asserting their outputs are
-//! bit-identical.
+//! on both the stripped/fused lattice (`afd_discovery::lattice`, one
+//! lattice shared by every RHS) and the retained full-codes reference
+//! (`afd_discovery::naive_lattice`, one search per RHS), after asserting
+//! their outputs are bit-identical.
 //!
 //! Acceptance bars (both sides run at `threads = 1`, so both wins come
 //! from work/allocation reduction, not parallelism):
 //!
 //! * end-to-end `discover_all` ≥ 2× vs the reference;
-//! * peak lattice node bytes ≥ 4× below the reference (one level's
-//!   parents plus open children, stripped vs `O(rows)` full-codes
-//!   nodes).
+//! * peak lattice node bytes ≥ 4× below the reference: on the stripped
+//!   side the shared lattice's peak (one level's parents plus its open
+//!   children, for every RHS at once), on the reference side the worst
+//!   single RHS search's (its `O(rows)` parents plus generated
+//!   children).
 //!
 //! Also records the shared-encoding delta (`m` attribute encodings per
 //! run vs the reference's `m` per RHS = `O(m²)`).
@@ -219,7 +221,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = write!(
         json,
-        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once in one RHS search on both sides (a level's parents plus its open children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
+        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
         cfg.max_lhs, cfg.epsilon
     );
     std::fs::write(&out_path, json).expect("write JSON");

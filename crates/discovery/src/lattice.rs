@@ -1,19 +1,26 @@
 //! Levelwise lattice search for **non-linear** AFDs (multi-attribute
-//! LHS), TANE-style — on stripped partitions and a fused
-//! generation/evaluation pipeline.
+//! LHS), TANE-style — on stripped partitions, in one lattice shared by
+//! every RHS, with a fused generation/evaluation pipeline.
 //!
 //! The paper's concluding observation motivates this module: because
 //! LHS-uniqueness tends to 1 as the LHS grows, only uniqueness-insensitive
 //! measures (g3′, RFI′⁺, µ⁺) are fit for non-linear discovery. The search
 //! here is measure-agnostic: plug in any [`Measure`].
 //!
-//! Search: for a fixed RHS attribute `A`, explore LHS subsets of
-//! `attrs \ {A}` level by level. A node is *closed* (not extended) when
+//! Search: LHS attribute sets are explored level by level, each node
+//! carrying the RHS attributes it is still *open* for. A set `X` is
+//! *closed* for an RHS `A` (not extended for it) when
 //!
-//! * its FD holds exactly (every superset then holds too — classic TANE
+//! * `X -> A` holds exactly (every superset then holds too — classic TANE
 //!   key pruning also falls out: a unique LHS implies an exact FD), or
 //! * it was emitted as an AFD (supersets are non-minimal), or
 //! * the level limit is reached.
+//!
+//! A child set `Z` (its prefix parent plus one attribute above the
+//! parent's largest) is a *candidate* for `A` when the parent is open for
+//! `A`, `A ∉ Z`, and no set closed for `A` is a subset of `Z`.
+//! [`discover_all`] runs the search for every attribute as RHS,
+//! [`discover_for_rhs`] for one.
 //!
 //! ## Performance architecture
 //!
@@ -30,43 +37,52 @@
 //! full-codes reference retained in [`crate::naive_lattice`]. Candidates
 //! over NULL-bearing attributes — and measures that need materialised
 //! singleton rows, like SFI — fall back to reconstructing dense codes in
-//! a per-worker scratch buffer and evaluating through the classic
+//! a per-worker scratch buffer (once per set, however many RHS need
+//! them) and evaluating through the classic
 //! [`ContingencyTable::from_codes_with`] kernel, which is bit-identical
 //! by construction.
 //!
-//! **Fused generation + evaluation.** Child *descriptors* (`AttrSet` +
-//! parent index) are generated sequentially as cheap set ops — so
-//! pruning and ordering stay deterministic — but partition refinement
-//! ([`afd_relation::refine_stripped_into`]) **and** scoring run together
-//! in one `par_map_with` pass with the parent partitions shared
-//! read-only. The old lattice cloned and refined every child's `O(rows)`
-//! code vector on the sequential critical path between level
-//! evaluations; here nothing `O(rows)` happens outside the workers.
+//! **One lattice for every RHS.** As in TANE (Huhtala et al., *The
+//! Computer Journal* 1999), an LHS set is a single node whatever the
+//! RHS: it is refined once per call and scored against every RHS it is
+//! a candidate for, instead of being refined again in a separate search
+//! per RHS. Each RHS keeps its own closed sets, so the output and the
+//! per-(LHS set, RHS) counts are exactly those of searching every RHS
+//! on its own.
+//!
+//! **Fused generation + evaluation.** Each level is one `par_map_with`
+//! pass over the parent nodes. A worker generates a parent's children
+//! (cheap set ops plus subset-index probes against the sets closed on
+//! earlier levels, read-only during the pass), refines each child that
+//! has a candidate RHS ([`afd_relation::refine_stripped_into`]) and
+//! scores it — the parent partitions shared read-only. Nothing
+//! `O(rows)` happens outside the workers; their verdicts are then folded
+//! into the closed sets sequentially, in parent order.
 //!
 //! **Node storage.** Children refine into per-worker buffers; only a
-//! child that stays open (and is not on the last level) copies its
-//! clusters into vectors it owns. A level's parents are dropped when the
-//! level ends, so the most node storage alive at once in a search is one
-//! level's parents plus its open children — the "peak lattice bytes"
+//! child that stays open for some RHS (and is not on the last level)
+//! copies its clusters into vectors it owns — once, however many RHS it
+//! stays open for. A level's parents are dropped when the level ends,
+//! so the most node storage alive at once is one level's parents plus
+//! its open children — the "peak lattice bytes"
 //! ([`LatticeStats::peak_node_bytes`]) that `record_lattice` benchmarks
 //! (bar: ≥ 4× below the full-codes reference on the 65 536-row fixture).
 //!
-//! **Exactness pruning.** Emitted *and* exactly-satisfied LHS sets go
-//! into one [`SubsetIndex`]; candidate generation skips any superset
-//! before its partition is materialised. Previously only emitted sets
-//! were indexed, so a superset of an exact set reached through a
-//! different prefix parent was still built and scored (always to a
-//! silent `Exact`) — pure wasted work, now avoided without changing
-//! output.
+//! **Exactness pruning.** Per RHS, emitted *and* exactly-satisfied LHS
+//! sets go into one `SubsetIndex`; candidate generation skips any
+//! superset before its partition is materialised. Indexing only emitted
+//! sets would let a superset of an exact set reached through a different
+//! prefix parent be built and scored (always to a silent `Exact`) — pure
+//! wasted work, avoided without changing output.
 //!
-//! The search remains *level-synchronous parallel*: all candidates of a
-//! level have the same LHS size, so a same-level emission can never
-//! subsume another same-level candidate, and evaluating a level across
-//! workers is exactly equivalent to the sequential left-to-right sweep —
-//! [`discover_for_rhs_threaded`] returns identical output for every
-//! thread count, and [`discover_all_threaded`] shares one set of
-//! per-attribute encodings and stripped bases across every RHS instead
-//! of re-encoding `O(m²)` times.
+//! The search is *level-synchronous parallel*: all candidates of a level
+//! have the same LHS size, so a same-level emission can never subsume
+//! another same-level candidate, and evaluating a level across workers
+//! is exactly equivalent to the sequential left-to-right sweep — output
+//! and statistics are identical for every thread count. The
+//! per-attribute encodings and stripped bases are built once per call
+//! and shared by every node and RHS, instead of re-encoding `O(m²)`
+//! times.
 
 use afd_core::Measure;
 use afd_parallel::{max_threads, par_map_with};
@@ -113,6 +129,13 @@ pub enum LatticeError {
     Epsilon(f64),
     /// `max_lhs == 0`.
     MaxLhs,
+    /// The RHS attribute id `rhs` is not below the relation's `arity`.
+    UnknownRhs {
+        /// The requested RHS attribute id.
+        rhs: u32,
+        /// The relation's number of attributes.
+        arity: usize,
+    },
 }
 
 impl std::fmt::Display for LatticeError {
@@ -120,6 +143,10 @@ impl std::fmt::Display for LatticeError {
         match self {
             LatticeError::Epsilon(e) => write!(f, "epsilon must be in [0, 1), got {e}"),
             LatticeError::MaxLhs => write!(f, "max_lhs must be at least 1"),
+            LatticeError::UnknownRhs { rhs, arity } => write!(
+                f,
+                "rhs attribute {rhs} is not in the relation (arity {arity})"
+            ),
         }
     }
 }
@@ -148,24 +175,33 @@ impl LatticeConfig {
 // Search statistics
 
 /// Per-level node accounting of one lattice run.
+///
+/// The counts are per (LHS set, RHS) pair: a set scored against three
+/// RHS is three candidates, so they equal the sum of searching each RHS
+/// on its own. The storage figures count each node once, however many
+/// RHS it stays open for.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// LHS size of this level (1-based).
     pub level: usize,
-    /// Candidates whose partitions were built and scored.
+    /// Candidate pairs scored.
     pub candidates: usize,
-    /// Descriptors skipped by the subset index before materialisation.
+    /// Pairs skipped before materialisation because a set closed for
+    /// that RHS is a subset of the LHS (charged to the level being
+    /// generated).
     pub pruned: usize,
-    /// Candidates emitted as AFDs.
+    /// Candidate pairs emitted as AFDs.
     pub emitted: usize,
-    /// Candidates that held exactly (silently closed).
+    /// Candidate pairs whose FD held exactly (silently closed).
     pub exact: usize,
-    /// Candidates kept open for the next level.
+    /// Candidate pairs left open for the next level.
     pub open: usize,
-    /// Bytes of partition storage held by the open nodes.
+    /// Bytes of partition storage held by the nodes kept from this
+    /// level.
     pub node_bytes: u64,
-    /// Rows stored across the open nodes (stripped size for the
-    /// stripped lattice, `rows × nodes` for the full-codes reference).
+    /// Rows stored across the nodes kept from this level (stripped size
+    /// for the stripped lattice, `rows × nodes` for the full-codes
+    /// reference).
     pub stored_rows: u64,
 }
 
@@ -181,21 +217,20 @@ impl LevelStats {
     }
 }
 
-/// Aggregated statistics of a lattice run ([`try_discover_all_stats`]);
-/// per-RHS runs are summed level-wise and their byte peaks maximised
-/// (see [`LatticeStats::peak_node_bytes`]). Nothing here depends on the
-/// thread count.
+/// Statistics of a lattice run ([`try_discover_all_stats`],
+/// [`try_discover_for_rhs_stats`]): one shared search over every RHS it
+/// was asked for. Nothing here depends on the thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatticeStats {
-    /// Per-level accounting, summed across RHS searches.
+    /// Per-level accounting (see [`LevelStats`]).
     pub levels: Vec<LevelStats>,
-    /// Most node partition bytes one RHS search holds at once: the
-    /// largest sum, over its levels, of the level's parents plus its
-    /// open children (level-1 nodes borrow the shared bases and count
-    /// 0). The full-codes reference counts its dense node vectors at the
-    /// same point: parents plus every generated child. For
-    /// `discover_all` this is the maximum over the RHS searches — the
-    /// worst single search, however many run at once.
+    /// Most node partition bytes the search holds at once: the largest
+    /// sum, over its levels, of the level's parents plus its open
+    /// children, each shared node counted once (level-1 nodes borrow the
+    /// shared bases and count 0). The full-codes reference, which runs
+    /// one search per RHS, counts its dense node vectors at the same
+    /// point (parents plus every generated child) and reports the
+    /// maximum over its RHS searches.
     pub peak_node_bytes: u64,
     /// Bytes of the shared per-attribute encodings + stripped bases
     /// (allocated once per run, not per node; 0 for the reference path,
@@ -205,7 +240,8 @@ pub struct LatticeStats {
 
 impl LatticeStats {
     /// Folds another run's stats into this one (levels summed, peak
-    /// maximised) — how `discover_all` combines its per-RHS searches.
+    /// maximised) — how the full-codes reference's `discover_all`
+    /// combines its per-RHS searches.
     pub fn absorb(&mut self, other: &LatticeStats) {
         for lvl in &other.levels {
             match self.levels.iter_mut().find(|l| l.level == lvl.level) {
@@ -303,9 +339,10 @@ impl SubsetIndex {
 // Shared per-attribute data
 
 /// Everything the search needs about one attribute, computed **once**
-/// per run and shared read-only by every RHS worker: the dense
-/// first-encounter encoding (the refinement operand), the stripped CSR
-/// of its partition (the level-1 node), and its NULL rows.
+/// per run and shared read-only by every worker: the dense
+/// first-encounter encoding (the refinement operand and, as an RHS, the
+/// Y codes), the stripped CSR of its partition (the level-1 node), and
+/// its NULL rows.
 struct AttrBase {
     enc: GroupEncoding,
     rows: Vec<u32>,
@@ -350,18 +387,23 @@ fn build_bases(rel: &Relation, threads: usize) -> Vec<AttrBase> {
     })
 }
 
-/// The shared Y side of one RHS search: dense first-encounter codes (the
-/// attribute encoding itself), full column totals over the surviving
-/// rows, and the survivor count — valid for every candidate whose X side
-/// is NULL-free.
-struct RhsData {
+/// One RHS attribute of a search: the shared Y side — dense
+/// first-encounter codes (the attribute encoding itself), full column
+/// totals over the surviving rows and the survivor count, valid for every
+/// candidate whose X side is NULL-free — and the LHS sets closed for it.
+struct Rhs<'a> {
+    attr: AttrId,
+    codes: &'a [u32],
     col_totals: Vec<u64>,
     n_surviving: u64,
     has_nulls: bool,
+    /// Emitted and exact LHS sets: their supersets are never candidates
+    /// for this RHS.
+    closed: SubsetIndex,
 }
 
-impl RhsData {
-    fn build(base: &AttrBase) -> Self {
+impl<'a> Rhs<'a> {
+    fn new(attr: AttrId, base: &'a AttrBase, arity: usize) -> Self {
         let mut col_totals = vec![0u64; base.enc.n_groups as usize];
         for &c in &base.enc.codes {
             if c != NULL_CODE {
@@ -369,10 +411,13 @@ impl RhsData {
             }
         }
         let n_surviving = col_totals.iter().sum();
-        RhsData {
+        Rhs {
+            attr,
+            codes: &base.enc.codes,
             col_totals,
             n_surviving,
             has_nulls: !base.dropped.is_empty(),
+            closed: SubsetIndex::new(arity),
         }
     }
 }
@@ -390,12 +435,15 @@ enum NodeStore {
     Owned { rows: Vec<u32>, starts: Vec<u32> },
 }
 
-/// An open stripped node: CSR clusters plus the sorted NULL-dropped rows
-/// of its attribute set (usually empty).
+/// An open stripped node: an LHS attribute set, stored once however many
+/// RHS it serves, with its CSR clusters, the sorted NULL-dropped rows of
+/// its attribute set (usually empty) and the RHS it is still open for.
 struct Node {
     attrs: AttrSet,
     store: NodeStore,
     dropped: Vec<u32>,
+    /// Indices into the search's RHS list.
+    open: Vec<usize>,
 }
 
 impl Node {
@@ -432,15 +480,7 @@ impl Node {
     }
 }
 
-/// A level-`N+1` candidate before materialisation: its attribute set and
-/// where to refine from.
-struct ChildDesc {
-    attrs: AttrSet,
-    parent: usize,
-    attr: AttrId,
-}
-
-/// What evaluating one candidate produced.
+/// What evaluating one (LHS set, RHS) candidate produced.
 enum Verdict {
     /// FD holds exactly: close silently (supersets hold too) and index
     /// the set so supersets are pruned before materialisation.
@@ -449,6 +489,20 @@ enum Verdict {
     Emit(f64),
     /// Below ε: keep searching upward.
     Open,
+}
+
+/// One LHS set a worker scored: its verdict for each RHS (an index into
+/// the search's RHS list) it was a candidate for, and — when the set is
+/// kept as a node — its partition storage and NULL-dropped rows.
+struct Scored {
+    attrs: AttrSet,
+    verdicts: Vec<(usize, Verdict)>,
+    kept: Option<(NodeStore, Vec<u32>)>,
+}
+
+/// Whether any RHS left the set open.
+fn any_open(verdicts: &[(usize, Verdict)]) -> bool {
+    verdicts.iter().any(|(_, v)| matches!(v, Verdict::Open))
 }
 
 /// Per-worker state: kernel scratch, refinement output buffers, and a
@@ -461,35 +515,6 @@ struct EvalCtx {
     rows_buf: Vec<u32>,
     starts_buf: Vec<u32>,
     codes_buf: Vec<u32>,
-}
-
-/// Recycles [`EvalCtx`]s across `par_map_with` calls (levels and RHS
-/// searches), so worker scratch grows to its high-water mark once per
-/// run instead of once per level.
-#[derive(Default)]
-struct CtxStash(std::sync::Mutex<Vec<EvalCtx>>);
-
-impl CtxStash {
-    fn checkout(&self) -> CtxGuard<'_> {
-        let ctx = self.0.lock().expect("stash lock").pop().unwrap_or_default();
-        CtxGuard { ctx, stash: self }
-    }
-}
-
-/// Returns its context to the stash when the worker finishes.
-struct CtxGuard<'a> {
-    ctx: EvalCtx,
-    stash: &'a CtxStash,
-}
-
-impl Drop for CtxGuard<'_> {
-    fn drop(&mut self) {
-        self.stash
-            .0
-            .lock()
-            .expect("stash lock")
-            .push(std::mem::take(&mut self.ctx));
-    }
 }
 
 /// Marker for rows that are neither clustered nor dropped during
@@ -509,66 +534,28 @@ fn verdict_of(t: &ContingencyTable, measure: &dyn Measure, epsilon: f64) -> Verd
     }
 }
 
-/// Evaluates a stripped partition against the RHS.
-///
-/// Fast path (NULL-free candidate, NULL-free RHS, implicit-exact
-/// measure): build the implicit-singleton table straight from the
-/// clusters — `O(stripped)` work. Otherwise: reconstruct dense codes in
-/// the worker's buffer and evaluate through the full-codes kernel —
-/// `O(rows)` work, bit-identical to the reference by construction.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_stripped(
-    scratch: &mut Scratch,
-    codes_buf: &mut Vec<u32>,
-    rows: &[u32],
-    starts: &[u32],
-    dropped: &[u32],
-    n_rows: usize,
-    y: &AttrBase,
-    rhs_data: &RhsData,
-    measure: &dyn Measure,
-    epsilon: f64,
-) -> Verdict {
-    let fast =
-        !rhs_data.has_nulls && dropped.is_empty() && measure.bit_exact_on_implicit_singletons();
-    if fast {
-        let implicit = (n_rows - rows.len()) as u64;
-        let t = ContingencyTable::from_stripped_with(
-            scratch,
-            rows,
-            starts,
-            &y.enc.codes,
-            &rhs_data.col_totals,
-            rhs_data.n_surviving,
-            implicit,
-        );
-        verdict_of(&t, measure, epsilon)
-    } else {
-        // Reconstruct dense per-row codes: clusters keep their index,
-        // dropped rows are NULL, everything else is its own group. The
-        // full-codes kernel remaps to first-encounter order, so the ids
-        // only need to be distinct.
-        let buf = codes_buf;
-        buf.clear();
-        buf.resize(n_rows, SINGLETON_MARK);
-        let n_clusters = starts.len().saturating_sub(1);
-        for ci in 0..n_clusters {
-            for &r in &rows[starts[ci] as usize..starts[ci + 1] as usize] {
-                buf[r as usize] = ci as u32;
-            }
+/// Reconstructs dense per-row codes from a stripped partition: clusters
+/// keep their index, dropped rows are NULL, everything else is its own
+/// group. The full-codes kernel remaps to first-encounter order, so the
+/// ids only need to be distinct.
+fn densify(buf: &mut Vec<u32>, rows: &[u32], starts: &[u32], dropped: &[u32], n_rows: usize) {
+    buf.clear();
+    buf.resize(n_rows, SINGLETON_MARK);
+    let n_clusters = starts.len().saturating_sub(1);
+    for ci in 0..n_clusters {
+        for &r in &rows[starts[ci] as usize..starts[ci + 1] as usize] {
+            buf[r as usize] = ci as u32;
         }
-        for &r in dropped {
-            buf[r as usize] = NULL_CODE;
+    }
+    for &r in dropped {
+        buf[r as usize] = NULL_CODE;
+    }
+    let mut next = n_clusters as u32;
+    for v in buf.iter_mut() {
+        if *v == SINGLETON_MARK {
+            *v = next;
+            next += 1;
         }
-        let mut next = n_clusters as u32;
-        for v in buf.iter_mut() {
-            if *v == SINGLETON_MARK {
-                *v = next;
-                next += 1;
-            }
-        }
-        let t = ContingencyTable::from_codes_with(scratch, buf, &y.enc.codes);
-        verdict_of(&t, measure, epsilon)
     }
 }
 
@@ -605,223 +592,288 @@ fn merge_dropped(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 // ------------------------------------------------------------------
-// The per-RHS search
+// The shared search
 
-#[allow(clippy::too_many_arguments)]
-fn search_rhs(
+/// One lattice search over a set of RHS attributes: the shared
+/// read-only inputs, each RHS's closed sets, and the AFDs found so far.
+struct Search<'a> {
     n_rows: usize,
-    arity: usize,
-    rhs: AttrId,
-    bases: &[AttrBase],
-    measure: &dyn Measure,
-    cfg: LatticeConfig,
-    threads: usize,
-    stash: &CtxStash,
-) -> (Vec<Discovered>, LatticeStats) {
-    let rhs_data = RhsData::build(&bases[rhs.index()]);
-    let y = &bases[rhs.index()];
-    let all_attrs: Vec<AttrId> = (0..arity)
-        .map(|i| AttrId(i as u32))
-        .filter(|&a| a != rhs)
-        .collect();
+    bases: &'a [AttrBase],
+    rhss: Vec<Rhs<'a>>,
+    measure: &'a dyn Measure,
+    epsilon: f64,
+    found: Vec<Discovered>,
+}
 
-    let mut out: Vec<Discovered> = Vec::new();
-    let mut closed = SubsetIndex::new(arity);
-    let mut stats = LatticeStats::default();
+impl Search<'_> {
+    /// Scores a stripped partition against each RHS in `rhs`.
+    ///
+    /// Fast path (NULL-free candidate, NULL-free RHS, implicit-exact
+    /// measure): build the implicit-singleton table straight from the
+    /// clusters — `O(stripped)` work. Otherwise: evaluate dense codes
+    /// through the full-codes kernel — bit-identical to the reference by
+    /// construction. The dense codes depend only on the partition, so
+    /// they are rebuilt in the worker's buffer at most once per set,
+    /// however many RHS take the fallback.
+    fn score(
+        &self,
+        scratch: &mut Scratch,
+        codes_buf: &mut Vec<u32>,
+        (rows, starts): (&[u32], &[u32]),
+        dropped: &[u32],
+        rhs: Vec<usize>,
+    ) -> Vec<(usize, Verdict)> {
+        let mut dense = false;
+        rhs.into_iter()
+            .map(|k| {
+                let y = &self.rhss[k];
+                let fast = !y.has_nulls
+                    && dropped.is_empty()
+                    && self.measure.bit_exact_on_implicit_singletons();
+                let t = if fast {
+                    let implicit = (self.n_rows - rows.len()) as u64;
+                    ContingencyTable::from_stripped_with(
+                        scratch,
+                        rows,
+                        starts,
+                        y.codes,
+                        &y.col_totals,
+                        y.n_surviving,
+                        implicit,
+                    )
+                } else {
+                    if !dense {
+                        densify(codes_buf, rows, starts, dropped, self.n_rows);
+                        dense = true;
+                    }
+                    ContingencyTable::from_codes_with(scratch, codes_buf, y.codes)
+                };
+                (k, verdict_of(&t, self.measure, self.epsilon))
+            })
+            .collect()
+    }
 
-    // Level 1: evaluate every single attribute straight off the shared
-    // stripped bases; open nodes keep borrowing the base (zero copies,
-    // zero per-node storage — they are only ever read as refinement
-    // parents).
-    let lvl1: Vec<Verdict> = par_map_with(
-        &all_attrs,
-        threads,
-        || stash.checkout(),
-        |guard, _, &a| {
-            let base = &bases[a.index()];
-            evaluate_stripped(
-                &mut guard.ctx.scratch,
-                &mut guard.ctx.codes_buf,
-                &base.rows,
-                &base.starts,
-                &base.dropped,
-                n_rows,
-                y,
-                &rhs_data,
-                measure,
-                cfg.epsilon,
-            )
-        },
-    );
-    let mut frontier: Vec<Node> = Vec::new();
-    let mut lvl = LevelStats {
-        level: 1,
-        candidates: all_attrs.len(),
-        ..LevelStats::default()
-    };
-    for (v, &a) in lvl1.into_iter().zip(&all_attrs) {
-        match v {
-            Verdict::Exact => {
-                lvl.exact += 1;
-                closed.insert(&AttrSet::single(a));
-            }
-            Verdict::Emit(score) => {
-                lvl.emitted += 1;
-                let attrs = AttrSet::single(a);
-                closed.insert(&attrs);
-                out.push(Discovered {
-                    fd: Fd::new(attrs, AttrSet::single(rhs)).expect("rhs excluded"),
-                    score,
-                });
-            }
-            Verdict::Open => frontier.push(Node {
-                attrs: AttrSet::single(a),
-                store: NodeStore::Shared(a.index()),
-                dropped: Vec::new(),
-            }),
+    /// Scores the single attribute `a` straight off its shared stripped
+    /// base against every RHS but `a` itself; if it stays open it keeps
+    /// borrowing the base (zero copies, zero per-node storage — level-1
+    /// nodes are only ever read as refinement parents).
+    fn level1(&self, ctx: &mut EvalCtx, a: AttrId) -> Scored {
+        let base = &self.bases[a.index()];
+        let rhs = (0..self.rhss.len())
+            .filter(|&k| self.rhss[k].attr != a)
+            .collect();
+        let verdicts = self.score(
+            &mut ctx.scratch,
+            &mut ctx.codes_buf,
+            (&base.rows, &base.starts),
+            &base.dropped,
+            rhs,
+        );
+        let kept = any_open(&verdicts).then(|| (NodeStore::Shared(a.index()), Vec::new()));
+        Scored {
+            attrs: AttrSet::single(a),
+            verdicts,
+            kept,
         }
     }
-    lvl.open = frontier.len();
-    lvl.node_bytes = frontier.iter().map(Node::bytes).sum();
-    lvl.stored_rows = frontier.iter().map(|n| n.stored_rows(bases)).sum();
-    stats.levels.push(lvl);
 
-    for level in 2..=cfg.max_lhs {
-        if frontier.is_empty() {
-            break;
-        }
-        // Nodes of the final level can never become refinement parents;
-        // they are scored in the worker's buffers and never copied out.
-        let last_level = level == cfg.max_lhs;
-        let mut lvl = LevelStats {
-            level,
-            ..LevelStats::default()
-        };
-        // Sequential generation: cheap descriptor set ops only — the
-        // O(rows) clone+refine the old lattice did here now runs inside
-        // the parallel evaluation pass below.
-        let mut descs: Vec<ChildDesc> = Vec::new();
-        for (p, node) in frontier.iter().enumerate() {
-            let max_attr = *node.attrs.ids().last().expect("non-empty LHS");
-            for &a in &all_attrs {
-                if a <= max_attr {
+    /// Generates, refines and scores the children of `parent`: the sets
+    /// `parent ∪ {a}` for every attribute `a` above the parent's largest.
+    /// A child is a candidate for each RHS the parent is open for, except
+    /// the added attribute itself (skipped, not counted) and any RHS with
+    /// a closed subset of the child (counted as pruned). A child with
+    /// candidates is refined once into the worker's buffers and scored
+    /// against all of them; its clusters are copied out only when `keep`
+    /// holds and some RHS leaves it open. Returns the scored children and
+    /// the pruned count.
+    fn expand(&self, ctx: &mut EvalCtx, parent: &Node, keep: bool) -> (Vec<Scored>, usize) {
+        let EvalCtx {
+            scratch,
+            rows_buf,
+            starts_buf,
+            codes_buf,
+        } = ctx;
+        let (p_rows, p_starts) = parent.csr(self.bases);
+        let max_attr = parent.attrs.ids().last().expect("non-empty LHS").index();
+        let mut children = Vec::new();
+        let mut pruned = 0;
+        for (i, b) in self.bases.iter().enumerate().skip(max_attr + 1) {
+            let a = AttrId(i as u32);
+            let attrs = parent.attrs.union(&AttrSet::single(a));
+            let mut rhs = Vec::new();
+            for &k in &parent.open {
+                let y = &self.rhss[k];
+                if y.attr == a {
                     continue;
                 }
-                let attrs = node.attrs.union(&AttrSet::single(a));
-                if closed.any_subset_of(&attrs) {
-                    lvl.pruned += 1;
-                    continue;
-                }
-                descs.push(ChildDesc {
-                    attrs,
-                    parent: p,
-                    attr: a,
-                });
-            }
-        }
-        lvl.candidates = descs.len();
-        if descs.is_empty() {
-            stats.levels.push(lvl);
-            break;
-        }
-        // Fused refine + score, parents shared read-only.
-        let results: Vec<(Verdict, Option<Node>)> = par_map_with(
-            &descs,
-            threads,
-            || stash.checkout(),
-            |guard, _, d| {
-                let parent = &frontier[d.parent];
-                let (p_rows, p_starts) = parent.csr(bases);
-                let b = &bases[d.attr.index()];
-                // Refine into the worker's own buffers: children that
-                // close (the common case) are never copied out.
-                let EvalCtx {
-                    scratch,
-                    rows_buf,
-                    starts_buf,
-                    codes_buf,
-                } = &mut guard.ctx;
-                refine_stripped_into(
-                    scratch,
-                    p_rows,
-                    p_starts,
-                    &b.enc.codes,
-                    b.enc.n_groups,
-                    rows_buf,
-                    starts_buf,
-                );
-                let dropped = merge_dropped(parent.dropped_rows(bases), &b.dropped);
-                let v = evaluate_stripped(
-                    scratch,
-                    codes_buf,
-                    rows_buf,
-                    starts_buf,
-                    &dropped,
-                    n_rows,
-                    y,
-                    &rhs_data,
-                    measure,
-                    cfg.epsilon,
-                );
-                if matches!(v, Verdict::Open) && !last_level {
-                    let node = Node {
-                        attrs: d.attrs.clone(),
-                        store: NodeStore::Owned {
-                            rows: rows_buf.to_vec(),
-                            starts: starts_buf.to_vec(),
-                        },
-                        dropped,
-                    };
-                    (v, Some(node))
+                if y.closed.any_subset_of(&attrs) {
+                    pruned += 1;
                 } else {
-                    (v, None)
+                    rhs.push(k);
                 }
-            },
-        );
-        let mut next: Vec<Node> = Vec::new();
-        for ((v, node), d) in results.into_iter().zip(&descs) {
-            match v {
-                Verdict::Exact => {
-                    lvl.exact += 1;
-                    closed.insert(&d.attrs);
-                }
-                Verdict::Emit(score) => {
-                    lvl.emitted += 1;
-                    closed.insert(&d.attrs);
-                    out.push(Discovered {
-                        fd: Fd::new(d.attrs.clone(), AttrSet::single(rhs)).expect("rhs excluded"),
-                        score,
-                    });
-                }
-                Verdict::Open => {
-                    lvl.open += 1;
-                    if let Some(node) = node {
-                        next.push(node);
+            }
+            if rhs.is_empty() {
+                continue;
+            }
+            refine_stripped_into(
+                scratch,
+                p_rows,
+                p_starts,
+                &b.enc.codes,
+                b.enc.n_groups,
+                rows_buf,
+                starts_buf,
+            );
+            let dropped = merge_dropped(parent.dropped_rows(self.bases), &b.dropped);
+            let verdicts = self.score(scratch, codes_buf, (rows_buf, starts_buf), &dropped, rhs);
+            let kept = (keep && any_open(&verdicts)).then(|| {
+                let store = NodeStore::Owned {
+                    rows: rows_buf.to_vec(),
+                    starts: starts_buf.to_vec(),
+                };
+                (store, dropped)
+            });
+            children.push(Scored {
+                attrs,
+                verdicts,
+                kept,
+            });
+        }
+        (children, pruned)
+    }
+
+    /// Folds a level's scored sets into the search in input order:
+    /// counts every verdict, closes (and emits) the set for each RHS it
+    /// settled, and returns the kept nodes with the RHS each stays open
+    /// for.
+    fn settle(
+        &mut self,
+        scored: impl IntoIterator<Item = Scored>,
+        lvl: &mut LevelStats,
+    ) -> Vec<Node> {
+        let mut next = Vec::new();
+        for s in scored {
+            lvl.candidates += s.verdicts.len();
+            let mut open = Vec::new();
+            for (k, v) in s.verdicts {
+                let y = &mut self.rhss[k];
+                match v {
+                    Verdict::Exact => {
+                        lvl.exact += 1;
+                        y.closed.insert(&s.attrs);
+                    }
+                    Verdict::Emit(score) => {
+                        lvl.emitted += 1;
+                        y.closed.insert(&s.attrs);
+                        self.found.push(Discovered {
+                            fd: Fd::new(s.attrs.clone(), AttrSet::single(y.attr))
+                                .expect("rhs excluded"),
+                            score,
+                        });
+                    }
+                    Verdict::Open => {
+                        lvl.open += 1;
+                        open.push(k);
                     }
                 }
             }
+            if let Some((store, dropped)) = s.kept {
+                next.push(Node {
+                    attrs: s.attrs,
+                    store,
+                    dropped,
+                    open,
+                });
+            }
         }
         lvl.node_bytes = next.iter().map(Node::bytes).sum();
-        lvl.stored_rows = next.iter().map(|n| n.stored_rows(bases)).sum();
-        // Parents and open children are alive together here; the
-        // parents served every child of this level and are dropped.
-        stats.note_bytes(frontier.iter().map(Node::bytes).sum::<u64>() + lvl.node_bytes);
-        frontier = next;
-        stats.levels.push(lvl);
+        lvl.stored_rows = next.iter().map(|n| n.stored_rows(self.bases)).sum();
+        next
     }
-    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.fd.cmp(&b.fd)));
-    (out, stats)
+
+    /// Runs the search level by level up to `max_lhs`, each level's
+    /// generation, refinement and scoring fanned out over `threads`
+    /// workers, one parent node per work item.
+    fn run(mut self, max_lhs: usize, threads: usize) -> (Vec<Discovered>, LatticeStats) {
+        let mut stats = LatticeStats::default();
+        if self.rhss.is_empty() {
+            return (self.found, stats);
+        }
+        let scored = par_map_with(self.bases, threads, EvalCtx::default, |ctx, i, _| {
+            self.level1(ctx, AttrId(i as u32))
+        });
+        let mut lvl = LevelStats {
+            level: 1,
+            ..LevelStats::default()
+        };
+        let mut frontier = self.settle(scored, &mut lvl);
+        stats.levels.push(lvl);
+
+        for level in 2..=max_lhs {
+            if frontier.is_empty() {
+                break;
+            }
+            // Nodes of the final level can never become refinement
+            // parents; they are scored in the worker's buffers and never
+            // copied out.
+            let keep = level < max_lhs;
+            let expanded = par_map_with(&frontier, threads, EvalCtx::default, |ctx, _, p| {
+                self.expand(ctx, p, keep)
+            });
+            let mut lvl = LevelStats {
+                level,
+                pruned: expanded.iter().map(|(_, pruned)| pruned).sum(),
+                ..LevelStats::default()
+            };
+            let next = self.settle(expanded.into_iter().flat_map(|(c, _)| c), &mut lvl);
+            // Parents and open children are alive together here; the
+            // parents served every child of this level and are dropped.
+            stats.note_bytes(frontier.iter().map(Node::bytes).sum::<u64>() + lvl.node_bytes);
+            frontier = next;
+            stats.levels.push(lvl);
+        }
+        self.found
+            .sort_by(|a, b| b.score.total_cmp(&a.score).then(a.fd.cmp(&b.fd)));
+        (self.found, stats)
+    }
+}
+
+/// Builds the shared attribute bases and runs one search over `rhs`.
+fn discover(
+    rel: &Relation,
+    rhs: &[AttrId],
+    measure: &dyn Measure,
+    cfg: LatticeConfig,
+    threads: usize,
+) -> (Vec<Discovered>, LatticeStats) {
+    let bases = build_bases(rel, threads);
+    let search = Search {
+        n_rows: rel.n_rows(),
+        bases: &bases,
+        rhss: rhs
+            .iter()
+            .map(|&a| Rhs::new(a, &bases[a.index()], rel.arity()))
+            .collect(),
+        measure,
+        epsilon: cfg.epsilon,
+        found: Vec::new(),
+    };
+    let (found, mut stats) = search.run(cfg.max_lhs, threads);
+    stats.base_bytes = bases.iter().map(AttrBase::bytes).sum();
+    (found, stats)
 }
 
 // ------------------------------------------------------------------
 // Public entry points
 
 /// Discovers minimal non-linear AFDs `X -> rhs` with `|X| ≤ max_lhs`,
-/// fanning candidate evaluation out over [`max_threads`] workers.
+/// fanning each level's refinement and scoring out over [`max_threads`]
+/// workers.
 ///
 /// # Panics
-/// Panics if `epsilon ∉ [0, 1)` or `max_lhs == 0` (programmer errors);
-/// use [`try_discover_for_rhs_stats`] for a `Result`.
+/// Panics if `epsilon ∉ [0, 1)`, `max_lhs == 0` or `rhs` is not an
+/// attribute of `rel` (programmer errors); use
+/// [`try_discover_for_rhs_stats`] for a `Result`.
 pub fn discover_for_rhs(
     rel: &Relation,
     rhs: AttrId,
@@ -849,11 +901,12 @@ pub fn discover_for_rhs_threaded(
 }
 
 /// Non-panicking [`discover_for_rhs_threaded`], also returning the
-/// search statistics — the entry `AfdEngine` calls (mirroring
-/// `afd_parallel::try_max_threads`).
+/// search statistics (mirroring `afd_parallel::try_max_threads`): the
+/// shared search run for the one RHS.
 ///
 /// # Errors
-/// [`LatticeError`] when the configuration is invalid.
+/// [`LatticeError`] when the configuration is invalid or `rhs` is not an
+/// attribute of `rel`.
 pub fn try_discover_for_rhs_stats(
     rel: &Relation,
     rhs: AttrId,
@@ -862,27 +915,21 @@ pub fn try_discover_for_rhs_stats(
     threads: usize,
 ) -> Result<(Vec<Discovered>, LatticeStats), LatticeError> {
     cfg.validate()?;
-    let bases = build_bases(rel, threads);
-    let stash = CtxStash::default();
-    let (out, mut stats) = search_rhs(
-        rel.n_rows(),
-        rel.arity(),
-        rhs,
-        &bases,
-        measure,
-        cfg,
-        threads,
-        &stash,
-    );
-    stats.base_bytes = bases.iter().map(AttrBase::bytes).sum();
-    Ok((out, stats))
+    if rhs.index() >= rel.arity() {
+        return Err(LatticeError::UnknownRhs {
+            rhs: rhs.0,
+            arity: rel.arity(),
+        });
+    }
+    Ok(discover(rel, &[rhs], measure, cfg, threads))
 }
 
-/// Discovers minimal non-linear AFDs for every RHS attribute, one RHS
-/// per worker ([`max_threads`]), each running the sequential per-RHS
-/// search over **shared** per-attribute encodings and stripped bases
-/// (encoded once, not once per RHS). Output is identical to the fully
-/// sequential path.
+/// Discovers minimal non-linear AFDs for every RHS attribute in one
+/// lattice shared by all of them: each LHS set is refined once and scored
+/// against every RHS it is a candidate for, over per-attribute encodings
+/// and stripped bases built once per call. Each level fans out over
+/// [`max_threads`] workers; output is identical to the fully sequential
+/// path and to searching each RHS on its own.
 pub fn discover_all(rel: &Relation, measure: &dyn Measure, cfg: LatticeConfig) -> Vec<Discovered> {
     discover_all_threaded(rel, measure, cfg, max_threads())
 }
@@ -904,8 +951,9 @@ pub fn discover_all_threaded(
         .0
 }
 
-/// Non-panicking [`discover_all_threaded`] with aggregated search
-/// statistics (levels summed across RHS searches, byte peaks maximised).
+/// Non-panicking [`discover_all_threaded`] with the search statistics:
+/// counts per (LHS set, RHS) pair, equal to the sum of per-RHS searches,
+/// and node bytes counting each shared node once (see [`LatticeStats`]).
 ///
 /// # Errors
 /// [`LatticeError`] when the configuration is invalid.
@@ -916,33 +964,8 @@ pub fn try_discover_all_stats(
     threads: usize,
 ) -> Result<(Vec<Discovered>, LatticeStats), LatticeError> {
     cfg.validate()?;
-    let bases = build_bases(rel, threads);
-    let stash = CtxStash::default();
-    let rhss: Vec<AttrId> = rel.schema().attrs().collect();
-    // Parallelism is across RHS attributes; each per-RHS search runs
-    // sequentially (threads = 1) to avoid nested fan-out. The shared
-    // worker-context stash recycles scratch across RHS searches too.
-    let per_rhs = afd_parallel::par_map(&rhss, threads, |_, &rhs| {
-        search_rhs(
-            rel.n_rows(),
-            rel.arity(),
-            rhs,
-            &bases,
-            measure,
-            cfg,
-            1,
-            &stash,
-        )
-    });
-    let mut out: Vec<Discovered> = Vec::new();
-    let mut stats = LatticeStats::default();
-    for (found, s) in per_rhs {
-        out.extend(found);
-        stats.absorb(&s);
-    }
-    stats.base_bytes = bases.iter().map(AttrBase::bytes).sum();
-    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.fd.cmp(&b.fd)));
-    Ok((out, stats))
+    let rhs: Vec<AttrId> = rel.schema().attrs().collect();
+    Ok(discover(rel, &rhs, measure, cfg, threads))
 }
 
 #[cfg(test)]
@@ -1184,6 +1207,12 @@ mod tests {
             try_discover_for_rhs_stats(&rel, AttrId(0), &MuPlus, bad_lhs, 1).unwrap_err(),
             LatticeError::MaxLhs
         );
+        // An RHS outside the schema is a typed error, not an index panic.
+        let two = Relation::from_pairs([(1u64, 2u64), (3, 4)]);
+        let cfg = LatticeConfig::default();
+        let err = try_discover_for_rhs_stats(&two, AttrId(7), &MuPlus, cfg, 1).unwrap_err();
+        assert_eq!(err, LatticeError::UnknownRhs { rhs: 7, arity: 2 });
+        assert!(err.to_string().contains("attribute 7") && err.to_string().contains("arity 2"));
         // Error text is what the panicking wrappers print.
         assert!(LatticeError::Epsilon(1.5).to_string().contains("[0, 1)"));
     }

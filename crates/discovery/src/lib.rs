@@ -5,9 +5,11 @@
 //! * [`threshold`]: the paper's induced discovery algorithm `A_f^ε` over
 //!   linear candidates;
 //! * [`lattice`]: TANE-style levelwise search for minimal **non-linear**
-//!   AFDs (multi-attribute LHS) on stripped partitions with fused
-//!   refine+score parallel levels and exactness + minimality pruning —
-//!   the use case for which the paper recommends the
+//!   AFDs (multi-attribute LHS) on stripped partitions, in one lattice
+//!   shared by every RHS (each LHS set refined once per call, then
+//!   scored against every RHS it is a candidate for), with fused
+//!   refine+score parallel levels and per-RHS exactness + minimality
+//!   pruning — the use case for which the paper recommends the
 //!   LHS-uniqueness-insensitive measures (g3′, RFI′⁺, µ⁺);
 //! * [`naive_lattice`]: the retained full-codes lattice (`O(rows)` per
 //!   node, sequential per-child clone + refine) — the reference the

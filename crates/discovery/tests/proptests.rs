@@ -249,3 +249,122 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------------------------
+// One lattice for every RHS ≡ one search per RHS. On three attributes
+// each LHS pair is a candidate for exactly one RHS; six attributes let a
+// set serve several RHS at once, so a child kept, pruned or counted for
+// the wrong RHS shows here.
+
+/// Strategy: a random 6-attribute relation with small domains; with
+/// `nulls`, value 0 becomes NULL in every column.
+fn rel6(nulls: bool) -> impl Strategy<Value = Relation> {
+    let row = [0i64..4, 0i64..3, 0i64..5, 0i64..2, 0i64..4, 0i64..3];
+    prop::collection::vec(row, 1..80).prop_map(move |rows| {
+        let v = |x: i64| {
+            if nulls && x == 0 {
+                Value::Null
+            } else {
+                Value::Int(x)
+            }
+        };
+        Relation::from_rows(
+            Schema::new(["A", "B", "C", "D", "E", "F"]).unwrap(),
+            rows.into_iter().map(|r| r.map(v).to_vec()),
+        )
+        .unwrap()
+    })
+}
+
+/// Checks the shared all-RHS search on `rel` against the reference, the
+/// per-RHS entry and the thread count.
+fn check_shared_lattice(rel: &Relation, eps: f64) -> Result<(), TestCaseError> {
+    use afd_discovery::{
+        naive_lattice, try_discover_all_stats, try_discover_for_rhs_stats, LatticeStats,
+    };
+    for name in ["g3'", "mu+"] {
+        let measure = measure_by_name(name).unwrap();
+        for max_lhs in [1usize, 2, 3] {
+            let cfg = LatticeConfig {
+                max_lhs,
+                epsilon: eps,
+            };
+            let reference = naive_lattice::discover_all_threaded(rel, measure.as_ref(), cfg, 1);
+            let (all, stats) = try_discover_all_stats(rel, measure.as_ref(), cfg, 1).unwrap();
+            let (all2, stats2) = try_discover_all_stats(rel, measure.as_ref(), cfg, 2).unwrap();
+            prop_assert_eq!(&stats2, &stats, "{} max_lhs={}", name, max_lhs);
+            for found in [&all, &all2] {
+                prop_assert_eq!(found.len(), reference.len(), "{} max_lhs={}", name, max_lhs);
+                for (a, b) in found.iter().zip(&reference) {
+                    prop_assert_eq!(&a.fd, &b.fd, "{} max_lhs={}", name, max_lhs);
+                    prop_assert_eq!(
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "{} max_lhs={}: {} vs {}",
+                        name,
+                        max_lhs,
+                        a.score,
+                        b.score
+                    );
+                }
+            }
+            // The per-RHS runs: their sorted union is the shared output,
+            // and their level counts sum to the shared ones.
+            let mut union = Vec::new();
+            let mut per_rhs = LatticeStats::default();
+            for rhs in rel.schema().attrs() {
+                let (found, s) =
+                    try_discover_for_rhs_stats(rel, rhs, measure.as_ref(), cfg, 1).unwrap();
+                union.extend(found);
+                per_rhs.absorb(&s);
+            }
+            union.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.fd.cmp(&b.fd)));
+            prop_assert_eq!(union.len(), all.len(), "{} max_lhs={}", name, max_lhs);
+            for (a, b) in union.iter().zip(&all) {
+                prop_assert_eq!(&a.fd, &b.fd, "{} max_lhs={}", name, max_lhs);
+                prop_assert_eq!(
+                    a.score.to_bits(),
+                    b.score.to_bits(),
+                    "{} max_lhs={}",
+                    name,
+                    max_lhs
+                );
+            }
+            let counts = |s: &LatticeStats| -> Vec<_> {
+                s.levels
+                    .iter()
+                    .map(|l| (l.level, l.candidates, l.pruned, l.emitted, l.exact, l.open))
+                    .collect()
+            };
+            prop_assert_eq!(
+                counts(&stats),
+                counts(&per_rhs),
+                "{} max_lhs={}",
+                name,
+                max_lhs
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// `try_discover_all_stats` on six attributes is bit-identical to the
+    /// reference at one and two threads, and equals the per-RHS entry run
+    /// for every RHS: same FDs and scores, and per level the same
+    /// (candidates, pruned, emitted, exact, open) summed over the RHS.
+    #[test]
+    fn shared_lattice_equals_per_rhs_searches(rel in rel6(false), eps in 0.0f64..0.95) {
+        check_shared_lattice(&rel, eps)?;
+    }
+
+    /// As above with NULLs in every column, so candidates take the
+    /// full-codes fallback for some RHS and the fast path for others.
+    #[test]
+    fn shared_lattice_equals_per_rhs_searches_with_nulls(
+        rel in rel6(true),
+        eps in 0.0f64..0.95,
+    ) {
+        check_shared_lattice(&rel, eps)?;
+    }
+}

@@ -93,23 +93,26 @@
 //!   scored through implicit-singleton contingency tables
 //!   ([`ContingencyTable::from_stripped_with`]) so per-node work and
 //!   memory shrink monotonically up the lattice instead of staying
-//!   `O(rows)`. Only open children copy their clusters out of the
-//!   worker's refine buffers (the peak of one level's parents plus open
-//!   children is surfaced on the response's
-//!   [`discovery::LatticeStats`]), per-attribute encodings are computed
-//!   once and shared across every RHS search, and supersets of exact
-//!   *and* emitted LHS sets are pruned through one bitmask subset index
-//!   before their partitions are materialised. The search stays
+//!   `O(rows)`. One lattice serves every RHS: an LHS set is refined
+//!   once per call and scored against every RHS it is still a candidate
+//!   for, TANE-style, instead of once per RHS. Only children open for
+//!   some RHS copy their clusters out of the worker's refine buffers
+//!   (the peak of one level's parents plus open children is surfaced on
+//!   the response's [`discovery::LatticeStats`]), per-attribute
+//!   encodings are computed once per call, and per RHS, supersets of
+//!   exact *and* emitted LHS sets are pruned through a bitmask subset
+//!   index before their partitions are materialised. The search stays
 //!   **level-synchronous parallel** (scoped threads, see
-//!   `afd-parallel`): child descriptors are generated sequentially for
-//!   deterministic pruning, but refinement *and* scoring run fused in
-//!   the worker pass — output is byte-identical for every thread count
-//!   (`AFD_THREADS` overrides the worker count; an invalid override is
-//!   an [`AfdError::Config`], not a panic), and bit-identical to the
-//!   retained full-codes reference in `afd_discovery::naive_lattice`
-//!   (proptest-pinned; `cargo run --release -p afd-bench --example
-//!   record_lattice` records ~8× end-to-end and ~10× lower peak node
-//!   bytes on the 65 536-row fixture in `BENCH_lattice.json`).
+//!   `afd-parallel`): each level is one worker pass over its parent
+//!   nodes that generates, refines *and* scores their children, and the
+//!   verdicts are folded in parent order — output is byte-identical for
+//!   every thread count (`AFD_THREADS` overrides the worker count; an
+//!   invalid override is an [`AfdError::Config`], not a panic), and
+//!   bit-identical to the retained full-codes reference in
+//!   `afd_discovery::naive_lattice` (proptest-pinned; `cargo run
+//!   --release -p afd-bench --example record_lattice` records ~13×
+//!   end-to-end and ~12× lower peak node bytes on the 65 536-row fixture
+//!   in `BENCH_lattice.json`).
 //! * [`MatrixRequest`]s share work one level higher too: each **distinct
 //!   attribute set is group-encoded once** into a
 //!   [`relation::EncodingCache`] (warmed in parallel) and every
