@@ -4,13 +4,12 @@
 //!   exploits uniform absent-cell mass;
 //! * `expected_mi`: exact hypergeometric E[I] vs. Monte-Carlo sampling at
 //!   increasing sample counts;
-//! * `g3_path`: measure-trait g3 via contingency vs. the TANE PLI fast
-//!   path.
+//! * `g3_path`: g3 on a built contingency table vs. g3 from the
+//!   one-pass tally of the LHS's stripped partition (the lattice's path).
 
 use afd_bench::{fixture_relation, fixture_table};
 use afd_core::{sfi_closed_form, Measure, Sfi, G3};
-use afd_discovery::g3_from_pli;
-use afd_relation::{AttrId, AttrSet, Fd, Pli};
+use afd_relation::{strip_codes_into, AttrId, AttrSet, ContingencyTable, Scratch, Summary, YSide};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,18 +56,46 @@ fn bench_expected_mi(c: &mut Criterion) {
 fn bench_g3_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_g3_path");
     group.sample_size(20);
+    let g3 = G3
+        .summary_formula()
+        .expect("g3 reads only table aggregates");
     for &n in &[1024usize, 8192] {
         let rel = fixture_relation(n, 17);
-        let fd = Fd::linear(AttrId(0), AttrId(1));
-        group.bench_with_input(BenchmarkId::new("contingency", n), &rel, |b, r| {
-            b.iter(|| black_box(G3.score(black_box(r), &fd)))
-        });
-        let pli = Pli::from_relation(&rel, &AttrSet::single(AttrId(0)));
+        let x = rel.group_encode(&AttrSet::single(AttrId(0)));
+        let y = rel.group_encode(&AttrSet::single(AttrId(1)));
         group.bench_with_input(
-            BenchmarkId::new("pli_fast_path", n),
-            &(rel, pli),
-            |b, (r, p)| b.iter(|| black_box(g3_from_pli(r, p, AttrId(1)))),
+            BenchmarkId::new("contingency", n),
+            &(&x, &y),
+            |b, (x, y)| {
+                b.iter(|| {
+                    let t = ContingencyTable::from_codes(black_box(&x.codes), &y.codes);
+                    black_box(G3.score_table(&t))
+                })
+            },
         );
+        let mut scratch = Scratch::new();
+        let (mut rows, mut starts, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
+        strip_codes_into(
+            &mut scratch,
+            &x.codes,
+            x.n_groups,
+            &mut rows,
+            &mut starts,
+            &mut dropped,
+        );
+        let y_side = YSide::new(&y.codes, y.n_groups);
+        group.bench_function(BenchmarkId::new("tally", n), |b| {
+            b.iter(|| {
+                let s = Summary::tally_stripped_with(
+                    &mut scratch,
+                    black_box(&rows),
+                    &starts,
+                    &dropped,
+                    &y_side,
+                );
+                black_box(g3(&s))
+            })
+        });
     }
     group.finish();
 }

@@ -13,7 +13,12 @@
 //! on both the stripped/fused lattice (`afd_discovery::lattice`, one
 //! lattice shared by every RHS) and the retained full-codes reference
 //! (`afd_discovery::naive_lattice`, one search per RHS), after asserting
-//! their outputs are bit-identical.
+//! their outputs are bit-identical. The measure is g3′, whose formula
+//! reads only table aggregates, so the stripped side scores every
+//! candidate from a one-pass tally of its clusters
+//! (`afd_relation::Summary::tally_stripped_with`) and builds no
+//! contingency table; the reference builds one full-codes table per
+//! candidate.
 //!
 //! Acceptance bars (both sides run at `threads = 1`, so both wins come
 //! from work/allocation reduction, not parallelism):
@@ -221,7 +226,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = write!(
         json,
-        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
+        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); the stripped side scores every g3' candidate from a one-pass tally of its clusters (no contingency table); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
         cfg.max_lhs, cfg.epsilon
     );
     std::fs::write(&out_path, json).expect("write JSON");

@@ -6,7 +6,7 @@
 //! against its closed-form expectation under random (X;Y)-permutations.
 
 use afd_entropy::{expected_pdep, logical_y_given_x, pdep_xy, pdep_y};
-use afd_relation::ContingencyTable;
+use afd_relation::{ContingencyTable, Summary};
 
 use crate::measure::{Measure, MeasureClass, MeasureProperties, Tribool};
 
@@ -63,9 +63,18 @@ impl Measure for G1Prime {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl G1Prime {
+    fn formula(s: &Summary) -> f64 {
         // |G1| = Σ_i (a_i² − Σ_j n_ij²): ordered violating pairs.
-        let violating = (t.sum_sq_rows() - t.sum_sq_cells()) as f64;
-        let bound = (t.n() * t.n() - t.sum_sq_cells()) as f64;
+        let violating = (s.sum_sq_rows() - s.sum_sq_cells()) as f64;
+        let bound = (s.n() * s.n() - s.sum_sq_cells()) as f64;
         // FD violated => at least two distinct tuples => bound > 0.
         1.0 - violating / bound
     }
@@ -94,7 +103,10 @@ impl Measure for Pdep {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        pdep_xy(t)
+        pdep_xy(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(pdep_xy)
     }
 }
 
@@ -121,9 +133,18 @@ impl Measure for Tau {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl Tau {
+    fn formula(s: &Summary) -> f64 {
         // FD violated => |dom(Y)| > 1 => pdep(Y) < 1.
-        let py = pdep_y(t);
-        (pdep_xy(t) - py) / (1.0 - py)
+        let py = pdep_y(s);
+        (pdep_xy(s) - py) / (1.0 - py)
     }
 }
 
@@ -153,9 +174,18 @@ impl Measure for MuPlus {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl MuPlus {
+    fn formula(s: &Summary) -> f64 {
         // FD violated => |dom(X)| < N (Lemma 1 guarantees E[pdep] < 1).
-        let e = expected_pdep(t);
-        ((pdep_xy(t) - e) / (1.0 - e)).max(0.0)
+        let e = expected_pdep(s);
+        ((pdep_xy(s) - e) / (1.0 - e)).max(0.0)
     }
 }
 
@@ -204,7 +234,7 @@ mod tests {
         ];
         for c in tables {
             let t = ContingencyTable::from_counts(&c);
-            assert!(Pdep.score_table(&t) >= pdep_y(&t) - 1e-12);
+            assert!(Pdep.score_table(&t) >= pdep_y(&t.summary()) - 1e-12);
         }
     }
 
@@ -234,8 +264,8 @@ mod tests {
     fn mu_equivalent_closed_form() {
         // µ = 1 − (1−pdep)/(1−pdep(Y)) · (N−1)/(N−K) (Lemma 5).
         let table = t();
-        let pd = pdep_xy(&table);
-        let py = pdep_y(&table);
+        let pd = pdep_xy(&table.summary());
+        let py = pdep_y(&table.summary());
         let n = table.n() as f64;
         let k = table.n_x() as f64;
         let closed = 1.0 - (1.0 - pd) / (1.0 - py) * (n - 1.0) / (n - k);

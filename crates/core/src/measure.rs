@@ -11,7 +11,7 @@
 //!   where `|dom(X)| < N` and `|dom(Y)| > 1` are guaranteed, so no formula
 //!   divides by zero.
 
-use afd_relation::{ContingencyTable, Fd, Relation};
+use afd_relation::{ContingencyTable, Fd, Relation, Summary};
 
 /// The three classes of AFD measures (Section IV-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,9 +89,11 @@ pub struct MeasureProperties {
 
 /// A single AFD measure.
 ///
-/// Implementations only provide [`Measure::score_table`], which is called
-/// with a non-degenerate contingency table (non-empty, FD violated). All
-/// conventions live in the provided [`Measure::score`] methods.
+/// Implementations provide [`Measure::score_table`], which is called
+/// with a non-degenerate contingency table (non-empty, FD violated), and
+/// [`Measure::summary_formula`] when that formula reads only table
+/// aggregates. All conventions live in the provided [`Measure::score`]
+/// methods.
 pub trait Measure: Send + Sync {
     /// The paper's name for the measure (`"rho"`, `"g3'"`, `"mu+"`, ...).
     fn name(&self) -> &'static str;
@@ -108,15 +110,32 @@ pub trait Measure: Send + Sync {
     /// `R |= φ → 1` convention first.
     fn score_table(&self, t: &ContingencyTable) -> f64;
 
+    /// The measure's formula over a table's [`Summary`], for the measures
+    /// whose formula reads only table aggregates: ρ, g2, g3, g3′, g1′,
+    /// pdep, τ and µ⁺. Their [`Measure::score_table`] is this function
+    /// applied to [`ContingencyTable::summary`], so each formula exists
+    /// once, and the stripped lattice scores their candidates from a
+    /// one-pass tally ([`Summary::tally_stripped_with`]) without building
+    /// a table. `None` (the default) for measures that read cells.
+    ///
+    /// The function has [`Measure::score_table`]'s contract: the summary
+    /// is of a non-empty table whose FD does not hold exactly, and the
+    /// result is not yet clamped.
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        None
+    }
+
     /// `true` iff [`Measure::score_table`] is **bit-identical** on a
     /// table with implicit singleton X-groups
     /// ([`ContingencyTable::implicit_singletons`]) to the same table in
-    /// full-codes form. Holds for every fast measure (their per-singleton
-    /// float terms are exactly `0.0`) and for the RFI family (the margin
-    /// histogram folds singletons in exactly); measures that accumulate
-    /// nonzero per-singleton terms in row order (SFI, Monte-Carlo
-    /// extensions) override this to `false`, and the stripped lattice
-    /// then scores them on a materialised full-codes table instead.
+    /// full-codes form. Only the stripped lattice's table path asks:
+    /// measures with a [`Measure::summary_formula`] are tallied instead.
+    /// Holds for g1, g1ˢ and FI (their per-singleton float terms are
+    /// exactly `0.0`) and for the RFI family (the margin histogram folds
+    /// singletons in exactly); measures that accumulate nonzero
+    /// per-singleton terms in row order (SFI, Monte-Carlo extensions)
+    /// override this to `false`, and the stripped lattice then scores
+    /// them on a materialised full-codes table instead.
     fn bit_exact_on_implicit_singletons(&self) -> bool {
         true
     }

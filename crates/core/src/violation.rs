@@ -5,7 +5,7 @@
 //! a random tuple participates in a violating pair, and `g3`/`g3′` measure
 //! the relative size of the largest FD-satisfying subrelation.
 
-use afd_relation::ContingencyTable;
+use afd_relation::{ContingencyTable, Summary};
 
 use crate::measure::{Measure, MeasureClass, MeasureProperties, Tribool};
 
@@ -31,7 +31,16 @@ impl Measure for Rho {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        t.n_x() as f64 / t.nonzero_cells() as f64
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl Rho {
+    fn formula(s: &Summary) -> f64 {
+        s.n_x() as f64 / s.nonzero_cells() as f64
     }
 }
 
@@ -59,13 +68,16 @@ impl Measure for G2 {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        // Singleton groups (implicit ones included) never violate, so
-        // iterating the explicit rows covers every violating tuple.
-        let violating: u64 = (0..t.n_explicit_x())
-            .filter(|&i| t.row(i).len() >= 2)
-            .map(|i| t.row_totals()[i])
-            .sum();
-        1.0 - violating as f64 / t.n() as f64
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl G2 {
+    fn formula(s: &Summary) -> f64 {
+        1.0 - s.violating_rows() as f64 / s.n() as f64
     }
 }
 
@@ -93,7 +105,16 @@ impl Measure for G3 {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        t.sum_row_max() as f64 / t.n() as f64
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl G3 {
+    fn formula(s: &Summary) -> f64 {
+        s.sum_row_max() as f64 / s.n() as f64
     }
 }
 
@@ -120,10 +141,19 @@ impl Measure for G3Prime {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl G3Prime {
+    fn formula(s: &Summary) -> f64 {
         // FD violated => some group has ≥ 2 distinct Y values => K_X < N,
         // so the denominator is strictly positive.
-        let k = t.n_x() as u64;
-        (t.sum_row_max() - k) as f64 / (t.n() - k) as f64
+        let k = s.n_x() as u64;
+        (s.sum_row_max() - k) as f64 / (s.n() - k) as f64
     }
 }
 

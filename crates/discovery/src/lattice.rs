@@ -29,18 +29,28 @@
 //! `Pli`), plus the usually-empty list of NULL-dropped rows — not a
 //! dense `O(rows)` code vector. Work and memory per node shrink
 //! monotonically up the lattice: once a group shrinks to one row it
-//! leaves the representation for good. Scoring goes through
+//! leaves the representation for good.
+//!
+//! **Table-free scoring.** As TANE reads g3 off stripped partitions
+//! with one counting pass per cluster, a measure with a
+//! [`Measure::summary_formula`] (ρ, g2, g3, g3′, g1′, pdep, τ, µ⁺) scores
+//! every candidate — NULL-bearing ones included — from
+//! [`Summary::tally_stripped_with`]: one pass per cluster against the
+//! RHS's shared [`YSide`], no allocation, no table. Y-NULL rows are
+//! skipped, X-NULL rows come off the RHS column totals, singleton groups
+//! are counted arithmetically, and the pdep terms are summed in the
+//! full-codes table's group order, so scores are **bit-identical** to
+//! the full-codes reference retained in [`crate::naive_lattice`].
+//! The other measures keep two table paths. NULL-free candidates of a
+//! measure whose [`Measure::bit_exact_on_implicit_singletons`] holds
+//! (g1, g1ˢ, FI and the RFI family) go through
 //! [`ContingencyTable::from_stripped_with`], which folds the implicit
-//! singleton groups in arithmetically; every measure whose
-//! [`Measure::bit_exact_on_implicit_singletons`] holds (all fast
-//! measures and the RFI family) scores **bit-identically** to the
-//! full-codes reference retained in [`crate::naive_lattice`]. Candidates
-//! over NULL-bearing attributes — and measures that need materialised
-//! singleton rows, like SFI — fall back to reconstructing dense codes in
-//! a per-worker scratch buffer (once per set, however many RHS need
-//! them) and evaluating through the classic
-//! [`ContingencyTable::from_codes_with`] kernel, which is bit-identical
-//! by construction.
+//! singleton groups in arithmetically. The rest — candidates over
+//! NULL-bearing attributes, and measures that need materialised
+//! singleton rows, like SFI — reconstruct dense codes in a per-worker
+//! scratch buffer (once per set, however many RHS need them) and are
+//! evaluated through the classic [`ContingencyTable::from_codes_with`]
+//! kernel, bit-identical by construction.
 //!
 //! **One lattice for every RHS.** As in TANE (Huhtala et al., *The
 //! Computer Journal* 1999), an LHS set is a single node whatever the
@@ -88,7 +98,7 @@ use afd_core::Measure;
 use afd_parallel::{max_threads, par_map_with};
 use afd_relation::{
     refine_stripped_into, strip_codes_into, AttrId, AttrSet, ContingencyTable, Fd, GroupEncoding,
-    Relation, Scratch, NULL_CODE,
+    Relation, Scratch, Summary, YSide, NULL_CODE,
 };
 
 use crate::threshold::Discovered;
@@ -387,16 +397,11 @@ fn build_bases(rel: &Relation, threads: usize) -> Vec<AttrBase> {
     })
 }
 
-/// One RHS attribute of a search: the shared Y side — dense
-/// first-encounter codes (the attribute encoding itself), full column
-/// totals over the surviving rows and the survivor count, valid for every
-/// candidate whose X side is NULL-free — and the LHS sets closed for it.
+/// One RHS attribute of a search: its shared [`YSide`] and the LHS sets
+/// closed for it.
 struct Rhs<'a> {
     attr: AttrId,
-    codes: &'a [u32],
-    col_totals: Vec<u64>,
-    n_surviving: u64,
-    has_nulls: bool,
+    side: YSide<'a>,
     /// Emitted and exact LHS sets: their supersets are never candidates
     /// for this RHS.
     closed: SubsetIndex,
@@ -404,19 +409,9 @@ struct Rhs<'a> {
 
 impl<'a> Rhs<'a> {
     fn new(attr: AttrId, base: &'a AttrBase, arity: usize) -> Self {
-        let mut col_totals = vec![0u64; base.enc.n_groups as usize];
-        for &c in &base.enc.codes {
-            if c != NULL_CODE {
-                col_totals[c as usize] += 1;
-            }
-        }
-        let n_surviving = col_totals.iter().sum();
         Rhs {
             attr,
-            codes: &base.enc.codes,
-            col_totals,
-            n_surviving,
-            has_nulls: !base.dropped.is_empty(),
+            side: YSide::new(&base.enc.codes, base.enc.n_groups),
             closed: SubsetIndex::new(arity),
         }
     }
@@ -521,12 +516,13 @@ struct EvalCtx {
 /// fallback reconstruction — i.e. implicit singletons.
 const SINGLETON_MARK: u32 = u32::MAX - 1;
 
-/// Scores a table into a verdict.
-fn verdict_of(t: &ContingencyTable, measure: &dyn Measure, epsilon: f64) -> Verdict {
-    if t.is_exact_fd() {
+/// The verdict on a candidate: exact, or its score (computed only when
+/// not exact) against ε.
+fn verdict(exact: bool, score: impl FnOnce() -> f64, epsilon: f64) -> Verdict {
+    if exact {
         return Verdict::Exact;
     }
-    let score = measure.score_contingency(t);
+    let score = score();
     if score >= epsilon {
         Verdict::Emit(score)
     } else {
@@ -601,6 +597,9 @@ struct Search<'a> {
     bases: &'a [AttrBase],
     rhss: Vec<Rhs<'a>>,
     measure: &'a dyn Measure,
+    /// The measure's [`Measure::summary_formula`], asked once per call:
+    /// `Some` means every candidate is tallied.
+    formula: Option<fn(&Summary) -> f64>,
     epsilon: f64,
     found: Vec<Discovered>,
 }
@@ -608,13 +607,15 @@ struct Search<'a> {
 impl Search<'_> {
     /// Scores a stripped partition against each RHS in `rhs`.
     ///
-    /// Fast path (NULL-free candidate, NULL-free RHS, implicit-exact
-    /// measure): build the implicit-singleton table straight from the
-    /// clusters — `O(stripped)` work. Otherwise: evaluate dense codes
-    /// through the full-codes kernel — bit-identical to the reference by
-    /// construction. The dense codes depend only on the partition, so
-    /// they are rebuilt in the worker's buffer at most once per set,
-    /// however many RHS take the fallback.
+    /// A measure with a summary formula scores every candidate from
+    /// [`Summary::tally_stripped_with`] — `O(stripped + dropped)` work and
+    /// no table, NULLs or not. For the other measures, a NULL-free
+    /// candidate of an implicit-exact measure builds the
+    /// implicit-singleton table straight from the clusters; any other
+    /// candidate is evaluated on dense codes through the full-codes
+    /// kernel, bit-identical to the reference by construction. The dense
+    /// codes depend only on the partition, so they are rebuilt in the
+    /// worker's buffer at most once per set, however many RHS need them.
     fn score(
         &self,
         scratch: &mut Scratch,
@@ -626,29 +627,34 @@ impl Search<'_> {
         let mut dense = false;
         rhs.into_iter()
             .map(|k| {
-                let y = &self.rhss[k];
-                let fast = !y.has_nulls
-                    && dropped.is_empty()
-                    && self.measure.bit_exact_on_implicit_singletons();
-                let t = if fast {
-                    let implicit = (self.n_rows - rows.len()) as u64;
-                    ContingencyTable::from_stripped_with(
-                        scratch,
-                        rows,
-                        starts,
-                        y.codes,
-                        &y.col_totals,
-                        y.n_surviving,
-                        implicit,
+                let y = &self.rhss[k].side;
+                let v = if let Some(formula) = self.formula {
+                    let s = Summary::tally_stripped_with(scratch, rows, starts, dropped, y);
+                    verdict(
+                        s.is_exact_fd(),
+                        || formula(&s).clamp(0.0, 1.0),
+                        self.epsilon,
                     )
                 } else {
-                    if !dense {
-                        densify(codes_buf, rows, starts, dropped, self.n_rows);
-                        dense = true;
-                    }
-                    ContingencyTable::from_codes_with(scratch, codes_buf, y.codes)
+                    let t = if !y.has_nulls()
+                        && dropped.is_empty()
+                        && self.measure.bit_exact_on_implicit_singletons()
+                    {
+                        ContingencyTable::from_stripped_with(scratch, rows, starts, y)
+                    } else {
+                        if !dense {
+                            densify(codes_buf, rows, starts, dropped, self.n_rows);
+                            dense = true;
+                        }
+                        ContingencyTable::from_codes_with(scratch, codes_buf, y.codes())
+                    };
+                    verdict(
+                        t.is_exact_fd(),
+                        || self.measure.score_contingency(&t),
+                        self.epsilon,
+                    )
                 };
-                (k, verdict_of(&t, self.measure, self.epsilon))
+                (k, v)
             })
             .collect()
     }
@@ -855,6 +861,7 @@ fn discover(
             .map(|&a| Rhs::new(a, &bases[a.index()], rel.arity()))
             .collect(),
         measure,
+        formula: measure.summary_formula(),
         epsilon: cfg.epsilon,
         found: Vec::new(),
     };
@@ -1123,8 +1130,8 @@ mod tests {
         for epsilon in [0.5, 0.8] {
             for max_lhs in [1, 2, 3] {
                 let cfg = LatticeConfig { max_lhs, epsilon };
-                for name in ["g3'", "mu+", "g1", "FI", "rho"] {
-                    let measure = measure_by_name(name).unwrap();
+                for measure in afd_core::fast_measures() {
+                    let name = measure.name();
                     let fast = discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
                     let slow =
                         crate::naive_lattice::discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
@@ -1147,7 +1154,8 @@ mod tests {
     #[test]
     fn nulls_fall_back_to_full_codes_and_match_reference() {
         let mut rel = nonlinear_rel();
-        // Sprinkle NULLs across three columns.
+        // Sprinkle NULLs across three columns: tallied measures skip the
+        // NULL rows, g1/g1ˢ/FI fall back to full codes.
         for (row, col) in [(3usize, 0u32), (17, 1), (40, 2), (41, 0), (100, 3)] {
             rel.set_value(row, AttrId(col), Value::Null);
         }
@@ -1155,8 +1163,8 @@ mod tests {
             max_lhs: 3,
             epsilon: 0.6,
         };
-        for name in ["g3'", "mu+"] {
-            let measure = measure_by_name(name).unwrap();
+        for measure in afd_core::fast_measures() {
+            let name = measure.name();
             let fast = discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
             let slow = crate::naive_lattice::discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
             assert_eq!(fast.len(), slow.len(), "{name}");

@@ -127,12 +127,14 @@ proptest! {
     /// The stripped lattice is pinned **bit-identical** to the
     /// retained full-codes reference (`afd_discovery::naive_lattice`,
     /// mirroring `afd_relation::naive`): same FDs, same order, same
-    /// `f64::to_bits` scores — across thread counts and level caps. Its
-    /// search statistics do not depend on the thread count either.
+    /// `f64::to_bits` scores — for every fast measure (the tallied ones
+    /// and the g1/g1ˢ/FI table path), across thread counts and level
+    /// caps. Its search statistics do not depend on the thread count
+    /// either.
     #[test]
     fn stripped_lattice_bit_identical_to_naive(rel in rel3(), eps in 0.0f64..0.95) {
-        for name in ["g3'", "mu+"] {
-            let measure = measure_by_name(name).unwrap();
+        for measure in afd_core::fast_measures() {
+            let name = measure.name();
             for max_lhs in [1usize, 2, 3] {
                 let cfg = LatticeConfig { max_lhs, epsilon: eps };
                 let reference =
@@ -159,23 +161,27 @@ proptest! {
     }
 
     /// As above on relations with NULLs — candidates over NULL-bearing
-    /// attributes take the lattice's full-codes fallback, which must be
-    /// just as bit-identical.
+    /// attributes are tallied with their NULL rows skipped, or take the
+    /// lattice's full-codes fallback for g1/g1ˢ/FI, and must be just as
+    /// bit-identical.
     #[test]
     fn stripped_lattice_bit_identical_with_nulls(rel in rel3_nulls(), eps in 0.0f64..0.95) {
-        let measure = measure_by_name("g3'").unwrap();
-        for max_lhs in [1usize, 2, 3] {
-            let cfg = LatticeConfig { max_lhs, epsilon: eps };
-            let reference =
-                afd_discovery::naive_lattice::discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
-            for threads in [1usize, 2, 4] {
-                let stripped = discover_all_threaded(&rel, measure.as_ref(), cfg, threads);
-                prop_assert_eq!(stripped.len(), reference.len(),
-                    "max_lhs={} threads={}", max_lhs, threads);
-                for (a, b) in stripped.iter().zip(&reference) {
-                    prop_assert_eq!(&a.fd, &b.fd, "max_lhs={} threads={}", max_lhs, threads);
-                    prop_assert_eq!(a.score.to_bits(), b.score.to_bits(),
-                        "max_lhs={} threads={}", max_lhs, threads);
+        for measure in afd_core::fast_measures() {
+            let name = measure.name();
+            for max_lhs in [1usize, 2, 3] {
+                let cfg = LatticeConfig { max_lhs, epsilon: eps };
+                let reference = afd_discovery::naive_lattice::discover_all_threaded(
+                    &rel, measure.as_ref(), cfg, 1);
+                for threads in [1usize, 2, 4] {
+                    let stripped = discover_all_threaded(&rel, measure.as_ref(), cfg, threads);
+                    prop_assert_eq!(stripped.len(), reference.len(),
+                        "{} max_lhs={} threads={}", name, max_lhs, threads);
+                    for (a, b) in stripped.iter().zip(&reference) {
+                        prop_assert_eq!(&a.fd, &b.fd,
+                            "{} max_lhs={} threads={}", name, max_lhs, threads);
+                        prop_assert_eq!(a.score.to_bits(), b.score.to_bits(),
+                            "{} max_lhs={} threads={}", name, max_lhs, threads);
+                    }
                 }
             }
         }

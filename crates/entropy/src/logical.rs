@@ -6,26 +6,30 @@
 //! they agree on `X` but differ on `Y`. Unlike Shannon entropy,
 //! `h_R(Y|X) ≠ E_x[h_R(Y|x)]`; both quantities are needed (the former by
 //! `g1`, the latter by `pdep`/`τ`/`µ`), so both are exposed.
+//!
+//! Every helper but `logical_y_given_x` reads only table aggregates, so
+//! it takes a [`Summary`] — of a built table ([`ContingencyTable::summary`])
+//! or tallied straight from a stripped partition.
 
-use afd_relation::ContingencyTable;
+use afd_relation::{ContingencyTable, Summary};
 
 /// `h_R(X) = 1 − Σ_i p_i²`: marginal logical entropy of the X side.
-pub fn logical_x(t: &ContingencyTable) -> f64 {
-    if t.n() == 0 {
+pub fn logical_x(s: &Summary) -> f64 {
+    if s.n() == 0 {
         return 0.0;
     }
-    let n2 = (t.n() as f64) * (t.n() as f64);
-    1.0 - t.sum_sq_rows() as f64 / n2
+    let n2 = (s.n() as f64) * (s.n() as f64);
+    1.0 - s.sum_sq_rows() as f64 / n2
 }
 
 /// `h_R(Y) = 1 − Σ_j q_j²`: marginal logical entropy of the Y side.
 /// Equals `1 − pdep(Y, R)`.
-pub fn logical_y(t: &ContingencyTable) -> f64 {
-    if t.n() == 0 {
+pub fn logical_y(s: &Summary) -> f64 {
+    if s.n() == 0 {
         return 0.0;
     }
-    let n2 = (t.n() as f64) * (t.n() as f64);
-    1.0 - t.sum_sq_cols() as f64 / n2
+    let n2 = (s.n() as f64) * (s.n() as f64);
+    1.0 - s.sum_sq_cols() as f64 / n2
 }
 
 /// `h_R(Y|X) = Σ_ij p_ij (p_i − p_ij)`: the probability that two random
@@ -49,57 +53,45 @@ pub fn logical_y_given_x(t: &ContingencyTable) -> f64 {
 
 /// `E_x[h_R(Y|x)] = Σ_i p_i · h(Y | x_i)`: the *expected conditional*
 /// logical entropy. Equals `1 − pdep(X→Y, R)` (Lemma 3 of the paper).
-///
-/// Only explicit X-groups are iterated: a singleton group's term is
-/// `a/n − sq/(a·n)` with `a = sq = 1`, i.e. exactly `0.0`, so implicit
-/// singletons (stripped-lattice tables) contribute nothing — bit for bit
-/// the same sum the full-codes table produces.
-pub fn expected_conditional_logical(t: &ContingencyTable) -> f64 {
-    if t.n() == 0 {
+/// The summary's pdep group sum, clamped at 0.
+pub fn expected_conditional_logical(s: &Summary) -> f64 {
+    if s.n() == 0 {
         return 0.0;
     }
-    let n = t.n() as f64;
-    let mut sum = 0.0;
-    for i in 0..t.n_explicit_x() {
-        let a = t.row_totals()[i] as f64;
-        let sq: u64 = t.row(i).iter().map(|&(_, c)| c * c).sum();
-        // p_i * (1 − Σ_j (c/a)²) = (a/n) − (Σ c²)/(a·n)
-        sum += a / n - sq as f64 / (a * n);
-    }
-    sum.max(0.0)
+    s.pdep_group_sum().max(0.0)
 }
 
 /// `pdep(X → Y, R) = 1 − E_x[h_R(Y|x)]` (Section IV-D).
-pub fn pdep_xy(t: &ContingencyTable) -> f64 {
-    1.0 - expected_conditional_logical(t)
+pub fn pdep_xy(s: &Summary) -> f64 {
+    1.0 - expected_conditional_logical(s)
 }
 
 /// `pdep(Y, R) = Σ_j q_j² = 1 − h_R(Y)`: probabilistic self-dependency.
-pub fn pdep_y(t: &ContingencyTable) -> f64 {
-    1.0 - logical_y(t)
+pub fn pdep_y(s: &Summary) -> f64 {
+    1.0 - logical_y(s)
 }
 
 /// `E_R[pdep(X→Y, R)]` under random (X;Y)-permutations — the closed form
 /// of Theorem 1: `pdep(Y) + (K−1)/(N−1) · (1 − pdep(Y))` with
 /// `K = |dom_R(X)|`. Requires `N ≥ 2`; returns 1.0 for degenerate tables
 /// (which the measure layer treats as exact FDs anyway).
-pub fn expected_pdep(t: &ContingencyTable) -> f64 {
-    let n = t.n();
+pub fn expected_pdep(s: &Summary) -> f64 {
+    let n = s.n();
     if n < 2 {
         return 1.0;
     }
-    let k = t.n_x() as f64;
-    let py = pdep_y(t);
+    let k = s.n_x() as f64;
+    let py = pdep_y(s);
     py + (k - 1.0) / (n as f64 - 1.0) * (1.0 - py)
 }
 
 /// `E_R[τ(X→Y, R)] = (K−1)/(N−1)` (Theorem 1).
-pub fn expected_tau(t: &ContingencyTable) -> f64 {
-    let n = t.n();
+pub fn expected_tau(s: &Summary) -> f64 {
+    let n = s.n();
     if n < 2 {
         return 1.0;
     }
-    (t.n_x() as f64 - 1.0) / (n as f64 - 1.0)
+    (s.n_x() as f64 - 1.0) / (n as f64 - 1.0)
 }
 
 #[cfg(test)]
@@ -114,15 +106,15 @@ mod tests {
     fn marginal_logical_entropy_known_values() {
         // Uniform over 2 values: h = 1 − 2·(1/2)² = 1/2.
         let t = ContingencyTable::from_counts(&[vec![1, 0], vec![0, 1]]);
-        assert!(close(logical_x(&t), 0.5));
-        assert!(close(logical_y(&t), 0.5));
+        assert!(close(logical_x(&t.summary()), 0.5));
+        assert!(close(logical_y(&t.summary()), 0.5));
     }
 
     #[test]
     fn single_value_zero_entropy() {
         let t = ContingencyTable::from_counts(&[vec![7]]);
-        assert_eq!(logical_x(&t), 0.0);
-        assert_eq!(logical_y(&t), 0.0);
+        assert_eq!(logical_x(&t.summary()), 0.0);
+        assert_eq!(logical_y(&t.summary()), 0.0);
         assert_eq!(logical_y_given_x(&t), 0.0);
     }
 
@@ -130,7 +122,7 @@ mod tests {
     fn conditional_zero_iff_fd_holds() {
         let fd = ContingencyTable::from_counts(&[vec![4, 0], vec![0, 3]]);
         assert_eq!(logical_y_given_x(&fd), 0.0);
-        assert_eq!(expected_conditional_logical(&fd), 0.0);
+        assert_eq!(expected_conditional_logical(&fd.summary()), 0.0);
         let no_fd = ContingencyTable::from_counts(&[vec![2, 2]]);
         assert!(logical_y_given_x(&no_fd) > 0.0);
     }
@@ -142,7 +134,7 @@ mod tests {
         let t = ContingencyTable::from_counts(&[vec![2, 2]]);
         assert!(close(logical_y_given_x(&t), 0.5));
         // E_x[h(Y|x)] = 1 · (1 − 2·(1/2)²) = 0.5 here (single group).
-        assert!(close(expected_conditional_logical(&t), 0.5));
+        assert!(close(expected_conditional_logical(&t.summary()), 0.5));
     }
 
     #[test]
@@ -150,41 +142,44 @@ mod tests {
         // Two x-groups with different sizes: the two notions differ.
         let t = ContingencyTable::from_counts(&[vec![3, 1], vec![1, 1]]);
         let h = logical_y_given_x(&t);
-        let e = expected_conditional_logical(&t);
+        let e = expected_conditional_logical(&t.summary());
         assert!((h - e).abs() > 1e-3, "h={h} e={e}");
     }
 
     #[test]
     fn pdep_identities() {
         let t = ContingencyTable::from_counts(&[vec![3, 1], vec![0, 4]]);
-        assert!(close(pdep_xy(&t), 1.0 - expected_conditional_logical(&t)));
-        assert!(close(pdep_y(&t), 1.0 - logical_y(&t)));
+        assert!(close(
+            pdep_xy(&t.summary()),
+            1.0 - expected_conditional_logical(&t.summary())
+        ));
+        assert!(close(pdep_y(&t.summary()), 1.0 - logical_y(&t.summary())));
         // pdep(X→Y) ≥ pdep(Y) always (paper, Section IV-D).
-        assert!(pdep_xy(&t) >= pdep_y(&t) - 1e-12);
+        assert!(pdep_xy(&t.summary()) >= pdep_y(&t.summary()) - 1e-12);
     }
 
     #[test]
     fn expected_pdep_closed_form() {
         let t = ContingencyTable::from_counts(&[vec![2, 1], vec![1, 2]]);
-        let py = pdep_y(&t);
+        let py = pdep_y(&t.summary());
         let want = py + (2.0 - 1.0) / (6.0 - 1.0) * (1.0 - py);
-        assert!(close(expected_pdep(&t), want));
-        assert!(close(expected_tau(&t), 1.0 / 5.0));
+        assert!(close(expected_pdep(&t.summary()), want));
+        assert!(close(expected_tau(&t.summary()), 1.0 / 5.0));
     }
 
     #[test]
     fn expected_pdep_key_lhs_is_one() {
         // K = N (X unique): E[pdep] = py + (N−1)/(N−1)(1−py) = 1.
         let t = ContingencyTable::from_counts(&[vec![1, 0], vec![0, 1], vec![1, 0]]);
-        assert!(close(expected_pdep(&t), 1.0));
+        assert!(close(expected_pdep(&t.summary()), 1.0));
     }
 
     #[test]
     fn empty_and_degenerate_tables() {
         let t = ContingencyTable::from_counts(&[]);
         assert_eq!(logical_y_given_x(&t), 0.0);
-        assert_eq!(expected_pdep(&t), 1.0);
+        assert_eq!(expected_pdep(&t.summary()), 1.0);
         let one = ContingencyTable::from_counts(&[vec![1]]);
-        assert_eq!(expected_pdep(&one), 1.0);
+        assert_eq!(expected_pdep(&one.summary()), 1.0);
     }
 }

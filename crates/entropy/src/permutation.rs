@@ -56,8 +56,8 @@ mod tests {
     fn closed_form_expected_pdep_matches_sampling() {
         let t = ContingencyTable::from_counts(&[vec![4, 2], vec![1, 3], vec![2, 2]]);
         let mut rng = StdRng::seed_from_u64(42);
-        let sampled = expected_under_permutations(&t, 5000, &mut rng, pdep_xy);
-        let closed = expected_pdep(&t);
+        let sampled = expected_under_permutations(&t, 5000, &mut rng, |t2| pdep_xy(&t2.summary()));
+        let closed = expected_pdep(&t.summary());
         assert!(
             (sampled - closed).abs() < 0.01,
             "sampled={sampled} closed={closed}"
@@ -67,11 +67,11 @@ mod tests {
     #[test]
     fn closed_form_expected_tau_matches_sampling() {
         let t = ContingencyTable::from_counts(&[vec![4, 2], vec![1, 3], vec![2, 2]]);
-        let py = pdep_y(&t);
-        let tau = move |t2: &ContingencyTable| (pdep_xy(t2) - py) / (1.0 - py);
+        let py = pdep_y(&t.summary());
+        let tau = move |t2: &ContingencyTable| (pdep_xy(&t2.summary()) - py) / (1.0 - py);
         let mut rng = StdRng::seed_from_u64(43);
         let sampled = expected_under_permutations(&t, 5000, &mut rng, tau);
-        let closed = expected_tau(&t);
+        let closed = expected_tau(&t.summary());
         assert!(
             (sampled - closed).abs() < 0.01,
             "sampled={sampled} closed={closed}"

@@ -15,25 +15,38 @@
 //! hash-based reference implementation is retained as
 //! [`crate::naive::contingency_from_codes`].
 //!
-//! ## Implicit singleton X-groups
+//! ## Stripped candidates: the tally and implicit singletons
 //!
 //! The stripped lattice (TANE-style discovery in `afd-discovery`) stores
-//! only the rows of non-singleton X-groups. [`ContingencyTable::
-//! from_stripped_with`] builds a table from that stripped layout plus the
-//! *count* of implicit singleton groups: each implicit group has row
-//! total 1 and one cell of count 1, so every aggregate
-//! ([`ContingencyTable::n_x`], [`ContingencyTable::sum_row_max`],
-//! [`ContingencyTable::sum_sq_cells`], ...) folds them in arithmetically
-//! without materialising them. Row-level accessors
-//! ([`ContingencyTable::row_totals`], [`ContingencyTable::row`],
-//! [`ContingencyTable::cells`]) expose **explicit** groups only; callers
-//! that iterate rows must add the implicit contribution themselves (see
-//! `n_explicit_x` uses across `afd-entropy`/`afd-core` — for every fast
-//! measure the per-singleton term is exactly `0.0`, which is what keeps
-//! stripped-lattice scores bit-identical to the full-codes path). The
-//! per-Y distribution of the implicit rows stays recoverable as
-//! [`ContingencyTable::implicit_col_counts`] because `col_totals` always
-//! covers *all* surviving rows.
+//! only the rows of non-singleton X-groups, and scores each candidate
+//! against a [`YSide`] built once per RHS attribute. Two kernels read
+//! that layout:
+//!
+//! * [`Summary::tally_stripped_with`] fills the candidate's [`Summary`]
+//!   — the integer aggregates plus the pdep group sum — with one counting
+//!   pass per cluster and no allocation; no table is built. Y-NULL rows
+//!   are skipped, X-NULL rows come off the column totals in
+//!   `O(dropped)`, and the singleton X-groups outside the clusters are
+//!   counted arithmetically. The pdep terms are added in the order of
+//!   each group's first surviving row, which is the group order of the
+//!   full-codes table, so the tally equals that table's
+//!   [`ContingencyTable::summary`] bit for bit, NULLs included. Every
+//!   measure whose formula reads only a [`Summary`] scores from it.
+//! * [`ContingencyTable::from_stripped_with`] builds the table of a
+//!   NULL-free candidate for the measures that read cells. Each
+//!   singleton X-group stays implicit (row total 1, one cell of count 1),
+//!   and every aggregate ([`ContingencyTable::n_x`],
+//!   [`ContingencyTable::sum_row_max`], [`ContingencyTable::summary`],
+//!   ...) folds them in arithmetically. Row-level accessors
+//!   ([`ContingencyTable::row_totals`], [`ContingencyTable::row`],
+//!   [`ContingencyTable::cells`]) expose **explicit** groups only;
+//!   callers that iterate rows must add the implicit contribution
+//!   themselves (see `n_explicit_x` uses across `afd-entropy`/`afd-core`
+//!   — for g1, g1ˢ and FI the per-singleton term is exactly `0.0`, which
+//!   keeps their stripped-lattice scores bit-identical to the full-codes
+//!   path). The per-Y distribution of the implicit rows stays
+//!   recoverable as [`ContingencyTable::implicit_col_counts`] because
+//!   `col_totals` always covers *all* surviving rows.
 
 use crate::dictionary::NULL_CODE;
 use crate::kernels::{with_scratch, Scratch};
@@ -274,38 +287,31 @@ impl ContingencyTable {
         Self::from_sparse_rows(rows, row_totals, col_totals, n)
     }
 
-    /// Builds the table of a *stripped* X-partition against a shared,
-    /// pre-encoded Y side — the evaluation kernel of the stripped
-    /// lattice in `afd-discovery`.
+    /// Builds the table of a *stripped* X-partition against a shared
+    /// [`YSide`] — the table path of the stripped lattice in
+    /// `afd-discovery`, for measures that read cells.
     ///
     /// `cluster_rows`/`cluster_starts` are the CSR clusters (size ≥ 2) of
     /// the X-partition, **ordered by first row** with rows ascending
     /// inside each cluster — the first-encounter group order the
-    /// full-codes path would produce. `y_codes` are dense
-    /// first-encounter Y ids covering every row, `col_totals` the per-Y
-    /// totals over **all** `n` surviving rows (cluster rows *and*
-    /// implicit singletons), and `implicit_singletons` the number of
-    /// X-groups with exactly one row that are not materialised.
+    /// full-codes path would produce. Every row outside the clusters is
+    /// an implicit singleton X-group.
     ///
-    /// The caller guarantees there are no NULLs on either side among the
-    /// surviving rows (the stripped lattice falls back to
-    /// [`ContingencyTable::from_codes_with`] when the relation has NULLs
-    /// in the candidate's attributes). Under that contract the resulting
-    /// table is identical to the full-codes table up to the implicit
-    /// representation of singleton groups, and every measure score that
-    /// reads it through the aggregate accessors is **bit-identical** (the
-    /// per-singleton float terms of the fast measures are exactly `0.0`).
+    /// The caller guarantees there are no NULLs on either side (the
+    /// stripped lattice falls back to [`ContingencyTable::from_codes_with`]
+    /// otherwise). Under that contract the resulting table is identical
+    /// to the full-codes table up to the implicit representation of
+    /// singleton groups, and every measure score that reads it through
+    /// the aggregate accessors is **bit-identical**.
     pub fn from_stripped_with(
         scratch: &mut Scratch,
         cluster_rows: &[u32],
         cluster_starts: &[u32],
-        y_codes: &[u32],
-        col_totals: &[u64],
-        n: u64,
-        implicit_singletons: u64,
+        y: &YSide,
     ) -> Self {
+        debug_assert!(!y.has_nulls(), "stripped table requires NULL-free sides");
         let n_clusters = cluster_starts.len().saturating_sub(1);
-        scratch.count.ensure(col_totals.len());
+        scratch.count.ensure(y.col_totals.len());
         let mut row_totals: Vec<u64> = Vec::with_capacity(n_clusters);
         let mut cells: Vec<(u32, u64)> = Vec::new();
         let mut row_starts: Vec<u32> = Vec::with_capacity(n_clusters + 1);
@@ -315,36 +321,30 @@ impl ContingencyTable {
             scratch.count.begin();
             scratch.touched.clear();
             for &row in cluster {
-                let y = y_codes[row as usize];
-                debug_assert_ne!(y, NULL_CODE, "stripped table requires NULL-free sides");
-                match scratch.count.get(y) {
-                    Some(c) => scratch.count.set(y, c + 1),
+                let yc = y.codes[row as usize];
+                match scratch.count.get(yc) {
+                    Some(c) => scratch.count.set(yc, c + 1),
                     None => {
-                        scratch.count.set(y, 1);
-                        scratch.touched.push(y);
+                        scratch.count.set(yc, 1);
+                        scratch.touched.push(yc);
                     }
                 }
             }
             scratch.touched.sort_unstable();
             row_starts.push(cells.len() as u32);
-            for &y in &scratch.touched {
-                cells.push((y, scratch.count.get(y).expect("touched key counted")));
+            for &yc in &scratch.touched {
+                cells.push((yc, scratch.count.get(yc).expect("touched key counted")));
             }
             row_totals.push(cluster.len() as u64);
         }
         row_starts.push(cells.len() as u32);
-        debug_assert_eq!(
-            row_totals.iter().sum::<u64>() + implicit_singletons,
-            n,
-            "cluster rows + implicit singletons must cover all surviving rows"
-        );
         ContingencyTable {
-            n,
+            n: y.n,
             row_totals,
-            col_totals: col_totals.to_vec(),
+            col_totals: y.col_totals.clone(),
             cells,
             row_starts,
-            implicit_singletons,
+            implicit_singletons: y.n - cluster_rows.len() as u64,
         }
     }
 
@@ -456,6 +456,282 @@ impl ContingencyTable {
     /// `Σ_j b_j²`.
     pub fn sum_sq_cols(&self) -> u64 {
         self.col_totals.iter().map(|&b| b * b).sum()
+    }
+
+    /// The table's [`Summary`]: the pdep terms are added over the
+    /// explicit X-groups in table (first-encounter) order. An implicit
+    /// singleton group's term is `1/N − 1/(1·N)`, exactly `0.0`, so a
+    /// stripped table and its full-codes twin give the same bits.
+    pub fn summary(&self) -> Summary {
+        let n = self.n as f64;
+        // Each implicit singleton group is one cell of count 1.
+        let mut s = Summary {
+            n: self.n,
+            n_x: self.n_x(),
+            nonzero_cells: self.nonzero_cells(),
+            sum_row_max: self.implicit_singletons,
+            sum_sq_rows: self.sum_sq_rows(),
+            sum_sq_cells: self.implicit_singletons,
+            sum_sq_cols: self.sum_sq_cols(),
+            ..Summary::default()
+        };
+        for (i, &a) in self.row_totals.iter().enumerate() {
+            let row = self.row(i);
+            let (mut max, mut sq) = (0, 0);
+            for &(_, c) in row {
+                max = max.max(c);
+                sq += c * c;
+            }
+            s.sum_row_max += max;
+            s.sum_sq_cells += sq;
+            if row.len() >= 2 {
+                s.violating_rows += a;
+            }
+            s.pdep_group_sum += pdep_term(a, sq, n);
+        }
+        s
+    }
+}
+
+/// The Y side of stripped candidates for one RHS attribute, built once
+/// and shared by every candidate scored against it: the attribute's
+/// dense first-encounter codes over all rows ([`NULL_CODE`] for NULL),
+/// the per-Y totals over its non-NULL rows, their count and `Σ b²`, and
+/// the number of NULL rows.
+#[derive(Debug)]
+pub struct YSide<'a> {
+    codes: &'a [u32],
+    col_totals: Vec<u64>,
+    n: u64,
+    sum_sq_cols: u64,
+    nulls: u64,
+}
+
+impl<'a> YSide<'a> {
+    /// The Y side of dense per-row codes below `n_groups` (a
+    /// single-attribute [`crate::GroupEncoding`]).
+    pub fn new(codes: &'a [u32], n_groups: u32) -> Self {
+        let mut col_totals = vec![0u64; n_groups as usize];
+        let mut nulls = 0;
+        for &c in codes {
+            if c == NULL_CODE {
+                nulls += 1;
+            } else {
+                col_totals[c as usize] += 1;
+            }
+        }
+        YSide {
+            codes,
+            n: codes.len() as u64 - nulls,
+            sum_sq_cols: col_totals.iter().map(|&b| b * b).sum(),
+            col_totals,
+            nulls,
+        }
+    }
+
+    /// The per-row codes.
+    pub fn codes(&self) -> &'a [u32] {
+        self.codes
+    }
+
+    /// `true` iff some row is NULL on this side.
+    pub fn has_nulls(&self) -> bool {
+        self.nulls > 0
+    }
+}
+
+/// The aggregates of one candidate's contingency table that the measures
+/// reading no cells consume: `N`, `K_X`, the nonzero cells, `Σ max`, the
+/// rows of violating groups, the three sums of squares, and the pdep
+/// group sum. Produced by [`ContingencyTable::summary`] from a built
+/// table, or by [`Summary::tally_stripped_with`] straight from a stripped
+/// partition; both give the same bits.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Summary {
+    n: u64,
+    n_x: usize,
+    nonzero_cells: usize,
+    sum_row_max: u64,
+    violating_rows: u64,
+    sum_sq_rows: u64,
+    sum_sq_cells: u64,
+    sum_sq_cols: u64,
+    pdep_group_sum: f64,
+}
+
+/// One X-group's pdep term `a/N − Σ_j n_j²/(a·N)`, from its row total `a`
+/// and its `sq = Σ_j n_j²`.
+fn pdep_term(a: u64, sq: u64, n: f64) -> f64 {
+    let a = a as f64;
+    a / n - sq as f64 / (a * n)
+}
+
+impl Summary {
+    /// Tallies the [`Summary`] of a stripped candidate `X -> Y` without
+    /// building its table: one counting pass per cluster over the
+    /// scratch's stamped counter, and no allocation once the scratch has
+    /// grown.
+    ///
+    /// `cluster_rows`/`cluster_starts` are the CSR clusters (size ≥ 2) of
+    /// the X-partition, ordered by first row with rows ascending inside
+    /// each — the layout [`crate::strip_codes_into`] and
+    /// [`crate::refine_stripped_into`] write — and `dropped` holds its
+    /// NULL rows. Every other row is a singleton X-group. `y` may have
+    /// NULLs.
+    ///
+    /// The result equals the [`ContingencyTable::summary`] of the
+    /// full-codes table, the pdep group sum bit for bit: its terms are
+    /// added in the order of each group's first surviving row. Clusters
+    /// already come in that order unless a cluster's first row is
+    /// Y-NULL; from the first such cluster on, the terms are buffered in
+    /// the scratch and sorted.
+    pub fn tally_stripped_with(
+        scratch: &mut Scratch,
+        cluster_rows: &[u32],
+        cluster_starts: &[u32],
+        dropped: &[u32],
+        y: &YSide,
+    ) -> Summary {
+        scratch.count.ensure(y.col_totals.len());
+        // X-NULL rows leave the table: take them off N and Σ b².
+        let (mut n, mut sum_sq_cols) = (y.n, y.sum_sq_cols);
+        if !dropped.is_empty() {
+            scratch.count.begin();
+            scratch.touched.clear();
+            for &row in dropped {
+                let yc = y.codes[row as usize];
+                if yc == NULL_CODE {
+                    continue;
+                }
+                n -= 1;
+                match scratch.count.get(yc) {
+                    Some(d) => scratch.count.set(yc, d + 1),
+                    None => {
+                        scratch.count.set(yc, 1);
+                        scratch.touched.push(yc);
+                    }
+                }
+            }
+            for &yc in &scratch.touched {
+                let b = y.col_totals[yc as usize];
+                let d = scratch.count.get(yc).expect("touched key counted");
+                sum_sq_cols -= b * b - (b - d) * (b - d);
+            }
+        }
+        let nf = n as f64;
+        let mut s = Summary {
+            n,
+            sum_sq_cols,
+            ..Summary::default()
+        };
+        let mut late = std::mem::take(&mut scratch.terms);
+        late.clear();
+        let mut clustered = 0;
+        for w in cluster_starts.windows(2) {
+            let cluster = &cluster_rows[w[0] as usize..w[1] as usize];
+            scratch.count.begin();
+            let (mut a, mut cells, mut max, mut sq) = (0, 0, 0, 0);
+            let mut first = None;
+            for &row in cluster {
+                let yc = y.codes[row as usize];
+                if yc == NULL_CODE {
+                    continue;
+                }
+                first.get_or_insert(row);
+                let k = scratch.count.get(yc).unwrap_or(0) + 1;
+                scratch.count.set(yc, k);
+                a += 1;
+                if k == 1 {
+                    cells += 1;
+                }
+                max = max.max(k);
+                // k² − (k − 1)²: keeps Σ n_j² current.
+                sq += 2 * k - 1;
+            }
+            let Some(first) = first else { continue };
+            clustered += a;
+            s.n_x += 1;
+            s.nonzero_cells += cells;
+            s.sum_row_max += max;
+            s.sum_sq_rows += a * a;
+            s.sum_sq_cells += sq;
+            if cells >= 2 {
+                s.violating_rows += a;
+            }
+            let term = pdep_term(a, sq, nf);
+            if late.is_empty() && first == cluster[0] {
+                s.pdep_group_sum += term;
+            } else {
+                late.push((first, term));
+            }
+        }
+        late.sort_unstable_by_key(|&(first, _)| first);
+        for &(_, term) in &late {
+            s.pdep_group_sum += term;
+        }
+        scratch.terms = late;
+        // Surviving rows outside the clusters: one group, one cell of
+        // count 1 each; their pdep terms are exactly 0.0.
+        let singletons = n - clustered;
+        s.n_x += singletons as usize;
+        s.nonzero_cells += singletons as usize;
+        s.sum_row_max += singletons;
+        s.sum_sq_rows += singletons;
+        s.sum_sq_cells += singletons;
+        s
+    }
+
+    /// Total count `N`.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// `K_X`: number of distinct X-tuples.
+    pub fn n_x(&self) -> usize {
+        self.n_x
+    }
+
+    /// Number of nonzero cells, `|dom_R(XY)|`.
+    pub fn nonzero_cells(&self) -> usize {
+        self.nonzero_cells
+    }
+
+    /// `Σ_i max_j n_ij`.
+    pub fn sum_row_max(&self) -> u64 {
+        self.sum_row_max
+    }
+
+    /// Rows of the X-groups with at least two distinct Y values — the
+    /// tuples in a violating pair (g2).
+    pub fn violating_rows(&self) -> u64 {
+        self.violating_rows
+    }
+
+    /// `Σ_i a_i²`.
+    pub fn sum_sq_rows(&self) -> u64 {
+        self.sum_sq_rows
+    }
+
+    /// `Σ_ij n_ij²`.
+    pub fn sum_sq_cells(&self) -> u64 {
+        self.sum_sq_cells
+    }
+
+    /// `Σ_j b_j²`.
+    pub fn sum_sq_cols(&self) -> u64 {
+        self.sum_sq_cols
+    }
+
+    /// `Σ_i (a_i/N − Σ_j n_ij²/(a_i·N))`, added over the X-groups in
+    /// first-encounter order: `E_x[h(Y|x)]` before clamping at 0.
+    pub fn pdep_group_sum(&self) -> f64 {
+        self.pdep_group_sum
+    }
+
+    /// `true` iff the FD `X -> Y` holds exactly: every X-group has one
+    /// cell. Vacuously true when empty.
+    pub fn is_exact_fd(&self) -> bool {
+        self.nonzero_cells == self.n_x
     }
 }
 
@@ -587,36 +863,15 @@ mod tests {
         with_scratch(|s| strip_codes_into(s, &x, 340, &mut rows, &mut starts, &mut dropped));
         assert!(dropped.is_empty());
         assert!(rows.len() < x.len(), "fixture must contain singletons");
-        let mut y_dense = y.clone();
-        let mut col_totals = Vec::new();
-        with_scratch(|s| {
-            s.map_b.ensure(6);
-            s.map_b.begin();
-            for c in y_dense.iter_mut() {
-                *c = match s.map_b.get(*c) {
-                    Some(id) => id,
-                    None => {
-                        let id = col_totals.len() as u32;
-                        s.map_b.set(*c, id);
-                        col_totals.push(0u64);
-                        id
-                    }
-                };
-                col_totals[*c as usize] += 1;
-            }
-        });
+        // `(i·7) mod 6 = i mod 6`: Y is already dense first-encounter.
+        let y_side = YSide::new(&y, 6);
         let implicit = (x.len() - rows.len()) as u64;
-        let stripped = with_scratch(|s| {
-            ContingencyTable::from_stripped_with(
-                s,
-                &rows,
-                &starts,
-                &y_dense,
-                &col_totals,
-                x.len() as u64,
-                implicit,
-            )
-        });
+        let stripped =
+            with_scratch(|s| ContingencyTable::from_stripped_with(s, &rows, &starts, &y_side));
+        let tally =
+            with_scratch(|s| Summary::tally_stripped_with(s, &rows, &starts, &dropped, &y_side));
+        assert_eq!(stripped.summary(), full.summary());
+        assert_eq!(tally, full.summary());
         assert_eq!(stripped.n(), full.n());
         assert_eq!(stripped.n_x(), full.n_x());
         assert_eq!(stripped.n_y(), full.n_y());

@@ -112,28 +112,6 @@ pub fn pli_intersect(pli: &Pli, other: &Pli) -> Pli {
     pli_refine(pli, &codes)
 }
 
-/// Reference [`Pli::g3_violations`]: a fresh counter `HashMap` per
-/// cluster.
-pub fn g3_violations(pli: &Pli, codes: &[u32]) -> u64 {
-    assert_eq!(codes.len(), pli.n_rows(), "codes cover all rows");
-    let mut probe: HashMap<u32, u64> = HashMap::new();
-    let mut violations = 0u64;
-    for cluster in pli.clusters() {
-        probe.clear();
-        let mut total = 0u64;
-        for &row in cluster {
-            let c = codes[row as usize];
-            if c != NULL_CODE {
-                *probe.entry(c).or_insert(0) += 1;
-                total += 1;
-            }
-        }
-        let max = probe.values().copied().max().unwrap_or(0);
-        violations += total - max;
-    }
-    violations
-}
-
 /// Reference [`Relation::project`]: materialises every cell as a
 /// [`Value`] and re-interns it row by row.
 pub fn project(rel: &Relation, attrs: &AttrSet) -> Relation {

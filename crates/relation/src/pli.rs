@@ -291,8 +291,8 @@ impl Pli {
     }
 
     /// Exclusive upper bound on the non-NULL codes of this PLI's
-    /// clustered rows — the stamp-table size the refine/g3 kernels
-    /// need. O(stripped size), not O(rows): only clustered rows are
+    /// clustered rows — the stamp-table size the refine kernel
+    /// needs. O(stripped size), not O(rows): only clustered rows are
     /// ever looked up.
     fn code_bound(&self, codes: &[u32]) -> usize {
         self.rows
@@ -301,42 +301,6 @@ impl Pli {
             .filter(|&c| c != NULL_CODE)
             .max()
             .map_or(0, |m| m as usize + 1)
-    }
-
-    /// The number of *violating* rows w.r.t. a candidate `X -> A` where
-    /// `self` is the partition of `X`: `Σ_cluster (|cluster| − max_y count)`.
-    /// `codes` are the per-row codes of the RHS attribute; NULL RHS rows are
-    /// excluded from the cluster entirely (paper Section VI-A).
-    ///
-    /// `g3` on the lattice is then `1 − violations / N'` with `N'` the
-    /// number of NULL-free rows — discovery crates build on this primitive.
-    pub fn g3_violations(&self, codes: &[u32]) -> u64 {
-        with_scratch(|scratch| self.g3_violations_with(scratch, codes))
-    }
-
-    /// As [`Pli::g3_violations`], reusing the caller's [`Scratch`].
-    pub fn g3_violations_with(&self, scratch: &mut Scratch, codes: &[u32]) -> u64 {
-        assert_eq!(codes.len(), self.n_rows, "codes cover all rows");
-        let bound = self.code_bound(codes);
-        scratch.count.ensure(bound);
-        let mut violations = 0u64;
-        for ci in 0..self.n_clusters() {
-            scratch.count.begin();
-            let mut total = 0u64;
-            let mut max = 0u64;
-            for &row in self.cluster(ci) {
-                let c = codes[row as usize];
-                if c == NULL_CODE {
-                    continue;
-                }
-                let k = scratch.count.get(c).unwrap_or(0) + 1;
-                scratch.count.set(c, k);
-                total += 1;
-                max = max.max(k);
-            }
-            violations += total - max;
-        }
-        violations
     }
 }
 
@@ -454,23 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn g3_violations_counts_minority_rows() {
-        // X=1 cluster: C values 7,7,8 -> 1 violation; X=2 cluster: 9,9 -> 0.
-        let r = rel3(&[[1, 0, 7], [1, 0, 7], [1, 0, 8], [2, 0, 9], [2, 0, 9]]);
-        let p = Pli::from_relation(&r, &AttrSet::single(AttrId(0)));
-        let codes = r.group_encode(&AttrSet::single(AttrId(2))).codes;
-        assert_eq!(p.g3_violations(&codes), 1);
-    }
-
-    #[test]
-    fn g3_violations_zero_when_fd_holds() {
-        let r = rel3(&[[1, 0, 7], [1, 0, 7], [2, 0, 9]]);
-        let p = Pli::from_relation(&r, &AttrSet::single(AttrId(0)));
-        let codes = r.group_encode(&AttrSet::single(AttrId(2))).codes;
-        assert_eq!(p.g3_violations(&codes), 0);
-    }
-
-    #[test]
     fn refine_matches_naive_reference() {
         let r = rel3(&[
             [1, 1, 0],
@@ -487,9 +434,5 @@ mod tests {
         let fast = pa.refine(&codes);
         let slow = crate::naive::pli_refine(&pa, &codes);
         assert_eq!(sorted_clusters(&fast), sorted_clusters(&slow));
-        assert_eq!(
-            pa.g3_violations(&codes),
-            crate::naive::g3_violations(&pa, &codes)
-        );
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the relation substrate invariants.
 
 use afd_relation::{
-    read_csv, write_csv, AttrId, AttrSet, ContingencyTable, Pli, Relation, Schema, Value,
+    read_csv, strip_codes_into, with_scratch, write_csv, AttrId, AttrSet, ContingencyTable, Pli,
+    Relation, Schema, Summary, Value, YSide,
 };
 use proptest::prelude::*;
 
@@ -89,14 +90,28 @@ proptest! {
         prop_assert_eq!(normalized_clusters(&refined), normalized_clusters(&direct));
     }
 
+    /// The one-pass tally of a stripped candidate equals the summary of
+    /// its full-codes table, the pdep group sum bit for bit — with NULLs
+    /// on every column, so X-NULL rows, Y-NULL rows and clusters whose
+    /// first row is Y-NULL (reordered groups) all occur. X is each pair
+    /// of attributes, Y the third.
     #[test]
-    fn pli_g3_violations_match_contingency(rows in rows3()) {
+    fn tally_equals_table_summary(rows in rows3()) {
         let rel = rel3(&rows);
-        let pli = Pli::from_relation(&rel, &AttrSet::single(AttrId(0)));
-        let codes = rel.group_encode(&AttrSet::single(AttrId(1))).codes;
-        let t = ContingencyTable::from_relation(
-            &rel, &AttrSet::single(AttrId(0)), &AttrSet::single(AttrId(1)));
-        prop_assert_eq!(pli.g3_violations(&codes), t.n() - t.sum_row_max());
+        for (a, b, c) in [(0, 1, 2), (0, 2, 1), (1, 2, 0)] {
+            let x = rel.group_encode(&AttrSet::new([AttrId(a), AttrId(b)]));
+            let y = rel.group_encode(&AttrSet::single(AttrId(c)));
+            let (mut c_rows, mut starts, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
+            let tally = with_scratch(|s| {
+                strip_codes_into(s, &x.codes, x.n_groups, &mut c_rows, &mut starts, &mut dropped);
+                Summary::tally_stripped_with(
+                    s, &c_rows, &starts, &dropped, &YSide::new(&y.codes, y.n_groups))
+            });
+            let want = ContingencyTable::from_codes(&x.codes, &y.codes).summary();
+            prop_assert_eq!(tally, want, "Y = attribute {}", c);
+            prop_assert_eq!(tally.pdep_group_sum().to_bits(), want.pdep_group_sum().to_bits(),
+                "Y = attribute {}", c);
+        }
     }
 
     #[test]
@@ -223,17 +238,6 @@ proptest! {
         let fast = Pli::from_encoding(&enc, rel.n_rows());
         let slow = afd_relation::naive::pli_from_encoding(&enc, rel.n_rows());
         prop_assert_eq!(normalized_clusters(&fast), normalized_clusters(&slow));
-    }
-
-    #[test]
-    fn g3_violations_matches_naive(rows in rows3()) {
-        let rel = rel3(&rows);
-        let pli = Pli::from_relation(&rel, &AttrSet::single(AttrId(0)));
-        let codes = rel.group_encode(&AttrSet::single(AttrId(1))).codes;
-        prop_assert_eq!(
-            pli.g3_violations(&codes),
-            afd_relation::naive::g3_violations(&pli, &codes)
-        );
     }
 
     #[test]

@@ -90,12 +90,17 @@
 //! * Non-linear discovery ([`DiscoverRequest`] with `max_lhs > 1`) runs
 //!   the **stripped lattice** (`afd-discovery`): nodes store only the
 //!   rows of non-singleton partition groups (CSR clusters, TANE-style),
-//!   scored through implicit-singleton contingency tables
-//!   ([`ContingencyTable::from_stripped_with`]) so per-node work and
-//!   memory shrink monotonically up the lattice instead of staying
-//!   `O(rows)`. One lattice serves every RHS: an LHS set is refined
-//!   once per call and scored against every RHS it is still a candidate
-//!   for, TANE-style, instead of once per RHS. Only children open for
+//!   so per-node work and memory shrink monotonically up the lattice
+//!   instead of staying `O(rows)`. Candidates of the measures whose
+//!   formula reads only table aggregates (ρ, g2, g3, g3′, g1′, pdep, τ,
+//!   µ⁺) are scored from a one-pass tally of the stripped clusters
+//!   ([`relation::Summary::tally_stripped_with`]), NULLs included, with
+//!   no contingency table built; the other measures score
+//!   implicit-singleton tables
+//!   ([`ContingencyTable::from_stripped_with`]). One lattice serves
+//!   every RHS: an LHS set is refined once per call and scored against
+//!   every RHS it is still a candidate for, TANE-style, instead of once
+//!   per RHS. Only children open for
 //!   some RHS copy their clusters out of the worker's refine buffers
 //!   (the peak of one level's parents plus open children is surfaced on
 //!   the response's [`discovery::LatticeStats`]), per-attribute
@@ -110,7 +115,7 @@
 //!   invalid override is an [`AfdError::Config`], not a panic), and
 //!   bit-identical to the retained full-codes reference in
 //!   `afd_discovery::naive_lattice` (proptest-pinned; `cargo run
-//!   --release -p afd-bench --example record_lattice` records ~13×
+//!   --release -p afd-bench --example record_lattice` records ~21×
 //!   end-to-end and ~12× lower peak node bytes on the 65 536-row fixture
 //!   in `BENCH_lattice.json`).
 //! * [`MatrixRequest`]s share work one level higher too: each **distinct

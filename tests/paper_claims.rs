@@ -30,8 +30,8 @@ fn table4_fi_and_tau_are_parallel() {
     let fi = measure_by_name("FI").unwrap().score_contingency(&t);
     assert!((fi - (1.0 - shannon_y_given_x(&t) / shannon_y(&t))).abs() < 1e-12);
     let tau = measure_by_name("tau").unwrap().score_contingency(&t);
-    let ex_h = 1.0 - pdep_xy(&t); // Lemma 3: E_x[h(Y|x)] = 1 − pdep
-    assert!((tau - (1.0 - ex_h / logical_y(&t))).abs() < 1e-12);
+    let ex_h = 1.0 - pdep_xy(&t.summary()); // Lemma 3: E_x[h(Y|x)] = 1 − pdep
+    assert!((tau - (1.0 - ex_h / logical_y(&t.summary()))).abs() < 1e-12);
 }
 
 /// Theorem 1: the closed forms for E[pdep] and E[τ] under random
@@ -41,9 +41,11 @@ fn theorem1_closed_forms() {
     let t = noisy_table();
     let n = t.n() as f64;
     let k = t.n_x() as f64;
-    let py = pdep_y(&t);
-    assert!((expected_pdep(&t) - (py + (k - 1.0) / (n - 1.0) * (1.0 - py))).abs() < 1e-12);
-    assert!((expected_tau(&t) - (k - 1.0) / (n - 1.0)).abs() < 1e-12);
+    let py = pdep_y(&t.summary());
+    assert!(
+        (expected_pdep(&t.summary()) - (py + (k - 1.0) / (n - 1.0) * (1.0 - py))).abs() < 1e-12
+    );
+    assert!((expected_tau(&t.summary()) - (k - 1.0) / (n - 1.0)).abs() < 1e-12);
 }
 
 /// Roulston's bias (Section IV-C): on a finite sample of independent
