@@ -8,10 +8,11 @@
 //! Three sections:
 //!
 //! 1. **Shard apply transport tax** — the same churn deltas applied
-//!    through a 2-shard session on each transport (in-process threads,
+//!    through a 2-shard session on each transport (in-process shards,
 //!    stdio child processes, TCP loopback listeners), reporting p50/p99
-//!    apply latency per topology. The correctness gate asserts all
-//!    three read bit-identical scores after every delta.
+//!    apply latency per topology over 1 024 deltas, so the p99 has ten
+//!    samples beyond it. The correctness gate asserts all three read
+//!    bit-identical scores after every delta.
 //! 2. **Serve round-trip latency** — p50/p99 of a `Scores` request
 //!    through `ServeClient` against a loopback `ServeFront`.
 //! 3. **Connection churn** — connect/hello/census/disconnect cycles per
@@ -88,7 +89,7 @@ fn main() {
     let (n, deltas, rtts, churns) = if smoke {
         (2_048, 6, 16, 8)
     } else {
-        (16_384, 48, 512, 200)
+        (16_384, 1_024, 512, 200)
     };
     let fixture = fixture_relation(n, 7);
     let schema = Schema::new(["X", "Y"]).unwrap();
@@ -150,7 +151,8 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"workload\": \"shard_apply_2x\", \"transport\": \"{name}\", \"rows\": {n}, \
-             \"delta_rows\": {k}, \"p50_ns\": {}, \"p99_ns\": {}}},",
+             \"delta_rows\": {k}, \"samples\": {}, \"p50_ns\": {}, \"p99_ns\": {}}},",
+            samples.len(),
             p50.as_nanos(),
             p99.as_nanos()
         );
@@ -224,9 +226,10 @@ fn main() {
     let _ = std::fs::remove_dir_all(&spill);
 
     json.push_str("  ],\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = write!(
         json,
-        "  \"smoke\": {smoke},\n  \"note\": \"loopback TCP; shard_apply_2x = one churn delta \
+        "  \"cores\": {cores},\n  \"smoke\": {smoke},\n  \"note\": \"loopback TCP; shard_apply_2x = one churn delta \
          through a 2-shard session per transport (scores asserted bit-identical across all \
          three every delta); serve_scores_rtt = framed request/response through ServeFront; \
          connection_churn = connect+hello+census+disconnect cycles against the accept loop \

@@ -45,7 +45,7 @@ pub enum StreamBackend {
 /// Engine-wide knobs, all optional.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads for batch scoring, discovery and shard fan-out.
+    /// Worker threads for batch scoring and discovery.
     /// `None` resolves `AFD_THREADS` / available parallelism at request
     /// time (a bad override surfaces as [`AfdError::Config`], never a
     /// panic).
@@ -400,7 +400,6 @@ impl AfdEngine {
                 ))
             }
         };
-        let threads = self.threads()?;
         let schema = self.base.schema().clone();
         let backends: Vec<AnyShard> = match &self.cfg.backend {
             StreamBackend::InProcess => (0..shards)
@@ -415,7 +414,6 @@ impl AfdEngine {
                 .collect::<Result<_, _>>()?,
         };
         let mut session = ShardedSession::with_backends(schema, key, backends)?
-            .with_threads(threads)
             .with_recovery(self.cfg.recovery.clone())?
             .seeded(&self.base)?;
         if let Some(every) = self.cfg.compact_every {

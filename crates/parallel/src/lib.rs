@@ -138,9 +138,8 @@ where
 
 /// Maps `f` over mutable items on up to `threads` workers, returning
 /// results in input order. Unlike [`par_map`] the items are handed out as
-/// contiguous per-worker chunks (not stolen one by one), which is the
-/// right shape for its use case — fanning deltas across session shards,
-/// where item counts are small and per-item cost is balanced by routing.
+/// contiguous per-worker chunks (not stolen one by one), which suits
+/// small item counts whose per-item cost is already balanced.
 pub fn par_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
 where
     T: Send,

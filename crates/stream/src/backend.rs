@@ -2,9 +2,10 @@
 //! actually live.
 //!
 //! The coordinator ([`crate::ShardedSession`]) only ever talks to shards
-//! through [`ShardBackend`] — subscribe, apply a routed delta slice,
-//! read the candidate's [`IncTable`] merge input and Y side keys, take a
-//! snapshot, compact. Three topologies exist:
+//! through [`ShardBackend`] — subscribe, send a routed delta slice and
+//! take its answer, read the candidate's [`IncTable`], Y side keys and
+//! the Y columns the last apply touched, take a snapshot, compact. Three
+//! topologies exist:
 //!
 //! * [`InProcShard`] — a [`StreamSession`] in the coordinator's address
 //!   space (the original topology; zero overhead).
@@ -17,10 +18,18 @@
 //!   possibly on another machine. A subscribe or a compaction ships the
 //!   worker's full per-candidate state back, and every apply ships a
 //!   [`ShardPatch`] of what it changed, which the coordinator writes
-//!   into its copy of that state. It merges via
-//!   [`IncTable::merged_scores`], **bit-identical** to the in-process
-//!   path (every maintained aggregate is an integer, so the codec
-//!   round-trip is exact).
+//!   into its copy of that state. The patch's Y column ids are the
+//!   columns the coordinator re-sums into its merged Y margins, so
+//!   remote reads are **bit-identical** to the in-process path (every
+//!   maintained aggregate is an integer, so the codec round-trip is
+//!   exact).
+//!
+//! A sharded apply is pipelined: the coordinator
+//! [`send_apply`](ShardBackend::send_apply)s every shard its slice
+//! before it [`recv_apply`](ShardBackend::recv_apply)s any answer, so
+//! remote workers apply their slices concurrently with no coordinator
+//! thread per shard. Every transport reads frames on its own reader
+//! thread, so an answer never blocks behind the next send.
 //!
 //! # Fault model and the recovery lifecycle
 //!
@@ -51,7 +60,7 @@
 //!   last consistent reads and refuses mutation with
 //!   [`StreamError::Poisoned`].
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use afd_net::{NetError, StdioTransport, TcpTransport, Transport};
 use afd_relation::{Fd, Relation, Schema, Value};
@@ -74,11 +83,14 @@ pub const DEFAULT_REQUEST_TIMEOUT: Duration = Duration::from_millis(30_000);
 
 /// One shard of a [`crate::ShardedSession`], wherever it lives.
 ///
-/// The coordinator routes deltas and owns the cross-shard Y-id space;
-/// the backend owns one shard's rows and per-candidate state. Contract:
-/// after any `Ok` from a mutating call, [`ShardBackend::table`],
+/// The coordinator routes deltas and owns the cross-shard Y-id space and
+/// merged Y margins; the backend owns one shard's rows and per-candidate
+/// state. Contract: after any `Ok` from a mutating call (an apply's `Ok`
+/// being its [`ShardBackend::recv_apply`]), [`ShardBackend::table`],
 /// [`ShardBackend::n_y_side_ids`] and [`ShardBackend::y_side_values`]
-/// reflect the post-call state.
+/// reflect the post-call state, and after an apply
+/// [`ShardBackend::touched_y_ids`] names every Y column whose total it
+/// changed.
 pub trait ShardBackend: Send {
     /// Subscribes a candidate FD (validated by the coordinator first).
     ///
@@ -93,8 +105,36 @@ pub trait ShardBackend: Send {
     /// (in-process shards cannot fail here — the router validated).
     fn apply(&mut self, delta: &RowDelta) -> Result<(), StreamError>;
 
-    /// The candidate's current [`IncTable`] — the merge input.
+    /// The first half of a pipelined [`ShardBackend::apply`]: hands the
+    /// slice to the shard without awaiting its answer. A remote shard
+    /// sends the `Apply` frame and returns; the default applies the
+    /// slice inline.
+    ///
+    /// # Errors
+    /// As [`ShardBackend::apply`]; after an `Err` there is no answer to
+    /// receive.
+    fn send_apply(&mut self, delta: &RowDelta) -> Result<(), StreamError> {
+        self.apply(delta)
+    }
+
+    /// The second half of a pipelined apply: awaits the answer to the
+    /// last [`ShardBackend::send_apply`] and takes it in, as `apply`
+    /// does. A remote shard's deadline runs from that send. The default
+    /// has nothing to await.
+    ///
+    /// # Errors
+    /// As [`ShardBackend::apply`].
+    fn recv_apply(&mut self) -> Result<(), StreamError> {
+        Ok(())
+    }
+
+    /// The candidate's current [`IncTable`].
     fn table(&self, cid: usize) -> &IncTable;
+
+    /// The local Y side ids whose column totals candidate `cid`'s last
+    /// apply changed (repeats allowed) — the columns the coordinator
+    /// re-sums into its merged Y margins.
+    fn touched_y_ids(&self, cid: usize) -> &[u32];
 
     /// Live rows in this shard.
     fn n_live(&self) -> usize;
@@ -190,6 +230,10 @@ impl ShardBackend for InProcShard {
         self.0.table(cid)
     }
 
+    fn touched_y_ids(&self, cid: usize) -> &[u32] {
+        self.0.touched_y_ids(cid)
+    }
+
     fn n_live(&self) -> usize {
         self.0.relation().n_live()
     }
@@ -233,24 +277,33 @@ fn net_kind(e: NetError) -> TransportErrorKind {
 ///
 /// The protocol is strict request/response, but responses arrive via
 /// the transport's reader thread so every request carries a deadline
-/// ([`ShardBackend::configure`]); a hung worker surfaces as
-/// [`TransportErrorKind::Timeout`] instead of blocking the coordinator.
+/// ([`ShardBackend::configure`]) that runs from its own send; a hung
+/// worker surfaces as [`TransportErrorKind::Timeout`] instead of
+/// blocking the coordinator. An apply is split in two
+/// ([`ShardBackend::send_apply`], [`ShardBackend::recv_apply`]), so the
+/// coordinator can have every shard's slice in flight at once.
 /// The coordinator keeps a mirror of the worker's per-candidate state
 /// ([`ShardState`]): `Subscribed` and `Compacted` answers replace it
 /// whole, and each `Applied` answer's [`ShardPatch`] is written into it
 /// in O(patch), after bounds checks, so the mirror stays equal to the
 /// worker's state. [`ShardBackend::table`] &co read the mirror, so
-/// score merges never block on the worker between deltas. The
-/// transport retains its recipe (spawn command / socket address), so
-/// the supervisor can [`respawn`](ShardBackend::respawn) a failed
-/// incarnation.
+/// score reads never block on the worker between deltas, and
+/// [`ShardBackend::touched_y_ids`] reports the Y columns of the last
+/// accepted patch. The transport retains its recipe (spawn command /
+/// socket address), so the supervisor can
+/// [`respawn`](ShardBackend::respawn) a failed incarnation.
 #[derive(Debug)]
 pub struct RemoteShard<T: Transport> {
     transport: T,
     schema: Schema,
     shard_index: Option<u32>,
     deadline: Duration,
+    /// When the last request was sent: its answer's deadline runs from
+    /// here.
+    sent_at: Instant,
     state: ShardState,
+    /// Per candidate, the Y column ids of the last accepted patch.
+    touched: Vec<Vec<u32>>,
 }
 
 /// A shard in an `afd shard-worker` child process over stdin/stdout.
@@ -271,10 +324,12 @@ impl<T: Transport> RemoteShard<T> {
             schema: schema.clone(),
             shard_index: None,
             deadline: DEFAULT_REQUEST_TIMEOUT,
+            sent_at: Instant::now(),
             state: ShardState {
                 n_live: 0,
                 candidates: Vec::new(),
             },
+            touched: Vec::new(),
         };
         match shard.request(&WorkerRequestRef::Init(schema))? {
             WorkerResponse::Ok => Ok(shard),
@@ -323,16 +378,29 @@ impl<T: Transport> RemoteShard<T> {
     }
 
     fn request(&mut self, req: &WorkerRequestRef<'_>) -> Result<WorkerResponse, StreamError> {
+        self.send(req)?;
+        self.recv()
+    }
+
+    fn send(&mut self, req: &WorkerRequestRef<'_>) -> Result<(), StreamError> {
         let frame = match encode_framed(KIND_REQUEST, req) {
             Ok(frame) => frame,
             Err(e) => {
                 return Err(self.fail(TransportErrorKind::Decode(format!("request encode: {e}"))))
             }
         };
+        self.sent_at = Instant::now();
         if let Err(e) = self.transport.send(&frame) {
             return Err(self.fail_net(e));
         }
-        match self.transport.recv(self.deadline) {
+        Ok(())
+    }
+
+    /// The answer to the last request sent, within what is left of its
+    /// deadline. A timeout reports the configured deadline.
+    fn recv(&mut self) -> Result<WorkerResponse, StreamError> {
+        let left = self.deadline.saturating_sub(self.sent_at.elapsed());
+        match self.transport.recv(left) {
             Ok((KIND_RESPONSE, payload)) => {
                 use afd_wire::Decode;
                 WorkerResponse::decode_exact(&payload).map_err(|e| {
@@ -342,6 +410,9 @@ impl<T: Transport> RemoteShard<T> {
             Ok((kind, _)) => Err(self.fail(TransportErrorKind::Decode(format!(
                 "worker sent unexpected frame kind {kind}"
             )))),
+            Err(NetError::Timeout { .. }) => Err(self.fail_net(NetError::Timeout {
+                millis: self.deadline.as_millis() as u64,
+            })),
             Err(e) => Err(self.fail_net(e)),
         }
     }
@@ -359,12 +430,14 @@ impl<T: Transport> RemoteShard<T> {
             return Err(self.fail(TransportErrorKind::Decode(why)));
         }
         self.state = state;
+        self.touched.clear();
         Ok(())
     }
 
     /// Writes a worker's [`ShardPatch`] into the state mirror after the
     /// same checks as [`Self::accept_state`], counting the patch's new
-    /// Y keys. A refused patch leaves the mirror as it was.
+    /// Y keys, and keeps its Y column ids as the touched columns. A
+    /// refused patch leaves the mirror as it was.
     fn accept_patch(&mut self, patch: ShardPatch) -> Result<(), StreamError> {
         let tracked = self.state.candidates.len();
         let ys = self
@@ -376,6 +449,11 @@ impl<T: Transport> RemoteShard<T> {
         if let Some(why) = refusal("patch", patch.candidates.len(), tracked, ys) {
             return Err(self.fail(TransportErrorKind::Decode(why)));
         }
+        self.touched = patch
+            .candidates
+            .iter()
+            .map(|p| p.table.col_ids().collect())
+            .collect();
         self.state.apply_patch(patch);
         Ok(())
     }
@@ -477,7 +555,16 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
     }
 
     fn apply(&mut self, delta: &RowDelta) -> Result<(), StreamError> {
-        match self.request(&WorkerRequestRef::Apply(delta))? {
+        self.send_apply(delta)?;
+        self.recv_apply()
+    }
+
+    fn send_apply(&mut self, delta: &RowDelta) -> Result<(), StreamError> {
+        self.send(&WorkerRequestRef::Apply(delta))
+    }
+
+    fn recv_apply(&mut self) -> Result<(), StreamError> {
+        match self.recv()? {
             WorkerResponse::Applied(patch) => self.accept_patch(patch),
             other => Err(self.unexpected("Apply", &other)),
         }
@@ -485,6 +572,10 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
 
     fn table(&self, cid: usize) -> &IncTable {
         &self.state.candidates[cid].table
+    }
+
+    fn touched_y_ids(&self, cid: usize) -> &[u32] {
+        self.touched.get(cid).map_or(&[], Vec::as_slice)
     }
 
     fn n_live(&self) -> usize {
@@ -536,6 +627,7 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
             n_live: 0,
             candidates: Vec::new(),
         };
+        self.touched.clear();
         let schema = self.schema.clone();
         match self.request(&WorkerRequestRef::Init(&schema))? {
             WorkerResponse::Ok => Ok(()),
@@ -602,11 +694,35 @@ impl ShardBackend for AnyShard {
         }
     }
 
+    fn send_apply(&mut self, delta: &RowDelta) -> Result<(), StreamError> {
+        match self {
+            AnyShard::InProc(s) => s.send_apply(delta),
+            AnyShard::Process(s) => s.send_apply(delta),
+            AnyShard::Tcp(s) => s.send_apply(delta),
+        }
+    }
+
+    fn recv_apply(&mut self) -> Result<(), StreamError> {
+        match self {
+            AnyShard::InProc(s) => s.recv_apply(),
+            AnyShard::Process(s) => s.recv_apply(),
+            AnyShard::Tcp(s) => s.recv_apply(),
+        }
+    }
+
     fn table(&self, cid: usize) -> &IncTable {
         match self {
             AnyShard::InProc(s) => s.table(cid),
             AnyShard::Process(s) => s.table(cid),
             AnyShard::Tcp(s) => s.table(cid),
+        }
+    }
+
+    fn touched_y_ids(&self, cid: usize) -> &[u32] {
+        match self {
+            AnyShard::InProc(s) => s.touched_y_ids(cid),
+            AnyShard::Process(s) => s.touched_y_ids(cid),
+            AnyShard::Tcp(s) => s.touched_y_ids(cid),
         }
     }
 
@@ -746,19 +862,33 @@ mod tests {
     }
 
     /// A transport that answers each request with the next scripted
-    /// response, as a (possibly broken) worker would.
+    /// response, as a (possibly broken) worker would, and records the
+    /// deadline every `recv` was handed.
     #[derive(Debug)]
-    struct Scripted(std::collections::VecDeque<WorkerResponse>);
+    struct Scripted {
+        script: std::collections::VecDeque<WorkerResponse>,
+        deadlines: Vec<Duration>,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<WorkerResponse>) -> Self {
+            Scripted {
+                script: script.into(),
+                deadlines: Vec::new(),
+            }
+        }
+    }
 
     impl Transport for Scripted {
         fn send(&mut self, _frame: &[u8]) -> Result<(), NetError> {
             Ok(())
         }
 
-        fn recv(&mut self, _deadline: Duration) -> Result<(u8, Vec<u8>), NetError> {
+        fn recv(&mut self, deadline: Duration) -> Result<(u8, Vec<u8>), NetError> {
             use afd_wire::Encode;
+            self.deadlines.push(deadline);
             let resp = self
-                .0
+                .script
                 .pop_front()
                 .ok_or(NetError::Read("script ended".into()))?;
             Ok((KIND_RESPONSE, resp.encode_to_vec()))
@@ -808,7 +938,7 @@ mod tests {
             },
         ];
         script.extend(then);
-        let mut shard = RemoteShard::from_transport(Scripted(script.into()), &schema()).unwrap();
+        let mut shard = RemoteShard::from_transport(Scripted::new(script), &schema()).unwrap();
         assert_eq!(
             shard.subscribe(&Fd::linear(AttrId(0), AttrId(1))).unwrap(),
             0
@@ -850,7 +980,7 @@ mod tests {
             )));
             states.push(crate::worker::shard_state(&session));
         }
-        let mut shard = RemoteShard::from_transport(Scripted(script.into()), &schema()).unwrap();
+        let mut shard = RemoteShard::from_transport(Scripted::new(script), &schema()).unwrap();
         shard.subscribe(&Fd::linear(AttrId(0), AttrId(1))).unwrap();
         for (d, state) in deltas.iter().zip(states) {
             shard.apply(d).unwrap();
@@ -901,5 +1031,81 @@ mod tests {
         assert_decode_error(shard.subscribe(&Fd::linear(AttrId(1), AttrId(0))));
         assert_eq!(shard.table(0), &before);
         assert_eq!(shard.n_y_side_ids(0), keys);
+    }
+
+    #[test]
+    fn pipelined_fan_out_takes_every_answer_before_handling_a_failure() {
+        // Two scripted workers, each answering as a worker holding its
+        // routed slice would. Shard 0 fails the second apply; shard 1
+        // answers it.
+        let fd = Fd::linear(AttrId(0), AttrId(1));
+        let key = afd_relation::AttrSet::single(AttrId(0));
+        let seed = rows(&[(1, 10), (1, 11), (2, 20), (3, 30), (4, 40), (5, 50)]);
+        let next = rows(&[(1, 12), (2, 21), (3, 31), (4, 41), (5, 51), (6, 60)]);
+        let mut router = crate::shard::DeltaRouter::new(key.clone(), 2, 2).unwrap();
+        let seed_slices = router.route(&seed).unwrap();
+        let next_slices = router.route(&next).unwrap();
+        assert!(next_slices.iter().all(|slice| !slice.is_empty()));
+        let shards: Vec<RemoteShard<Scripted>> = (0..2)
+            .map(|s| {
+                let mut worker = StreamSession::new(schema());
+                worker.subscribe(fd.clone()).unwrap();
+                let mut script = vec![
+                    WorkerResponse::Ok,
+                    WorkerResponse::Subscribed {
+                        cid: 0,
+                        state: crate::worker::shard_state(&worker),
+                    },
+                ];
+                worker.apply(&seed_slices[s]).unwrap();
+                script.push(WorkerResponse::Applied(crate::worker::shard_patch(&worker)));
+                script.push(if s == 0 {
+                    WorkerResponse::Err(StreamError::Transport(TransportError::read(
+                        "worker lost the slice",
+                    )))
+                } else {
+                    worker.apply(&next_slices[s]).unwrap();
+                    WorkerResponse::Applied(crate::worker::shard_patch(&worker))
+                });
+                RemoteShard::from_transport(Scripted::new(script), &schema()).unwrap()
+            })
+            .collect();
+        let mut session = crate::ShardedSession::with_backends(schema(), key, shards).unwrap();
+        assert!(!session.recovery_enabled(), "Scripted cannot reconnect");
+        let cid = session.subscribe(fd).unwrap();
+        session.apply(&seed).unwrap();
+        let before = session.scores(cid);
+        let err = session.apply(&next).unwrap_err();
+        assert!(matches!(err, StreamError::Transport(_)), "{err}");
+        assert!(matches!(
+            session.apply(&next),
+            Err(StreamError::Poisoned(_))
+        ));
+        assert!(session.scores(cid).bits_eq(&before));
+        // Shard 1's answer was taken off its channel, not left there to
+        // be read as the answer to its next request.
+        assert!(session.backend_mut(1).transport_mut().script.is_empty());
+    }
+
+    #[test]
+    fn an_answer_waits_only_for_what_is_left_of_its_deadline() {
+        let mut worker = worker_session();
+        worker.apply(&rows(&[(3, 30)])).unwrap();
+        let mut shard = scripted(vec![WorkerResponse::Applied(crate::worker::shard_patch(
+            &worker,
+        ))]);
+        let deadline = Duration::from_secs(5);
+        let pause = Duration::from_millis(30);
+        shard.configure(0, deadline);
+        let start = Instant::now();
+        shard.send_apply(&rows(&[(3, 30)])).unwrap();
+        std::thread::sleep(pause);
+        shard.recv_apply().unwrap();
+        let since_send_at_most = start.elapsed();
+        let handed = *shard.transport_mut().deadlines.last().unwrap();
+        assert!(handed <= deadline - pause, "{handed:?}");
+        assert!(handed >= deadline - since_send_at_most, "{handed:?}");
+        // The patch's Y columns are what the shard reports as touched.
+        assert_eq!(shard.touched_y_ids(0), &[3]);
     }
 }

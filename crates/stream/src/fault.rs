@@ -261,6 +261,10 @@ impl ShardBackend for ChaosShard {
         self.inner.table(cid)
     }
 
+    fn touched_y_ids(&self, cid: usize) -> &[u32] {
+        self.inner.touched_y_ids(cid)
+    }
+
     fn n_live(&self) -> usize {
         self.inner.n_live()
     }

@@ -28,10 +28,13 @@
 //! * [`ShardedSession`] — the same API over N hash-partitioned shards: a
 //!   [`DeltaRouter`] splits each delta by shard-key value (the key must
 //!   be contained in every tracked LHS, so X-groups stay shard-local),
-//!   applies fan out across `afd-parallel` scoped threads, and score
-//!   reads merge the per-shard [`IncTable`]s via
-//!   [`IncTable::merged_scores`] — bit-identical to an unsharded session
-//!   over the same history.
+//!   every shard is sent its slice before any answer is awaited (no
+//!   threads: remote workers apply concurrently), and the coordinator
+//!   folds the Y columns each shard's apply touched into per-candidate
+//!   merged Y margins, so an apply costs it O(delta). Score reads sum
+//!   the shards' X-side aggregates with those margins — bit-identical
+//!   to an unsharded session over the same history, and to the full
+//!   re-merge of [`IncTable::merged_scores`].
 //!
 //! Score reads are bitwise deterministic: every floating-point reduction
 //! iterates ordered count histograms, so a session that ingested a
@@ -55,8 +58,8 @@
 //!   scalar aggregates, the X groups and Y columns the slice touched,
 //!   the count histograms and the keys of newly assigned Y side ids —
 //!   which the coordinator writes into its copy of that state in
-//!   O(patch) before merging through the same
-//!   [`IncTable::merged_scores`] as in-process shards. All maintained
+//!   O(patch) before folding the patched Y columns into its merged
+//!   margins, exactly as for in-process shards. All maintained
 //!   aggregates are integers, so the codec round-trip is exact, the copy
 //!   stays equal to the worker's state, and the merged reads are
 //!   **bit-identical** across backends — pinned by process-spawning

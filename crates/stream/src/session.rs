@@ -346,7 +346,7 @@ impl StreamSession {
     }
 
     /// The delta-maintained joint-count table of candidate `cid` — the
-    /// input to cross-shard [`IncTable::merged_scores`] reads.
+    /// input to cross-shard score reads.
     pub fn table(&self, cid: usize) -> &IncTable {
         &self.tracked[cid].table
     }
@@ -361,6 +361,14 @@ impl StreamSession {
     pub(crate) fn table_patch(&self, cid: usize) -> TablePatch {
         let t = &self.tracked[cid];
         t.table.patch(&t.touched_x, &t.touched_y)
+    }
+
+    /// The Y side ids whose column totals candidate `cid`'s last apply
+    /// counted rows in or out of (repeats allowed; empty right after
+    /// subscribe) — what a sharded coordinator folds into its merged Y
+    /// margins.
+    pub(crate) fn touched_y_ids(&self, cid: usize) -> &[u32] {
+        &self.tracked[cid].touched_y
     }
 
     /// The Y side ids candidate `cid`'s last apply assigned: the range

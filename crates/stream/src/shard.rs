@@ -9,17 +9,22 @@
 //! of its **shard key** values, where the shard key is a subset of every
 //! subscribed FD's LHS (equal X values ⇒ equal key values ⇒ same shard).
 //! The Y margins are the one aggregate that spans shards; the coordinator
-//! owns a per-candidate global Y-id space and the merge re-derives the
-//! column totals through it.
+//! owns a per-candidate global Y-id space and keeps the merged column
+//! totals, their count histogram and `Σ b²` current through it, re-summing
+//! only the columns each apply touched (the mergeable-summary pattern:
+//! every margin is an integer, so the fold is exact).
 //!
 //! * [`DeltaRouter`] — splits a global [`RowDelta`] into per-shard deltas,
 //!   owning the global-row-id ⇄ (shard, local-row-id) placement map.
 //! * [`ShardedSession`] — the [`StreamSession`] API over N shards:
-//!   `apply` fans the routed deltas across shards on `afd-parallel`
-//!   scoped threads, and score reads merge the per-shard [`IncTable`]s
+//!   `apply` sends every shard its slice before awaiting any answer, then
+//!   folds the touched Y columns into the merged margins, so its own cost
+//!   grows with the delta, not with the shards' state. Score reads sum
+//!   the per-shard X-side aggregates with the folded Y margins
 //!   **bit-exactly** — a `ShardedSession` and a single `StreamSession`
 //!   over the same deltas return bit-identical `f64`s (pinned by
-//!   proptests for N ∈ {1, 2, 3, 7}).
+//!   proptests for N ∈ {1, 2, 3, 7}, and in debug builds against
+//!   [`IncTable::merged_scores`] at every read).
 //!
 //! Compaction verification runs per shard against that shard's slice of
 //! the snapshot, exactly as the ROADMAP prescribed.
@@ -27,14 +32,13 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use afd_parallel::par_map_mut;
 use afd_relation::{AttrId, AttrSet, Column, Dictionary, Fd, Relation, Schema, Value, NULL_CODE};
 
 use crate::backend::{InProcShard, ProcessShard, ShardBackend, WorkerCommand};
 use crate::delta::{RowDelta, RowId, StreamError};
 use crate::recovery::{RecoveryConfig, RecoveryReport, ShardRecoveryStats, ShutdownReport};
 use crate::session::{CompactionReport, ScoreDiff};
-use crate::table::{IncTable, StreamScores};
+use crate::table::{FoldedYMargins, IncTable, StreamScores};
 
 /// Stable 64-bit FNV-1a over a row's shard-key values. Deterministic
 /// across processes (unlike `DefaultHasher` guarantees), so a persisted
@@ -250,8 +254,13 @@ struct ShardSupervisor {
     stats: ShardRecoveryStats,
 }
 
+/// Marks a global Y id a shard holds no side id for.
+const ABSENT: u32 = u32::MAX;
+
 /// Per-candidate coordinator state: the global Y-id space shared by all
-/// shards (column totals are the one aggregate that spans shards).
+/// shards and the merged Y margins kept through it (column totals are
+/// the one aggregate that spans shards). Both are kept only with more
+/// than one shard.
 #[derive(Debug, Clone)]
 struct ShardedCandidate {
     fd: Fd,
@@ -259,6 +268,11 @@ struct ShardedCandidate {
     y_global: HashMap<Vec<Value>, u32>,
     /// Per shard: local Y side id -> global Y id.
     y_remap: Vec<Vec<u32>>,
+    /// Per shard: global Y id -> local Y side id ([`ABSENT`] where the
+    /// shard never assigned one).
+    y_local: Vec<Vec<u32>>,
+    /// Global column totals, their count histogram and `Σ b²`.
+    margins: FoldedYMargins,
     last: StreamScores,
 }
 
@@ -274,24 +288,31 @@ struct ShardedCandidate {
 ///   checksummed `afd-wire` stdin/stdout protocol: the coordinator
 ///   routes encoded delta slices out, writes each worker's answer (a
 ///   patch of the [`IncTable`] groups, columns and histograms the slice
-///   changed) into its copy of that shard's state, and merges through
-///   the existing [`IncTable::merged_scores`] — **bit-identical** to the
+///   changed) into its copy of that shard's state, and folds the patched
+///   Y columns into its merged margins — **bit-identical** to the
 ///   in-process path (every maintained aggregate is an integer; the
 ///   codec is exact).
 ///
-/// `apply` routes the delta ([`DeltaRouter`]), fans the per-shard slices
-/// across `afd-parallel` scoped threads, then refreshes each candidate's
-/// merged scores. Because each shard's apply only touches its own
-/// O(delta-slice) state, the *work per shard* shrinks roughly 1/N — the
-/// quantity `record_shard` benchmarks (`record_wire` additionally
-/// records the process-backend transport overhead).
+/// `apply` routes the delta ([`DeltaRouter`]), sends every shard its
+/// slice ([`ShardBackend::send_apply`]) before receiving any answer
+/// ([`ShardBackend::recv_apply`]), with no threads: remote workers apply
+/// concurrently, in-process shards one after another. It then re-sums
+/// each Y column a shard's apply touched
+/// ([`ShardBackend::touched_y_ids`]) over the shards and moves it in the
+/// candidate's folded margins, and reads the scores from those margins
+/// plus the shards' summed X-side aggregates. The coordinator's cost is
+/// thus O(delta), not O(K_Y); the margins are rebuilt whole only where
+/// the Y-id space is (subscribe, compaction, recovery). Each shard's
+/// apply touches only its own O(delta-slice) state, so the *work per
+/// shard* shrinks roughly 1/N — the quantity `record_shard` benchmarks
+/// (`record_wire` and `record_net` additionally record the
+/// process-backend and TCP transport overhead).
 #[derive(Debug, Clone)]
 pub struct ShardedSession<B: ShardBackend = InProcShard> {
     schema: Schema,
     shards: Vec<B>,
     router: DeltaRouter,
     candidates: Vec<ShardedCandidate>,
-    threads: usize,
     deltas_applied: u64,
     compact_every: Option<u64>,
     /// Recovery knobs (checkpoint cadence, retry budget, deadlines).
@@ -417,7 +438,6 @@ impl<B: ShardBackend> ShardedSession<B> {
             shards,
             router,
             candidates: Vec::new(),
-            threads: 1,
             deltas_applied: 0,
             compact_every: None,
             recovery,
@@ -494,14 +514,6 @@ impl<B: ShardBackend> ShardedSession<B> {
             shards: self.shards.len(),
             stragglers,
         }
-    }
-
-    /// Fans per-shard applies over up to `threads` scoped workers
-    /// (default 1: inline, deterministic either way).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Enables automatic (per-shard verified) compaction after every
@@ -609,38 +621,49 @@ impl<B: ShardBackend> ShardedSession<B> {
         self.candidates.push(ShardedCandidate {
             fd,
             y_global: HashMap::new(),
-            y_remap: vec![Vec::new(); self.shards.len()],
+            y_remap: Vec::new(),
+            y_local: Vec::new(),
+            margins: FoldedYMargins::default(),
             last: StreamScores::exact(),
         });
         let cid = self.candidates.len() - 1;
-        self.sync_candidate(cid);
-        self.candidates[cid].last = self.merged_scores(cid);
+        // The shards may already hold rows: start the fold from them.
+        self.rebuild_candidate(cid);
+        self.candidates[cid].last = self.folded_scores(cid);
         Ok(cid)
     }
 
     /// The merged score read: a single shard's table is read directly
     /// (merging one part is a score-level identity); N > 1 sums the
-    /// per-shard score aggregates via [`IncTable::merged_scores`]
-    /// (O(histograms + column totals) — the merged group/cell maps are
-    /// never materialised on this path).
-    fn merged_scores(&self, cid: usize) -> StreamScores {
+    /// shards' X-side aggregates with the candidate's folded Y margins
+    /// (O(histograms) — neither the group/cell maps nor the column
+    /// totals are visited). Debug builds check it bit for bit against
+    /// the full re-merge of [`IncTable::merged_scores`].
+    fn folded_scores(&self, cid: usize) -> StreamScores {
         if self.shards.len() == 1 {
-            self.shards[0].table(cid).scores()
-        } else {
-            let cand = &self.candidates[cid];
-            IncTable::merged_scores(
+            return self.shards[0].table(cid).scores();
+        }
+        let cand = &self.candidates[cid];
+        let folded = cand
+            .margins
+            .scores(self.shards.iter().map(|shard| shard.table(cid)));
+        debug_assert!(
+            folded.bits_eq(&IncTable::merged_scores(
                 self.shards
                     .iter()
-                    .enumerate()
-                    .map(|(s, shard)| (shard.table(cid), cand.y_remap[s].as_slice())),
-            )
-        }
+                    .zip(&cand.y_remap)
+                    .map(|(shard, remap)| (shard.table(cid), remap.as_slice()))
+            )),
+            "folded Y margins of candidate {cid} diverged from the full merge"
+        );
+        folded
     }
 
-    /// Extends candidate `cid`'s per-shard Y remaps with any side ids the
-    /// shards assigned since the last sync. Global ids are handed out in
-    /// (shard, local-id) scan order — deterministic, and irrelevant to
-    /// scores (histogram reductions never see Y identity).
+    /// Extends candidate `cid`'s per-shard Y maps (both directions) with
+    /// any side ids the shards assigned since the last sync. Global ids
+    /// are handed out in (shard, local-id) scan order — deterministic,
+    /// and irrelevant to scores (histogram reductions never see Y
+    /// identity).
     fn sync_candidate(&mut self, cid: usize) {
         let cand = &mut self.candidates[cid];
         for (s, shard) in self.shards.iter().enumerate() {
@@ -650,7 +673,74 @@ impl<B: ShardBackend> ShardedSession<B> {
                 let next = cand.y_global.len() as u32;
                 let g = *cand.y_global.entry(key).or_insert(next);
                 cand.y_remap[s].push(g);
+                let local = &mut cand.y_local[s];
+                if local.len() <= g as usize {
+                    local.resize(g as usize + 1, ABSENT);
+                }
+                local[g as usize] = id as u32;
             }
+        }
+    }
+
+    /// Re-sums global Y column `g` of candidate `cid` over the shards and
+    /// moves it in the candidate's margins.
+    fn refold_column(&mut self, cid: usize, g: u32) {
+        let cand = &mut self.candidates[cid];
+        let total = self
+            .shards
+            .iter()
+            .zip(&cand.y_local)
+            .map(|(shard, local)| match local.get(g as usize) {
+                Some(&id) if id != ABSENT => shard.table(cid).col_total(id),
+                _ => 0,
+            })
+            .sum();
+        cand.margins.set(g, total);
+    }
+
+    /// Brings candidate `cid`'s folded Y margins up to date after an
+    /// apply: maps the shards' new Y side ids, then re-sums every column
+    /// a shard's last apply touched. Re-summing is idempotent, so a
+    /// column touched twice, or already rebuilt by a recovery inside the
+    /// apply, is simply set to the same total again. N = 1 keeps no
+    /// margins.
+    fn fold_touched(&mut self, cid: usize) {
+        if self.shards.len() == 1 {
+            return;
+        }
+        self.sync_candidate(cid);
+        let cand = &self.candidates[cid];
+        let mut touched: Vec<u32> = self
+            .shards
+            .iter()
+            .zip(&cand.y_remap)
+            .flat_map(|(shard, remap)| shard.touched_y_ids(cid).iter().map(|&y| remap[y as usize]))
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for g in touched {
+            self.refold_column(cid, g);
+        }
+    }
+
+    /// Rebuilds candidate `cid`'s global Y-id space and folded margins
+    /// from the shards' current state. Needed at subscribe and wherever
+    /// a shard's side-id numbering may have changed wholesale
+    /// (post-recovery, post-compaction); correct at any time because
+    /// scores never observe Y identity. N = 1 keeps no margins.
+    fn rebuild_candidate(&mut self, cid: usize) {
+        let n_shards = self.shards.len();
+        if n_shards == 1 {
+            return;
+        }
+        let cand = &mut self.candidates[cid];
+        cand.y_global.clear();
+        cand.y_remap = vec![Vec::new(); n_shards];
+        cand.y_local = vec![Vec::new(); n_shards];
+        cand.margins = FoldedYMargins::default();
+        self.sync_candidate(cid);
+        for g in 0..self.candidates[cid].y_global.len() as u32 {
+            self.refold_column(cid, g);
         }
     }
 
@@ -660,9 +750,9 @@ impl<B: ShardBackend> ShardedSession<B> {
         self.candidates[cid].last
     }
 
-    /// Applies one global delta: routes it, fans the per-shard slices
-    /// across the shards in parallel, and reports one merged
-    /// [`ScoreDiff`] per candidate.
+    /// Applies one global delta: routes it, sends every shard its slice
+    /// before awaiting any answer, folds the touched Y columns and
+    /// reports one merged [`ScoreDiff`] per candidate.
     ///
     /// Validation happens in the router before anything mutates, so a
     /// validation `Err` leaves the session unchanged (same contract and
@@ -675,7 +765,9 @@ impl<B: ShardBackend> ShardedSession<B> {
     /// stays down past [`RecoveryConfig::retry_budget`] (or a
     /// non-recoverable backend) poisons the session, after which score
     /// reads keep serving the pre-delta state and every further mutation
-    /// is refused with [`StreamError::Poisoned`].
+    /// is refused with [`StreamError::Poisoned`]. Every sent slice's
+    /// answer is received before any failure is handled, so no answer is
+    /// left on a live channel to be read as the next request's.
     ///
     /// # Errors
     /// [`StreamError::Arity`] / [`StreamError::UnknownRow`] /
@@ -686,9 +778,21 @@ impl<B: ShardBackend> ShardedSession<B> {
     pub fn apply(&mut self, delta: &RowDelta) -> Result<Vec<ScoreDiff>, StreamError> {
         self.check_poisoned()?;
         let locals = self.router.route(delta)?;
-        let results = par_map_mut(&mut self.shards, self.threads, |s, shard| {
-            shard.apply(&locals[s])
-        });
+        // Every slice goes out before any answer is awaited, so remote
+        // workers apply concurrently; each answer's deadline runs from
+        // its own send.
+        let sent: Vec<Result<(), StreamError>> = self
+            .shards
+            .iter_mut()
+            .zip(&locals)
+            .map(|(shard, local)| shard.send_apply(local))
+            .collect();
+        let results: Vec<Result<(), StreamError>> = self
+            .shards
+            .iter_mut()
+            .zip(sent)
+            .map(|(shard, sent)| sent.and_then(|()| shard.recv_apply()))
+            .collect();
         for ((s, result), local) in results.into_iter().enumerate().zip(locals) {
             // On a poisoning failure the router has already placed the
             // delta and some shards may have absorbed their slice, but
@@ -705,8 +809,8 @@ impl<B: ShardBackend> ShardedSession<B> {
         }
         let diffs = (0..self.candidates.len())
             .map(|cid| {
-                self.sync_candidate(cid);
-                let after = self.merged_scores(cid);
+                self.fold_touched(cid);
+                let after = self.folded_scores(cid);
                 let diff = ScoreDiff {
                     candidate: cid,
                     before: self.candidates[cid].last,
@@ -867,17 +971,11 @@ impl<B: ShardBackend> ShardedSession<B> {
         Ok(())
     }
 
-    /// Rebuilds the global Y-id space of every candidate from the shards'
-    /// current side-id dictionaries. Needed whenever a shard's numbering
-    /// may have changed wholesale (post-recovery, post-compaction);
-    /// correct at any time because scores never observe Y identity.
+    /// Rebuilds the global Y-id space and folded margins of every
+    /// candidate ([`Self::rebuild_candidate`]).
     fn rebuild_y_space(&mut self) {
-        let n_shards = self.shards.len();
         for cid in 0..self.candidates.len() {
-            let cand = &mut self.candidates[cid];
-            cand.y_global.clear();
-            cand.y_remap = vec![Vec::new(); n_shards];
-            self.sync_candidate(cid);
+            self.rebuild_candidate(cid);
         }
     }
 
@@ -1003,7 +1101,7 @@ impl<B: ShardBackend> ShardedSession<B> {
         self.rebuild_y_space();
         for (cid, before) in before.iter().enumerate() {
             debug_assert!(
-                self.merged_scores(cid).bits_eq(before),
+                self.folded_scores(cid).bits_eq(before),
                 "compaction must not move merged scores"
             );
         }
@@ -1227,6 +1325,9 @@ mod tests {
         fn table(&self, cid: usize) -> &IncTable {
             self.inner.table(cid)
         }
+        fn touched_y_ids(&self, cid: usize) -> &[u32] {
+            self.inner.touched_y_ids(cid)
+        }
         fn n_live(&self) -> usize {
             self.inner.n_live()
         }
@@ -1333,7 +1434,7 @@ mod tests {
             AttrSet::single(AttrId(1)),
         )
         .unwrap();
-        let mut s = sharded(3).with_threads(3);
+        let mut s = sharded(3);
         let cid = s.subscribe(fd.clone()).unwrap();
         let mut single = StreamSession::new(schema3());
         let c1 = single.subscribe(fd).unwrap();

@@ -370,6 +370,11 @@ impl IncTable {
         .scores()
     }
 
+    /// Column total `b_j` of Y side id `y` (0 when the column is empty).
+    pub(crate) fn col_total(&self, y: u32) -> u64 {
+        self.col_totals.get(&y).copied().unwrap_or(0)
+    }
+
     /// The scores of the *union* of shard tables, bit-identical to the
     /// [`IncTable::scores`] of one unsharded table over the same rows.
     ///
@@ -385,40 +390,18 @@ impl IncTable {
     /// The merge is **order-independent by design**: all maintained
     /// aggregates are integers or count-value histograms, so any part
     /// order yields bit-identical scores. Nothing merges the group/cell
-    /// maps, which scores never read, so the cost is
-    /// O(histograms + column totals), not O(groups + cells) — the
-    /// coordinator's per-apply read path.
+    /// maps, which scores never read, but every call re-sums every
+    /// part's column totals, so it costs O(histograms + K_Y). A sharded
+    /// coordinator instead keeps its Y margins current column by column
+    /// (`FoldedYMargins`); this full re-merge is the reference that fold
+    /// is checked against.
     pub fn merged_scores<'a>(
         parts: impl IntoIterator<Item = (&'a IncTable, &'a [u32])>,
     ) -> StreamScores {
-        let mut n = 0u64;
-        let mut kx = 0u64;
-        let mut nonzero_cells = 0u64;
-        let mut sum_row_max = 0u64;
-        let mut violating_mass = 0u64;
-        let mut sum_sq_rows = 0u64;
-        let mut sum_sq_cells = 0u64;
-        let mut hist_rows = CountHist::new();
-        let mut hist_cells = CountHist::new();
-        let mut hist_row_shape: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let mut x = XSideSum::default();
         let mut cols: BTreeMap<u32, u64> = BTreeMap::new();
         for (t, y_map) in parts {
-            n += t.n;
-            kx += t.groups.len() as u64;
-            nonzero_cells += t.nonzero_cells;
-            sum_row_max += t.sum_row_max;
-            violating_mass += t.violating_mass;
-            sum_sq_rows += t.sum_sq_rows;
-            sum_sq_cells += t.sum_sq_cells;
-            for (&v, &mult) in &t.hist_rows {
-                *hist_rows.entry(v).or_insert(0) += mult;
-            }
-            for (&v, &mult) in &t.hist_cells {
-                *hist_cells.entry(v).or_insert(0) += mult;
-            }
-            for (&shape, &mult) in &t.hist_row_shape {
-                *hist_row_shape.entry(shape).or_insert(0) += mult;
-            }
+            x.add(t);
             for (&y, &b) in &t.col_totals {
                 *cols.entry(y_map[y as usize]).or_insert(0) += b;
             }
@@ -429,28 +412,121 @@ impl IncTable {
             sum_sq_cols += b * b;
             hist_inc(&mut hist_cols, b);
         }
+        x.scores(sum_sq_cols, &hist_cols)
+    }
+}
+
+/// The X-side score inputs of a union of shard tables whose X-group key
+/// spaces are value-disjoint: plain sums of the scalars and of the three
+/// X-side count histograms. Each histogram is bounded by the number of
+/// distinct count values, not by K_X or K_Y. Both cross-shard reads
+/// ([`IncTable::merged_scores`] and [`FoldedYMargins::scores`]) sum
+/// through this one type.
+#[derive(Default)]
+struct XSideSum {
+    n: u64,
+    kx: u64,
+    nonzero_cells: u64,
+    sum_row_max: u64,
+    violating_mass: u64,
+    sum_sq_rows: u64,
+    sum_sq_cells: u64,
+    hist_rows: CountHist,
+    hist_cells: CountHist,
+    hist_row_shape: BTreeMap<(u64, u64), u64>,
+}
+
+impl XSideSum {
+    fn add(&mut self, t: &IncTable) {
+        self.n += t.n;
+        self.kx += t.groups.len() as u64;
+        self.nonzero_cells += t.nonzero_cells;
+        self.sum_row_max += t.sum_row_max;
+        self.violating_mass += t.violating_mass;
+        self.sum_sq_rows += t.sum_sq_rows;
+        self.sum_sq_cells += t.sum_sq_cells;
+        for (&v, &mult) in &t.hist_rows {
+            *self.hist_rows.entry(v).or_insert(0) += mult;
+        }
+        for (&v, &mult) in &t.hist_cells {
+            *self.hist_cells.entry(v).or_insert(0) += mult;
+        }
+        for (&shape, &mult) in &t.hist_row_shape {
+            *self.hist_row_shape.entry(shape).or_insert(0) += mult;
+        }
+    }
+
+    /// The scores of these X-side sums with the union's Y margins.
+    fn scores(&self, sum_sq_cols: u64, hist_cols: &CountHist) -> StreamScores {
         ScoreAggregates {
-            n,
-            kx,
-            nonzero_cells,
-            sum_row_max,
-            violating_mass,
-            sum_sq_rows,
+            n: self.n,
+            kx: self.kx,
+            nonzero_cells: self.nonzero_cells,
+            sum_row_max: self.sum_row_max,
+            violating_mass: self.violating_mass,
+            sum_sq_rows: self.sum_sq_rows,
             sum_sq_cols,
-            sum_sq_cells,
-            hist_rows: &hist_rows,
-            hist_cols: &hist_cols,
-            hist_cells: &hist_cells,
-            hist_row_shape: &hist_row_shape,
+            sum_sq_cells: self.sum_sq_cells,
+            hist_rows: &self.hist_rows,
+            hist_cols,
+            hist_cells: &self.hist_cells,
+            hist_row_shape: &self.hist_row_shape,
         }
         .scores()
     }
 }
 
+/// The Y margins of a union of shard tables, kept current one global
+/// column at a time: the column totals by global Y id, their count
+/// histogram and `Σ_j b_j²`.
+///
+/// A sharded coordinator re-sums each column its shards' last apply
+/// touched and [`set`](FoldedYMargins::set)s the new total, so an apply
+/// costs O(touched columns · shards) instead of the O(K_Y) re-merge of
+/// [`IncTable::merged_scores`]. Every margin is an integer, so the fold
+/// holds exactly the histogram and sum that re-merge would build, and
+/// [`FoldedYMargins::scores`] is bit-identical to it (the mergeable-summary
+/// pattern).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FoldedYMargins {
+    /// `b_j` by global Y id (0 for an empty or never-set column).
+    cols: Vec<u64>,
+    sum_sq_cols: u64,
+    hist_cols: CountHist,
+}
+
+impl FoldedYMargins {
+    /// Moves global column `g` from its current total to `total`.
+    pub(crate) fn set(&mut self, g: u32, total: u64) {
+        let g = g as usize;
+        if g >= self.cols.len() {
+            self.cols.resize(g + 1, 0);
+        }
+        let old = std::mem::replace(&mut self.cols[g], total);
+        if old != total {
+            hist_dec(&mut self.hist_cols, old);
+            hist_inc(&mut self.hist_cols, total);
+            self.sum_sq_cols = self.sum_sq_cols - old * old + total * total;
+        }
+    }
+
+    /// The scores of the union of `tables`, whose Y margins these are.
+    pub(crate) fn scores<'a>(
+        &self,
+        tables: impl IntoIterator<Item = &'a IncTable>,
+    ) -> StreamScores {
+        let mut x = XSideSum::default();
+        for t in tables {
+            x.add(t);
+        }
+        x.scores(self.sum_sq_cols, &self.hist_cols)
+    }
+}
+
 /// The exact inputs a score read consumes — borrowed from one table's
 /// fields ([`IncTable::scores`]) or summed across shards
-/// ([`IncTable::merged_scores`]). Keeping both paths on this one struct
-/// is what guarantees their bit-identical results.
+/// ([`XSideSum::scores`]). Keeping every path on this one struct is what
+/// guarantees their bit-identical results.
 struct ScoreAggregates<'a> {
     n: u64,
     kx: u64,
@@ -557,10 +633,12 @@ impl TablePatch {
     /// cells of touched groups) — what a coordinator bounds-checks
     /// against its Y keys before applying the patch.
     pub(crate) fn max_y_id(&self) -> Option<u32> {
-        max_y_id(
-            self.cols.iter().map(|&(y, _)| y),
-            self.groups.iter().map(|(_, g)| g),
-        )
+        max_y_id(self.col_ids(), self.groups.iter().map(|(_, g)| g))
+    }
+
+    /// The ids of the Y columns the patch names.
+    pub(crate) fn col_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.cols.iter().map(|&(y, _)| y)
     }
 }
 
@@ -641,8 +719,8 @@ const GROUP_MIN_BYTES: usize = 4 + 8 * 3 + 4;
 /// `IncTable` is the full-state unit of the coordinator⇄worker wire
 /// protocol: a shard ships its tables whole when a candidate is
 /// subscribed or the shard is compacted, and a [`TablePatch`] after
-/// every applied delta slice; the coordinator reads both through
-/// [`IncTable::merged_scores`].
+/// every applied delta slice; the coordinator writes both into its copy
+/// of the shard's state and reads its merged scores from there.
 ///
 /// Layout: `n`, then the X-groups **sorted by local id** (each with its
 /// total/sq/max and its `(y, count)` cells sorted by `y`), the column

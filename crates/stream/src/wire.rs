@@ -18,8 +18,8 @@
 //! full per-candidate state ([`ShardState`]: the [`IncTable`] merge
 //! inputs plus the value-level Y side keys); `Applied` carries only what
 //! the apply changed ([`ShardPatch`]), which the coordinator writes into
-//! its copy of that state. It then merges via
-//! [`IncTable::merged_scores`], bit-identical to in-process shards.
+//! its copy of that state before folding the patched Y columns into its
+//! merged margins, bit-identical to in-process shards.
 
 use afd_relation::{AttrSet, Fd, Relation, Schema, Value};
 use afd_wire::{decode_framed, encode_framed, Decode, DecodeError, Encode, Reader, FRAME_OVERHEAD};

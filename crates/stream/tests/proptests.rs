@@ -117,6 +117,26 @@ fn check_against_batch(
     Ok(())
 }
 
+/// Every shard count's merged read of candidate `cid` is bit-identical
+/// to the single session's.
+fn check_sharded(
+    single: &StreamSession,
+    sharded: &[ShardedSession],
+    cid: usize,
+) -> Result<(), TestCaseError> {
+    for s in sharded {
+        prop_assert!(
+            s.scores(cid).bits_eq(&single.scores(cid)),
+            "ShardedSession({}) diverged from single session for {:?}: {:?} vs {:?}",
+            s.n_shards(),
+            single.fd(cid),
+            s.scores(cid),
+            single.scores(cid)
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn linear_candidate_tracks_batch_at_every_step(events in events()) {
@@ -191,7 +211,10 @@ proptest! {
         // ShardedSession's merged score reads are bit-identical to a
         // single StreamSession over the same delta history, which in turn
         // is pinned (above and here) to the batch kernels — all 11 fast
-        // measures, random insert/delete sequences, shard key = {A}.
+        // measures, random insert/delete sequences, shard key = {A}. The
+        // third FD subscribes after the first chunk, over populated
+        // shards (how a served session is restored: rows first, then
+        // subscribe), and one more delta follows the final compaction.
         let schema = Schema::new(["A", "B", "C"]).unwrap();
         let key = AttrSet::single(AttrId(0));
         let fds = [
@@ -204,49 +227,43 @@ proptest! {
             .unwrap(),
         ];
         let mut single = StreamSession::new(schema.clone());
-        let single_cids: Vec<usize> = fds
-            .iter()
-            .map(|fd| single.subscribe(fd.clone()).unwrap())
-            .collect();
         let mut sharded: Vec<ShardedSession> = [1usize, 2, 3, 7]
             .iter()
             .map(|&n| ShardedSession::new(schema.clone(), key.clone(), n).unwrap())
             .collect();
-        let sharded_cids: Vec<Vec<usize>> = sharded
-            .iter_mut()
-            .map(|s| fds.iter().map(|fd| s.subscribe(fd.clone()).unwrap()).collect())
-            .collect();
+        let subscribe = |fd: &Fd, single: &mut StreamSession, sharded: &mut [ShardedSession]| {
+            let cid = single.subscribe(fd.clone()).unwrap();
+            for s in sharded.iter_mut() {
+                assert_eq!(s.subscribe(fd.clone()).unwrap(), cid, "lockstep subscribes");
+            }
+        };
+        for fd in &fds[..2] {
+            subscribe(fd, &mut single, &mut sharded);
+        }
         let mut mirror = Mirror::new();
-        for chunk in events.chunks(4) {
+        for (step, chunk) in events.chunks(4).enumerate() {
             let delta = mirror.delta_from(chunk, 3);
             single.apply(&delta).unwrap();
             for s in &mut sharded {
                 s.apply(&delta).unwrap();
             }
+            if step == 0 {
+                subscribe(&fds[2], &mut single, &mut sharded);
+            }
             let snap = single.relation().snapshot();
-            for (ci, &scid) in single_cids.iter().enumerate() {
+            for (cid, fd) in fds.iter().enumerate().take(single.n_candidates()) {
                 // Single session vs the batch measures.
-                let batch_ct = fds[ci].contingency(&snap);
+                let batch_ct = fd.contingency(&snap);
                 for name in StreamScores::NAMES {
                     let want = measure_by_name(name).unwrap().score_contingency(&batch_ct);
-                    let got = single.scores(scid).get(name).unwrap();
+                    let got = single.scores(cid).get(name).unwrap();
                     prop_assert!(
                         (want - got).abs() < 1e-9,
                         "{name} differs from afd-core for {:?}: {got} vs {want}",
-                        fds[ci]
+                        fd
                     );
                 }
-                // Every shard count vs the single session, bit-exactly.
-                for (s, cids) in sharded.iter().zip(&sharded_cids) {
-                    prop_assert!(
-                        s.scores(cids[ci]).bits_eq(&single.scores(scid)),
-                        "ShardedSession({}) diverged from single session for {:?}: {:?} vs {:?}",
-                        s.n_shards(),
-                        fds[ci],
-                        s.scores(cids[ci]),
-                        single.scores(scid)
-                    );
-                }
+                check_sharded(&single, &sharded, cid)?;
             }
         }
         // Per-shard compaction verification passes everywhere and keeps
@@ -258,6 +275,19 @@ proptest! {
             for (ci, b) in before.iter().enumerate() {
                 prop_assert!(s.scores(ci).bits_eq(b));
             }
+        }
+        // The Y spaces were rebuilt by the compaction: one more delta
+        // (the single session compacted too, so ids agree) must still
+        // fold bit-identically.
+        let report = single.compact().unwrap();
+        mirror.after_compaction(report.n_live);
+        let delta = mirror.delta_from(&events[..events.len().min(4)], 3);
+        single.apply(&delta).unwrap();
+        for s in &mut sharded {
+            s.apply(&delta).unwrap();
+        }
+        for cid in 0..fds.len() {
+            check_sharded(&single, &sharded, cid)?;
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! A hand-rolled, versioned, checksummed binary codec for shipping AFD
 //! engine state between processes — the wire format the ROADMAP asked
-//! for so `IncTable::merged_scores` inputs (and whole session snapshots) can
-//! come from shard workers living in other processes.
+//! for so shard tables (and whole session snapshots) can come from shard
+//! workers living in other processes.
 //!
 //! No serde, no network stack, no external dependencies: the build
 //! environment is fully offline, so the codec is plain std. Design:

@@ -136,20 +136,22 @@
 //! 1. [`RowDelta`]s (row inserts + tombstone deletes) enter the engine's
 //!    session. A `DeltaRouter` **hash-partitions** every row by shard
 //!    key (a subset of each tracked candidate's LHS — so each LHS group
-//!    lives wholly inside one shard) and fans the per-shard slices
-//!    across N `StreamSession` shards on `afd-parallel` scoped threads.
+//!    lives wholly inside one shard) and sends every one of N
+//!    `StreamSession` shards its slice before awaiting any answer.
 //! 2. Per subscribed candidate and shard, the session delta-maintains
 //!    the dense side encodings (`row -> group id`, the incremental PLI
 //!    membership), the joint counts of an [`stream::IncTable`] (cells,
 //!    margins, `Σ max`, `Σ n²`), and **count-value histograms** from
 //!    which the eleven fast measures ([`StreamScores`]) are read back.
-//! 3. Score reads merge the per-shard tables (`IncTable::merged_scores`: sum
-//!    counts and histograms; column totals re-derived through a
-//!    coordinator-owned global Y-id space). Because every
+//! 3. Score reads merge the per-shard tables: the X-side counts and
+//!    histograms are summed, and the column totals come from merged Y
+//!    margins the coordinator keeps through a global Y-id space,
+//!    re-summing only the columns each apply touched. Because every
 //!    floating-point reduction iterates ordered histograms, the merge is
 //!    order-independent and **bit-identical** to a single unsharded
-//!    session — and to a from-scratch rebuild via the batch kernels
-//!    (pinned by proptests for N ∈ {1, 2, 3, 7}).
+//!    session, to the full re-merge `IncTable::merged_scores`, and to a
+//!    from-scratch rebuild via the batch kernels (pinned by proptests
+//!    for N ∈ {1, 2, 3, 7}).
 //! 4. An apply costs `O(|delta|)`, not `O(N rows)`: `BENCH_stream.json`
 //!    records ~16× vs full recompute at a 1/256 delta on 65 536 rows,
 //!    and `BENCH_shard.json` (from `cargo run --release -p afd-bench
