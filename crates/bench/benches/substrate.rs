@@ -100,10 +100,10 @@ fn bench_entropy(c: &mut Criterion) {
     for &n in &SIZES {
         let t = fixture_table(n, 9);
         group.bench_with_input(BenchmarkId::new("shannon_y_given_x", n), &t, |b, t| {
-            b.iter(|| black_box(afd_entropy::shannon_y_given_x(black_box(t))))
+            b.iter(|| black_box(afd_entropy::shannon_y_given_x(&black_box(t).shannon_sums())))
         });
         group.bench_with_input(BenchmarkId::new("logical_y_given_x", n), &t, |b, t| {
-            b.iter(|| black_box(afd_entropy::logical_y_given_x(black_box(t))))
+            b.iter(|| black_box(afd_entropy::logical_y_given_x(&black_box(t).summary())))
         });
     }
     group.finish();

@@ -224,9 +224,10 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = write!(
         json,
-        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); the stripped side scores every g3' candidate from a one-pass tally of its clusters (no contingency table); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
+        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"cores\": {cores},\n  \"samples\": {samples},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); the stripped side scores every g3' candidate from a one-pass tally of its clusters (no contingency table); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
         cfg.max_lhs, cfg.epsilon
     );
     std::fs::write(&out_path, json).expect("write JSON");

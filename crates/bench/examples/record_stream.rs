@@ -92,7 +92,8 @@ fn main() {
 
     // Correctness gate: after all that churn, compaction verifies the
     // incremental PLI and contingency table structurally and the scores
-    // bit-exactly against a from-scratch rebuild via the batch kernels.
+    // bit-exactly against a from-scratch rebuild via the batch kernels,
+    // and every streamed score equals the afd-core measure bit for bit.
     session
         .compact()
         .expect("incremental state diverged from batch rebuild");
@@ -103,7 +104,7 @@ fn main() {
             .score_contingency(&batch_ct);
         let got = session.scores(cid).get(name).expect("known name");
         assert!(
-            (want - got).abs() < 1e-9,
+            want.to_bits() == got.to_bits(),
             "{name}: stream {got} vs batch {want}"
         );
     }
@@ -131,9 +132,10 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = write!(
         json,
-        "  \"smoke\": {smoke},\n  \"note\": \"median ns per refresh; incremental = StreamSession::apply of a half-insert/half-delete delta (live size constant), baseline = Fd::contingency + 11 fast measures on an equal-size relation; scores verified bit-identical to rebuild after churn\"\n}}\n"
+        "  \"cores\": {cores},\n  \"samples\": {samples},\n  \"smoke\": {smoke},\n  \"note\": \"median ns per refresh; incremental = StreamSession::apply of a half-insert/half-delete delta (live size constant), baseline = Fd::contingency + 11 fast measures on an equal-size relation; scores verified bit-identical to rebuild and to afd-core after churn\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");
     println!("wrote {out_path}");

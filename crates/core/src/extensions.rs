@@ -8,12 +8,13 @@
 //! sum. With a few dozen samples it tracks `RFI'⁺`'s ranking closely at a
 //! fraction of the cost (see the `ablation_expected_mi` bench).
 
-use afd_entropy::{expected_mi_monte_carlo, shannon_y, shannon_y_given_x};
+use afd_entropy::{expected_mi_monte_carlo, shannon_y};
 use afd_relation::ContingencyTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::measure::{Measure, MeasureClass, MeasureProperties, Tribool};
+use crate::shannon_measures::Fi;
 
 /// Monte-Carlo `RFI'⁺`: the normalised reliable fraction of information
 /// with `E[I]` estimated from random (X;Y)-permutations.
@@ -69,8 +70,8 @@ impl Measure for RfiMcPlus {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        let hy = shannon_y(t);
-        let fi = 1.0 - shannon_y_given_x(t) / hy;
+        let h = t.shannon_sums();
+        let (hy, fi) = (shannon_y(&h), Fi::formula(&h));
         let mut rng = StdRng::seed_from_u64(Self::seed_for(t));
         let efi = expected_mi_monte_carlo(t, self.samples, &mut rng) / hy;
         let denom = 1.0 - efi;

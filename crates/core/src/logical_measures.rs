@@ -33,7 +33,16 @@ impl Measure for G1 {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        1.0 - logical_y_given_x(t)
+        Self::formula(&t.summary())
+    }
+    fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
+        Some(Self::formula)
+    }
+}
+
+impl G1 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
+        1.0 - logical_y_given_x(s)
     }
 }
 
@@ -71,7 +80,7 @@ impl Measure for G1Prime {
 }
 
 impl G1Prime {
-    fn formula(s: &Summary) -> f64 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
         // |G1| = Σ_i (a_i² − Σ_j n_ij²): ordered violating pairs.
         let violating = (s.sum_sq_rows() - s.sum_sq_cells()) as f64;
         let bound = (s.n() * s.n() - s.sum_sq_cells()) as f64;
@@ -141,7 +150,7 @@ impl Measure for Tau {
 }
 
 impl Tau {
-    fn formula(s: &Summary) -> f64 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
         // FD violated => |dom(Y)| > 1 => pdep(Y) < 1.
         let py = pdep_y(s);
         (pdep_xy(s) - py) / (1.0 - py)
@@ -182,7 +191,7 @@ impl Measure for MuPlus {
 }
 
 impl MuPlus {
-    fn formula(s: &Summary) -> f64 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
         // FD violated => |dom(X)| < N (Lemma 1 guarantees E[pdep] < 1).
         let e = expected_pdep(s);
         ((pdep_xy(s) - e) / (1.0 - e)).max(0.0)

@@ -111,12 +111,14 @@ pub trait Measure: Send + Sync {
     fn score_table(&self, t: &ContingencyTable) -> f64;
 
     /// The measure's formula over a table's [`Summary`], for the measures
-    /// whose formula reads only table aggregates: ρ, g2, g3, g3′, g1′,
+    /// whose formula reads only table aggregates: ρ, g2, g3, g3′, g1, g1′,
     /// pdep, τ and µ⁺. Their [`Measure::score_table`] is this function
     /// applied to [`ContingencyTable::summary`], so each formula exists
     /// once, and the stripped lattice scores their candidates from a
     /// one-pass tally ([`Summary::tally_stripped_with`]) without building
-    /// a table. `None` (the default) for measures that read cells.
+    /// a table. The summary's float sum is exact, so the tally, a table
+    /// and a stream give the same bits. `None` (the default) for measures
+    /// that read more than a [`Summary`].
     ///
     /// The function has [`Measure::score_table`]'s contract: the summary
     /// is of a non-empty table whose FD does not hold exactly, and the
@@ -130,9 +132,9 @@ pub trait Measure: Send + Sync {
     /// ([`ContingencyTable::implicit_singletons`]) to the same table in
     /// full-codes form. Only the stripped lattice's table path asks:
     /// measures with a [`Measure::summary_formula`] are tallied instead.
-    /// Holds for g1, g1ˢ and FI (their per-singleton float terms are
-    /// exactly `0.0`) and for the RFI family (the margin histogram folds
-    /// singletons in exactly); measures that accumulate nonzero
+    /// Holds for g1ˢ and FI (an implicit singleton adds exactly 0 to the
+    /// exact Shannon sums) and for the RFI family (the margin histogram
+    /// folds singletons in exactly); measures that accumulate nonzero
     /// per-singleton terms in row order (SFI, Monte-Carlo extensions)
     /// override this to `false`, and the stripped lattice then scores
     /// them on a materialised full-codes table instead.

@@ -1,5 +1,8 @@
 //! Registry of all 14 measures in the paper's column order.
 
+use afd_entropy::pdep_xy;
+use afd_relation::{ShannonSums, Summary};
+
 use crate::logical_measures::{G1Prime, MuPlus, Pdep, Tau, G1};
 use crate::measure::Measure;
 use crate::shannon_measures::{Fi, RfiPlus, RfiPrimePlus, Sfi, G1S};
@@ -37,6 +40,30 @@ pub fn fast_measures() -> Vec<Box<dyn Measure>> {
         .into_iter()
         .filter(|m| m.properties().efficiently_computable)
         .collect()
+}
+
+/// The scores of the 11 [`fast_measures`], in their order, from a table's
+/// [`Summary`] and [`ShannonSums`]: bit for bit each measure's
+/// [`Measure::score_contingency`] on that table (same formulas, same
+/// conventions). The streaming engine scores through this function.
+pub fn fast_scores(s: &Summary, h: &ShannonSums) -> [f64; 11] {
+    if s.n() == 0 || s.is_exact_fd() {
+        return [1.0; 11];
+    }
+    [
+        Rho::formula(s),
+        G2::formula(s),
+        G3::formula(s),
+        G3Prime::formula(s),
+        G1S::formula(h),
+        Fi::formula(h),
+        G1::formula(s),
+        G1Prime::formula(s),
+        pdep_xy(s),
+        Tau::formula(s),
+        MuPlus::formula(s),
+    ]
+    .map(|v| v.clamp(0.0, 1.0))
 }
 
 /// Looks a measure up by its paper name (e.g. `"mu+"`, `"g3'"`, `"RFI'+"`).

@@ -8,7 +8,7 @@
 //! joint distribution with Laplace-α before computing FI.
 
 use afd_entropy::{expected_mi_exact, shannon_y, shannon_y_given_x};
-use afd_relation::ContingencyTable;
+use afd_relation::{ContingencyTable, ShannonSums};
 
 use crate::measure::{Measure, MeasureClass, MeasureProperties, Tribool};
 
@@ -34,7 +34,13 @@ impl Measure for G1S {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        (1.0 - shannon_y_given_x(t)).max(0.0)
+        Self::formula(&t.shannon_sums())
+    }
+}
+
+impl G1S {
+    pub(crate) fn formula(h: &ShannonSums) -> f64 {
+        (1.0 - shannon_y_given_x(h)).max(0.0)
     }
 }
 
@@ -62,8 +68,14 @@ impl Measure for Fi {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
+        Self::formula(&t.shannon_sums())
+    }
+}
+
+impl Fi {
+    pub(crate) fn formula(h: &ShannonSums) -> f64 {
         // FD violated => |dom(Y)| > 1 => H(Y) > 0.
-        1.0 - shannon_y_given_x(t) / shannon_y(t)
+        1.0 - shannon_y_given_x(h) / shannon_y(h)
     }
 }
 
@@ -91,10 +103,9 @@ impl Measure for RfiPlus {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        let hy = shannon_y(t);
-        let fi = 1.0 - shannon_y_given_x(t) / hy;
-        let efi = expected_mi_exact(t) / hy;
-        (fi - efi).max(0.0)
+        let h = t.shannon_sums();
+        let efi = expected_mi_exact(t) / shannon_y(&h);
+        (Fi::formula(&h) - efi).max(0.0)
     }
 }
 
@@ -122,9 +133,9 @@ impl Measure for RfiPrimePlus {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        let hy = shannon_y(t);
-        let fi = 1.0 - shannon_y_given_x(t) / hy;
-        let efi = expected_mi_exact(t) / hy;
+        let h = t.shannon_sums();
+        let fi = Fi::formula(&h);
+        let efi = expected_mi_exact(t) / shannon_y(&h);
         let denom = 1.0 - efi;
         if denom <= f64::EPSILON {
             // E[FI] = 1 can only arise for (numerically) key-like X; weak
@@ -310,7 +321,8 @@ mod tests {
     #[test]
     fn fi_equals_mi_over_hy() {
         let table = t();
-        let want = afd_entropy::mutual_information(&table) / shannon_y(&table);
+        let h = table.shannon_sums();
+        let want = afd_entropy::mutual_information(&h) / shannon_y(&h);
         assert!((Fi.score_table(&table) - want).abs() < 1e-12);
     }
 

@@ -39,7 +39,7 @@ impl Measure for Rho {
 }
 
 impl Rho {
-    fn formula(s: &Summary) -> f64 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
         s.n_x() as f64 / s.nonzero_cells() as f64
     }
 }
@@ -76,7 +76,7 @@ impl Measure for G2 {
 }
 
 impl G2 {
-    fn formula(s: &Summary) -> f64 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
         1.0 - s.violating_rows() as f64 / s.n() as f64
     }
 }
@@ -113,7 +113,7 @@ impl Measure for G3 {
 }
 
 impl G3 {
-    fn formula(s: &Summary) -> f64 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
         s.sum_row_max() as f64 / s.n() as f64
     }
 }
@@ -149,7 +149,7 @@ impl Measure for G3Prime {
 }
 
 impl G3Prime {
-    fn formula(s: &Summary) -> f64 {
+    pub(crate) fn formula(s: &Summary) -> f64 {
         // FD violated => some group has ≥ 2 distinct Y values => K_X < N,
         // so the denominator is strictly positive.
         let k = s.n_x() as u64;

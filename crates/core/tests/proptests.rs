@@ -1,7 +1,7 @@
 //! Cross-measure property tests: invariants every AFD measure must obey.
 
 use afd_core::*;
-use afd_relation::ContingencyTable;
+use afd_relation::{AttrId, AttrSet, ContingencyTable, Fd, Relation, Schema, Value};
 use proptest::prelude::*;
 
 fn counts() -> impl Strategy<Value = Vec<Vec<u64>>> {
@@ -10,6 +10,18 @@ fn counts() -> impl Strategy<Value = Vec<Vec<u64>>> {
 
 fn nonempty(c: &[Vec<u64>]) -> bool {
     c.iter().flatten().any(|&v| v > 0)
+}
+
+/// Rows of three small attributes (None = NULL), each with a random
+/// sort key that shuffles them.
+fn keyed_rows() -> impl Strategy<Value = Vec<([Option<i64>; 3], u64)>> {
+    let cell = |k: i64| prop::option::weighted(0.9, 0..k);
+    prop::collection::vec(([cell(8), cell(3), cell(5)], 0u64..1 << 32), 1..150)
+}
+
+fn relation(rows: &[([Option<i64>; 3], u64)]) -> Relation {
+    let schema = Schema::new(["A", "B", "C"]).unwrap();
+    Relation::from_rows(schema, rows.iter().map(|(r, _)| r.map(Value::from))).unwrap()
 }
 
 proptest! {
@@ -102,5 +114,33 @@ proptest! {
         let naive = Sfi::new(alpha).score_contingency(&t);
         let closed = sfi_closed_form(&t, alpha);
         prop_assert!((naive - closed).abs() < 1e-9, "naive={naive} closed={closed}");
+    }
+
+    /// Row order never moves a bit: a relation and a row-shuffled copy
+    /// give the same summary, the same exact Shannon sums and the same
+    /// score bits under every fast measure, and `fast_scores` returns
+    /// each fast measure's `score_contingency` bit for bit, in
+    /// `fast_measures()` order (the stream's `StreamScores::NAMES`).
+    #[test]
+    fn row_order_never_moves_a_bit(rows in keyed_rows()) {
+        let mut shuffled = rows.clone();
+        shuffled.sort_by_key(|&(_, key)| key);
+        let (rel, shuffled) = (relation(&rows), relation(&shuffled));
+        let fds = [
+            Fd::linear(AttrId(0), AttrId(2)),
+            Fd::new(AttrSet::new([AttrId(0), AttrId(1)]), AttrSet::single(AttrId(2))).unwrap(),
+            Fd::linear(AttrId(2), AttrId(1)),
+        ];
+        for fd in &fds {
+            let (t, u) = (fd.contingency(&rel), fd.contingency(&shuffled));
+            prop_assert_eq!(t.summary(), u.summary(), "{:?}", fd);
+            prop_assert_eq!(t.shannon_sums(), u.shannon_sums(), "{:?}", fd);
+            let fast = fast_scores(&t.summary(), &t.shannon_sums());
+            for (m, v) in fast_measures().iter().zip(fast) {
+                let (a, b) = (m.score_contingency(&t), m.score_contingency(&u));
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{} moved under a shuffle: {} vs {}", m.name(), a, b);
+                prop_assert_eq!(v.to_bits(), a.to_bits(), "fast_scores differs on {}: {} vs {}", m.name(), v, a);
+            }
+        }
     }
 }

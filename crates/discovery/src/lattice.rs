@@ -33,24 +33,25 @@
 //!
 //! **Table-free scoring.** As TANE reads g3 off stripped partitions
 //! with one counting pass per cluster, a measure with a
-//! [`Measure::summary_formula`] (ρ, g2, g3, g3′, g1′, pdep, τ, µ⁺) scores
-//! every candidate — NULL-bearing ones included — from
+//! [`Measure::summary_formula`] (ρ, g2, g3, g3′, g1, g1′, pdep, τ, µ⁺)
+//! scores every candidate — NULL-bearing ones included — from
 //! [`Summary::tally_stripped_with`]: one pass per cluster against the
 //! RHS's shared [`YSide`], no allocation, no table. Y-NULL rows are
 //! skipped, X-NULL rows come off the RHS column totals, singleton groups
-//! are counted arithmetically, and the pdep terms are summed in the
-//! full-codes table's group order, so scores are **bit-identical** to
-//! the full-codes reference retained in [`crate::naive_lattice`].
+//! are counted arithmetically, and the pdep sum is exact, so it needs no
+//! group order: scores are **bit-identical** to the full-codes reference
+//! retained in [`crate::naive_lattice`].
 //! The other measures keep two table paths. NULL-free candidates of a
 //! measure whose [`Measure::bit_exact_on_implicit_singletons`] holds
-//! (g1, g1ˢ, FI and the RFI family) go through
+//! (g1ˢ, FI and the RFI family) go through
 //! [`ContingencyTable::from_stripped_with`], which folds the implicit
-//! singleton groups in arithmetically. The rest — candidates over
-//! NULL-bearing attributes, and measures that need materialised
-//! singleton rows, like SFI — reconstruct dense codes in a per-worker
-//! scratch buffer (once per set, however many RHS need them) and are
-//! evaluated through the classic [`ContingencyTable::from_codes_with`]
-//! kernel, bit-identical by construction.
+//! singleton groups in arithmetically (they add exactly 0 to the exact
+//! Shannon sums). The rest — candidates over NULL-bearing attributes,
+//! and measures that need materialised singleton rows, like SFI —
+//! reconstruct dense codes in a per-worker scratch buffer (once per set,
+//! however many RHS need them) and are evaluated through the classic
+//! [`ContingencyTable::from_codes_with`] kernel, bit-identical by
+//! construction.
 //!
 //! **One lattice for every RHS.** As in TANE (Huhtala et al., *The
 //! Computer Journal* 1999), an LHS set is a single node whatever the

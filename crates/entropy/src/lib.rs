@@ -4,7 +4,8 @@
 //! the paper), including the permutation-null expectations that the
 //! bias-corrected measures (`RFI⁺`, `RFI'⁺`, `µ⁺`) require:
 //!
-//! * [`shannon`]: `H(X)`, `H(Y)`, `H(Y|X)`, `I(X;Y)` in bits;
+//! * [`shannon`]: `H(X)`, `H(Y)`, `H(Y|X)`, `I(X;Y)` in bits, from a
+//!   table's exact Shannon sums;
 //! * [`logical`]: `h(X)`, `h(Y|X)`, `E_x[h(Y|x)]`, `pdep`, and the
 //!   closed-form `E[pdep]` / `E[τ]` of Theorem 1;
 //! * [`expected_mi`]: exact `E[I(X;Y)]` under random (X;Y)-permutations
@@ -17,7 +18,7 @@
 //! use afd_entropy::{mutual_information, expected_mi_exact};
 //!
 //! let t = ContingencyTable::from_counts(&[vec![3, 1], vec![0, 4]]);
-//! let observed = mutual_information(&t);
+//! let observed = mutual_information(&t.shannon_sums());
 //! let expected = expected_mi_exact(&t); // bias under the null
 //! assert!(observed > expected);
 //! ```
@@ -31,10 +32,7 @@ pub mod shannon;
 pub use expected_mi::{expected_mi_cost, expected_mi_exact, expected_mi_monte_carlo};
 pub use lfact::LogFactorial;
 pub use logical::{
-    expected_conditional_logical, expected_pdep, expected_tau, logical_x, logical_y,
-    logical_y_given_x, pdep_xy, pdep_y,
+    expected_pdep, expected_tau, logical_x, logical_y, logical_y_given_x, pdep_xy, pdep_y,
 };
 pub use permutation::expected_under_permutations;
-pub use shannon::{
-    entropy_of_counts, mutual_information, shannon_x, shannon_xy, shannon_y, shannon_y_given_x,
-};
+pub use shannon::{mutual_information, shannon_x, shannon_xy, shannon_y, shannon_y_given_x};

@@ -4,14 +4,17 @@
 //! Logical entropy `h(X)` is the probability that two tuples drawn with
 //! replacement differ on `X`; conditionally, `h_R(Y|X)` is the probability
 //! they agree on `X` but differ on `Y`. Unlike Shannon entropy,
-//! `h_R(Y|X) ≠ E_x[h_R(Y|x)]`; both quantities are needed (the former by
-//! `g1`, the latter by `pdep`/`τ`/`µ`), so both are exposed.
+//! `h_R(Y|X) ≠ E_x[h_R(Y|x)]`: the former is [`logical_y_given_x`] (read
+//! by `g1`), the latter `1 − pdep` (Lemma 3, [`pdep_xy`]).
 //!
-//! Every helper but `logical_y_given_x` reads only table aggregates, so
-//! it takes a [`Summary`] — of a built table ([`ContingencyTable::summary`])
-//! or tallied straight from a stripped partition.
+//! Every helper reads only table aggregates, so it takes a [`Summary`] —
+//! of a built table
+//! ([`ContingencyTable::summary`](afd_relation::ContingencyTable::summary)),
+//! tallied straight from a stripped partition, or maintained by a stream.
+//! The pdep family reads the summary's exact `Σ sq/a`, so its scores have
+//! the same bits whatever the row or group order.
 
-use afd_relation::{ContingencyTable, Summary};
+use afd_relation::Summary;
 
 /// `h_R(X) = 1 − Σ_i p_i²`: marginal logical entropy of the X side.
 pub fn logical_x(s: &Summary) -> f64 {
@@ -33,37 +36,24 @@ pub fn logical_y(s: &Summary) -> f64 {
 }
 
 /// `h_R(Y|X) = Σ_ij p_ij (p_i − p_ij)`: the probability that two random
-/// tuples agree on `X` but differ on `Y`.
-///
-/// Iterates explicit cells only; an implicit singleton cell's term is
-/// `c(a − c) = 1·(1 − 1) = 0`, so stripped-lattice tables sum to the
-/// same bits as the full-codes path.
-pub fn logical_y_given_x(t: &ContingencyTable) -> f64 {
-    if t.n() == 0 {
-        return 0.0;
-    }
-    let n2 = (t.n() as f64) * (t.n() as f64);
-    let mut sum = 0.0;
-    for (i, _, c) in t.cells() {
-        let a = t.row_totals()[i];
-        sum += (c * (a - c)) as f64;
-    }
-    sum / n2
-}
-
-/// `E_x[h_R(Y|x)] = Σ_i p_i · h(Y | x_i)`: the *expected conditional*
-/// logical entropy. Equals `1 − pdep(X→Y, R)` (Lemma 3 of the paper).
-/// The summary's pdep group sum, clamped at 0.
-pub fn expected_conditional_logical(s: &Summary) -> f64 {
+/// tuples agree on `X` but differ on `Y`. `Σ_ij n_ij (a_i − n_ij)` is
+/// `Σ a² − Σ n²`, an exact integer.
+pub fn logical_y_given_x(s: &Summary) -> f64 {
     if s.n() == 0 {
         return 0.0;
     }
-    s.pdep_group_sum().max(0.0)
+    let n2 = (s.n() as f64) * (s.n() as f64);
+    (s.sum_sq_rows() - s.sum_sq_cells()) as f64 / n2
 }
 
-/// `pdep(X → Y, R) = 1 − E_x[h_R(Y|x)]` (Section IV-D).
+/// `pdep(X → Y, R) = Σ_i (Σ_j n_ij²)/a_i / N` (Section IV-D), from the
+/// summary's exact sum; 1 on an empty table. Each `sq/a ≤ a`, so the
+/// rounded sum stays `≤ N` and the score `≤ 1`.
 pub fn pdep_xy(s: &Summary) -> f64 {
-    1.0 - expected_conditional_logical(s)
+    if s.n() == 0 {
+        return 1.0;
+    }
+    s.pdep_sum().value() / s.n() as f64
 }
 
 /// `pdep(Y, R) = Σ_j q_j² = 1 − h_R(Y)`: probabilistic self-dependency.
@@ -97,6 +87,7 @@ pub fn expected_tau(s: &Summary) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afd_relation::ContingencyTable;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
@@ -115,16 +106,16 @@ mod tests {
         let t = ContingencyTable::from_counts(&[vec![7]]);
         assert_eq!(logical_x(&t.summary()), 0.0);
         assert_eq!(logical_y(&t.summary()), 0.0);
-        assert_eq!(logical_y_given_x(&t), 0.0);
+        assert_eq!(logical_y_given_x(&t.summary()), 0.0);
     }
 
     #[test]
     fn conditional_zero_iff_fd_holds() {
         let fd = ContingencyTable::from_counts(&[vec![4, 0], vec![0, 3]]);
-        assert_eq!(logical_y_given_x(&fd), 0.0);
-        assert_eq!(expected_conditional_logical(&fd.summary()), 0.0);
+        assert_eq!(logical_y_given_x(&fd.summary()), 0.0);
+        assert_eq!(pdep_xy(&fd.summary()), 1.0);
         let no_fd = ContingencyTable::from_counts(&[vec![2, 2]]);
-        assert!(logical_y_given_x(&no_fd) > 0.0);
+        assert!(logical_y_given_x(&no_fd.summary()) > 0.0);
     }
 
     #[test]
@@ -132,27 +123,26 @@ mod tests {
         // One x group: counts 2,2 over y. N=4.
         // h(Y|X) = Σ p_ij(p_i − p_ij) = 2 · (2/4)(4/4 − 2/4) = 0.5
         let t = ContingencyTable::from_counts(&[vec![2, 2]]);
-        assert!(close(logical_y_given_x(&t), 0.5));
-        // E_x[h(Y|x)] = 1 · (1 − 2·(1/2)²) = 0.5 here (single group).
-        assert!(close(expected_conditional_logical(&t.summary()), 0.5));
+        assert!(close(logical_y_given_x(&t.summary()), 0.5));
+        // E_x[h(Y|x)] = 1 · (1 − 2·(1/2)²) = 0.5 here (single group),
+        // and it is 1 − pdep (Lemma 3).
+        assert!(close(1.0 - pdep_xy(&t.summary()), 0.5));
     }
 
     #[test]
     fn conditional_ne_expected_conditional_in_general() {
         // Two x-groups with different sizes: the two notions differ.
         let t = ContingencyTable::from_counts(&[vec![3, 1], vec![1, 1]]);
-        let h = logical_y_given_x(&t);
-        let e = expected_conditional_logical(&t.summary());
+        let h = logical_y_given_x(&t.summary());
+        let e = 1.0 - pdep_xy(&t.summary()); // E_x[h(Y|x)], Lemma 3
         assert!((h - e).abs() > 1e-3, "h={h} e={e}");
     }
 
     #[test]
     fn pdep_identities() {
         let t = ContingencyTable::from_counts(&[vec![3, 1], vec![0, 4]]);
-        assert!(close(
-            pdep_xy(&t.summary()),
-            1.0 - expected_conditional_logical(&t.summary())
-        ));
+        // pdep = Σ_i (Σ_j n_ij²/a_i) / N = (10/4 + 16/4) / 8.
+        assert!(close(pdep_xy(&t.summary()), 6.5 / 8.0));
         assert!(close(pdep_y(&t.summary()), 1.0 - logical_y(&t.summary())));
         // pdep(X→Y) ≥ pdep(Y) always (paper, Section IV-D).
         assert!(pdep_xy(&t.summary()) >= pdep_y(&t.summary()) - 1e-12);
@@ -177,7 +167,7 @@ mod tests {
     #[test]
     fn empty_and_degenerate_tables() {
         let t = ContingencyTable::from_counts(&[]);
-        assert_eq!(logical_y_given_x(&t), 0.0);
+        assert_eq!(logical_y_given_x(&t.summary()), 0.0);
         assert_eq!(expected_pdep(&t.summary()), 1.0);
         let one = ContingencyTable::from_counts(&[vec![1]]);
         assert_eq!(expected_pdep(&one.summary()), 1.0);

@@ -4,103 +4,63 @@
 //! measures are ratios and therefore base-invariant, but `g1^S` depends on
 //! the base; base 2 matches the information-theoretic convention used by
 //! Giannella & Robertson.
+//!
+//! Every quantity reads a table's exact [`ShannonSums`], e.g.
+//! `H(Y|X) = (Σ a·lg a − Σ n·lg n)/N`: an exact difference rounded once,
+//! so it has the same bits in every row order.
 
-use afd_relation::ContingencyTable;
+use afd_relation::{ExactSum, ShannonSums};
 
-/// Entropy of a count vector with total `n`: `−Σ (c/n)·log2(c/n)`.
-/// Zero counts contribute nothing (the `0·log 0 = 0` convention).
-pub fn entropy_of_counts(counts: &[u64], n: u64) -> f64 {
-    if n == 0 {
+/// `num / N`, or 0 for an empty table.
+fn over_n(num: ExactSum, h: &ShannonSums) -> f64 {
+    if h.n == 0 {
         return 0.0;
     }
-    let nf = n as f64;
-    let mut h = 0.0;
-    for &c in counts {
-        if c > 0 {
-            let p = c as f64 / nf;
-            h -= p * p.log2();
-        }
-    }
-    // Clamp tiny negative rounding residue (e.g. single-value columns).
-    h.max(0.0)
+    num.value() / h.n as f64
+}
+
+/// `N·lg N`, exactly.
+fn n_lg_n(h: &ShannonSums) -> ExactSum {
+    let mut s = ExactSum::default();
+    s.add_v_lg_v(h.n, 1);
+    s
 }
 
 /// `H_R(X)`: marginal Shannon entropy of the X side.
-///
-/// Implicit singleton groups (stripped-lattice tables) each contribute a
-/// `−(1/n)·log2(1/n)` term, appended after the explicit groups. Their
-/// terms are *not* zero, so this quantity is value-equal but not
-/// bit-pinned against the full-codes table; no registry measure consumes
-/// it on lattice tables.
-pub fn shannon_x(t: &ContingencyTable) -> f64 {
-    let h = entropy_of_counts(t.row_totals(), t.n());
-    let implicit = t.implicit_singletons();
-    if implicit == 0 || t.n() == 0 {
-        return h;
-    }
-    let p = 1.0 / t.n() as f64;
-    h - implicit as f64 * (p * p.log2())
+pub fn shannon_x(h: &ShannonSums) -> f64 {
+    over_n(n_lg_n(h) - h.rows, h)
 }
 
 /// `H_R(Y)`: marginal Shannon entropy of the Y side.
-pub fn shannon_y(t: &ContingencyTable) -> f64 {
-    entropy_of_counts(t.col_totals(), t.n())
+pub fn shannon_y(h: &ShannonSums) -> f64 {
+    over_n(n_lg_n(h) - h.cols, h)
 }
 
 /// `H_R(XY)`: joint Shannon entropy.
-///
-/// As [`shannon_x`], implicit singleton cells are folded in after the
-/// explicit cells (value-equal, not bit-pinned, on stripped tables).
-pub fn shannon_xy(t: &ContingencyTable) -> f64 {
-    if t.n() == 0 {
-        return 0.0;
-    }
-    let nf = t.n() as f64;
-    let mut h = 0.0;
-    for (_, _, c) in t.cells() {
-        let p = c as f64 / nf;
-        h -= p * p.log2();
-    }
-    let implicit = t.implicit_singletons();
-    if implicit > 0 {
-        let p = 1.0 / nf;
-        h -= implicit as f64 * (p * p.log2());
-    }
-    h.max(0.0)
+pub fn shannon_xy(h: &ShannonSums) -> f64 {
+    over_n(n_lg_n(h) - h.cells, h)
 }
 
 /// `H_R(Y | X) = H(XY) − H(X)`: conditional Shannon entropy.
-///
-/// Computed cell-wise (`−Σ p_ij log2(p_ij / p_i)`) rather than as a
-/// difference, which is numerically cleaner near zero. Only explicit
-/// groups are iterated: a singleton's term is `p·log2(1/1) = 0.0`
-/// exactly, so stripped-lattice tables (implicit singletons) produce the
-/// same bits as the full-codes path.
-pub fn shannon_y_given_x(t: &ContingencyTable) -> f64 {
-    if t.n() == 0 {
-        return 0.0;
-    }
-    let nf = t.n() as f64;
-    let mut h = 0.0;
-    for (i, row) in (0..t.n_explicit_x()).map(|i| (i, t.row(i))) {
-        let a = t.row_totals()[i] as f64;
-        for &(_, c) in row {
-            let p = c as f64 / nf;
-            h -= p * (c as f64 / a).log2();
-        }
-    }
-    h.max(0.0)
+pub fn shannon_y_given_x(h: &ShannonSums) -> f64 {
+    over_n(h.rows - h.cells, h)
 }
 
 /// `I_R(X; Y) = H(Y) − H(Y|X)`: mutual information in bits.
-/// Clamped at 0 against floating-point jitter.
-pub fn mutual_information(t: &ContingencyTable) -> f64 {
-    (shannon_y(t) - shannon_y_given_x(t)).max(0.0)
+/// Clamped at 0: on independent data the rounded terms can leave a
+/// residue of either sign.
+pub fn mutual_information(h: &ShannonSums) -> f64 {
+    over_n(n_lg_n(h) - h.cols - (h.rows - h.cells), h).max(0.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afd_relation::ContingencyTable;
+
+    fn sums(counts: &[Vec<u64>]) -> ShannonSums {
+        ContingencyTable::from_counts(counts).shannon_sums()
+    }
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12
@@ -108,7 +68,7 @@ mod tests {
 
     #[test]
     fn uniform_entropy_is_log_k() {
-        let t = ContingencyTable::from_counts(&[vec![1, 0], vec![0, 1]]);
+        let t = sums(&[vec![1, 0], vec![0, 1]]);
         assert!(close(shannon_x(&t), 1.0));
         assert!(close(shannon_y(&t), 1.0));
         assert!(close(shannon_xy(&t), 1.0));
@@ -116,7 +76,7 @@ mod tests {
 
     #[test]
     fn single_value_entropy_zero() {
-        let t = ContingencyTable::from_counts(&[vec![5]]);
+        let t = sums(&[vec![5]]);
         assert_eq!(shannon_x(&t), 0.0);
         assert_eq!(shannon_y(&t), 0.0);
         assert_eq!(shannon_y_given_x(&t), 0.0);
@@ -124,13 +84,13 @@ mod tests {
 
     #[test]
     fn chain_rule_holds() {
-        let t = ContingencyTable::from_counts(&[vec![3, 1], vec![2, 2], vec![0, 4]]);
+        let t = sums(&[vec![3, 1], vec![2, 2], vec![0, 4]]);
         assert!(close(shannon_y_given_x(&t), shannon_xy(&t) - shannon_x(&t)));
     }
 
     #[test]
     fn exact_fd_gives_zero_conditional_entropy() {
-        let t = ContingencyTable::from_counts(&[vec![4, 0], vec![0, 3]]);
+        let t = sums(&[vec![4, 0], vec![0, 3]]);
         assert_eq!(shannon_y_given_x(&t), 0.0);
         assert!(close(mutual_information(&t), shannon_y(&t)));
     }
@@ -138,21 +98,21 @@ mod tests {
     #[test]
     fn independence_gives_zero_mi() {
         // p(x,y) = p(x)p(y): counts proportional to outer product.
-        let t = ContingencyTable::from_counts(&[vec![2, 4], vec![4, 8]]);
+        let t = sums(&[vec![2, 4], vec![4, 8]]);
         assert!(mutual_information(&t) < 1e-12);
     }
 
     #[test]
     fn mi_symmetry() {
-        let t = ContingencyTable::from_counts(&[vec![3, 1, 0], vec![1, 2, 2]]);
-        let tt = ContingencyTable::from_counts(&[vec![3, 1], vec![1, 2], vec![0, 2]]);
+        let t = sums(&[vec![3, 1, 0], vec![1, 2, 2]]);
+        let tt = sums(&[vec![3, 1], vec![1, 2], vec![0, 2]]);
         assert!(close(mutual_information(&t), mutual_information(&tt)));
     }
 
     #[test]
     fn known_value_quarter_half() {
         // counts: (x1,y1)=1 (x1,y2)=1 (x2,y2)=2 ; H(X)=1, H(Y)= H(1/4,3/4)
-        let t = ContingencyTable::from_counts(&[vec![1, 1], vec![0, 2]]);
+        let t = sums(&[vec![1, 1], vec![0, 2]]);
         let hy = -(0.25f64 * 0.25f64.log2() + 0.75 * 0.75f64.log2());
         assert!(close(shannon_y(&t), hy));
         // H(Y|X): x1 contributes (2/4)*1 bit, x2 contributes 0.
@@ -161,7 +121,7 @@ mod tests {
 
     #[test]
     fn empty_table_all_zero() {
-        let t = ContingencyTable::from_counts(&[]);
+        let t = sums(&[]);
         assert_eq!(shannon_x(&t), 0.0);
         assert_eq!(shannon_y_given_x(&t), 0.0);
         assert_eq!(mutual_information(&t), 0.0);

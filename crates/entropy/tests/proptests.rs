@@ -17,12 +17,13 @@ proptest! {
     #[test]
     fn shannon_inequalities(c in counts()) {
         prop_assume!(nonempty(&c));
-        let t = ContingencyTable::from_counts(&c);
+        let table = ContingencyTable::from_counts(&c);
+        let t = table.shannon_sums();
         let hy = shannon_y(&t);
         let hyx = shannon_y_given_x(&t);
         prop_assert!(hyx >= -1e-12);
         prop_assert!(hyx <= hy + 1e-9, "H(Y|X)={hyx} > H(Y)={hy}");
-        prop_assert!(hy <= (t.n_y() as f64).log2() + 1e-9);
+        prop_assert!(hy <= (table.n_y() as f64).log2() + 1e-9);
         // Chain rule.
         prop_assert!((hyx - (shannon_xy(&t) - shannon_x(&t))).abs() < 1e-9);
         // MI symmetry bound.
@@ -35,15 +36,15 @@ proptest! {
         prop_assume!(nonempty(&c));
         let t = ContingencyTable::from_counts(&c);
         let hy = logical_y(&t.summary());
-        let hyx = logical_y_given_x(&t);
+        let hyx = logical_y_given_x(&t.summary());
         prop_assert!((0.0..=1.0).contains(&hy));
         prop_assert!(hyx >= -1e-12);
         // Agreeing on X and differing on Y implies differing on Y.
         prop_assert!(hyx <= hy + 1e-12);
         // pdep(X→Y) ≥ pdep(Y) (paper Section IV-D).
         prop_assert!(pdep_xy(&t.summary()) >= pdep_y(&t.summary()) - 1e-12);
-        // E_x[h(Y|x)] also within [0, h(Y)+slack]... at least within [0,1].
-        let e = expected_conditional_logical(&t.summary());
+        // E_x[h(Y|x)] = 1 − pdep (Lemma 3) lies within [0, 1].
+        let e = 1.0 - pdep_xy(&t.summary());
         prop_assert!((0.0..=1.0 + 1e-12).contains(&e));
     }
 
@@ -63,7 +64,8 @@ proptest! {
         let t = ContingencyTable::from_counts(&c);
         let e = expected_mi_exact(&t);
         prop_assert!(e >= 0.0);
-        prop_assert!(e <= shannon_x(&t).min(shannon_y(&t)) + 1e-9);
+        let h = t.shannon_sums();
+        prop_assert!(e <= shannon_x(&h).min(shannon_y(&h)) + 1e-9);
     }
 }
 

@@ -15,6 +15,14 @@
 //! hash-based reference implementation is retained as
 //! [`crate::naive::contingency_from_codes`].
 //!
+//! ## Exact sums: the same bits in every order
+//!
+//! The float measures read sums of `sq/a` per X-group (pdep, τ, µ⁺) and
+//! of `v·lg v` per row total, cell and column total (g1ˢ, FI). Both are
+//! [`ExactSum`]s, carried by [`Summary`] and [`ShannonSums`], so a
+//! shuffled relation, a stripped table, the tally below and a stream
+//! (`afd-stream`) all score the same bits.
+//!
 //! ## Stripped candidates: the tally and implicit singletons
 //!
 //! The stripped lattice (TANE-style discovery in `afd-discovery`) stores
@@ -23,30 +31,28 @@
 //! that layout:
 //!
 //! * [`Summary::tally_stripped_with`] fills the candidate's [`Summary`]
-//!   — the integer aggregates plus the pdep group sum — with one counting
-//!   pass per cluster and no allocation; no table is built. Y-NULL rows
-//!   are skipped, X-NULL rows come off the column totals in
-//!   `O(dropped)`, and the singleton X-groups outside the clusters are
-//!   counted arithmetically. The pdep terms are added in the order of
-//!   each group's first surviving row, which is the group order of the
-//!   full-codes table, so the tally equals that table's
-//!   [`ContingencyTable::summary`] bit for bit, NULLs included. Every
-//!   measure whose formula reads only a [`Summary`] scores from it.
+//!   with one counting pass per cluster and no allocation; no table is
+//!   built. Y-NULL rows are skipped, X-NULL rows come off the column
+//!   totals in `O(dropped)`, and the singleton X-groups outside the
+//!   clusters are counted arithmetically. It equals the full-codes
+//!   table's [`ContingencyTable::summary`], NULLs included. Every
+//!   measure whose formula reads only a [`Summary`] scores from it. The
+//!   tally leaves the [`ShannonSums`] out: a `log2` per group would cost
+//!   every candidate of every measure.
 //! * [`ContingencyTable::from_stripped_with`] builds the table of a
 //!   NULL-free candidate for the measures that read cells. Each
 //!   singleton X-group stays implicit (row total 1, one cell of count 1),
 //!   and every aggregate ([`ContingencyTable::n_x`],
 //!   [`ContingencyTable::sum_row_max`], [`ContingencyTable::summary`],
-//!   ...) folds them in arithmetically. Row-level accessors
-//!   ([`ContingencyTable::row_totals`], [`ContingencyTable::row`],
-//!   [`ContingencyTable::cells`]) expose **explicit** groups only;
-//!   callers that iterate rows must add the implicit contribution
-//!   themselves (see `n_explicit_x` uses across `afd-entropy`/`afd-core`
-//!   — for g1, g1ˢ and FI the per-singleton term is exactly `0.0`, which
-//!   keeps their stripped-lattice scores bit-identical to the full-codes
-//!   path). The per-Y distribution of the implicit rows stays
-//!   recoverable as [`ContingencyTable::implicit_col_counts`] because
-//!   `col_totals` always covers *all* surviving rows.
+//!   [`ContingencyTable::shannon_sums`], ...) folds them in
+//!   arithmetically; an implicit singleton adds exactly 0 to the Shannon
+//!   sums. Row-level accessors ([`ContingencyTable::row_totals`],
+//!   [`ContingencyTable::row`], [`ContingencyTable::cells`]) expose
+//!   **explicit** groups only; callers that iterate rows must add the
+//!   implicit contribution themselves. The per-Y distribution of the
+//!   implicit rows stays recoverable as
+//!   [`ContingencyTable::implicit_col_counts`] because `col_totals`
+//!   always covers *all* surviving rows.
 
 use crate::dictionary::NULL_CODE;
 use crate::kernels::{with_scratch, Scratch};
@@ -458,12 +464,9 @@ impl ContingencyTable {
         self.col_totals.iter().map(|&b| b * b).sum()
     }
 
-    /// The table's [`Summary`]: the pdep terms are added over the
-    /// explicit X-groups in table (first-encounter) order. An implicit
-    /// singleton group's term is `1/N − 1/(1·N)`, exactly `0.0`, so a
-    /// stripped table and its full-codes twin give the same bits.
+    /// The table's [`Summary`]. An implicit singleton group adds `1/1`
+    /// to the exact pdep sum, like its full-codes twin.
     pub fn summary(&self) -> Summary {
-        let n = self.n as f64;
         // Each implicit singleton group is one cell of count 1.
         let mut s = Summary {
             n: self.n,
@@ -475,6 +478,7 @@ impl ContingencyTable {
             sum_sq_cols: self.sum_sq_cols(),
             ..Summary::default()
         };
+        s.pdep_sum.add_sq_over_a(1, 1, self.implicit_singletons);
         for (i, &a) in self.row_totals.iter().enumerate() {
             let row = self.row(i);
             let (mut max, mut sq) = (0, 0);
@@ -487,9 +491,32 @@ impl ContingencyTable {
             if row.len() >= 2 {
                 s.violating_rows += a;
             }
-            s.pdep_group_sum += pdep_term(a, sq, n);
+            s.pdep_sum.add_sq_over_a(sq, a, 1);
         }
         s
+    }
+
+    /// The table's exact [`ShannonSums`]. An implicit singleton group
+    /// adds `1·lg 1 = 0` to the row and cell sums, so a stripped table
+    /// and its full-codes twin give the same sums.
+    pub fn shannon_sums(&self) -> ShannonSums {
+        let mut h = ShannonSums {
+            n: self.n,
+            ..ShannonSums::default()
+        };
+        for (i, &a) in self.row_totals.iter().enumerate() {
+            let before = h.rows;
+            h.rows.add_v_lg_v(a, 1);
+            match self.row(i) {
+                // A one-cell group's cell term is its row term.
+                [_] => h.cells.0 += h.rows.0 - before.0,
+                row => row.iter().for_each(|&(_, c)| h.cells.add_v_lg_v(c, 1)),
+            }
+        }
+        for &b in &self.col_totals {
+            h.cols.add_v_lg_v(b, 1);
+        }
+        h
     }
 }
 
@@ -542,11 +569,12 @@ impl<'a> YSide<'a> {
 
 /// The aggregates of one candidate's contingency table that the measures
 /// reading no cells consume: `N`, `K_X`, the nonzero cells, `Σ max`, the
-/// rows of violating groups, the three sums of squares, and the pdep
-/// group sum. Produced by [`ContingencyTable::summary`] from a built
-/// table, or by [`Summary::tally_stripped_with`] straight from a stripped
-/// partition; both give the same bits.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// rows of violating groups, the three sums of squares, and the exact
+/// pdep sum `Σ sq/a`. Produced by [`ContingencyTable::summary`] from a
+/// built table, by [`Summary::tally_stripped_with`] straight from a
+/// stripped partition, or by [`Summary::from_aggregates`] from counts
+/// maintained elsewhere; all give the same value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Summary {
     n: u64,
     n_x: usize,
@@ -556,35 +584,45 @@ pub struct Summary {
     sum_sq_rows: u64,
     sum_sq_cells: u64,
     sum_sq_cols: u64,
-    pdep_group_sum: f64,
-}
-
-/// One X-group's pdep term `a/N − Σ_j n_j²/(a·N)`, from its row total `a`
-/// and its `sq = Σ_j n_j²`.
-fn pdep_term(a: u64, sq: u64, n: f64) -> f64 {
-    let a = a as f64;
-    a / n - sq as f64 / (a * n)
+    pdep_sum: ExactSum,
 }
 
 impl Summary {
+    /// The summary of aggregates maintained elsewhere (a stream), in
+    /// field order; the sums of squares are `[Σ a², Σ n², Σ b²]`.
+    pub fn from_aggregates(
+        n: u64,
+        n_x: usize,
+        nonzero_cells: usize,
+        sum_row_max: u64,
+        violating_rows: u64,
+        [sum_sq_rows, sum_sq_cells, sum_sq_cols]: [u64; 3],
+        pdep_sum: ExactSum,
+    ) -> Summary {
+        Summary {
+            n,
+            n_x,
+            nonzero_cells,
+            sum_row_max,
+            violating_rows,
+            sum_sq_rows,
+            sum_sq_cells,
+            sum_sq_cols,
+            pdep_sum,
+        }
+    }
+
     /// Tallies the [`Summary`] of a stripped candidate `X -> Y` without
     /// building its table: one counting pass per cluster over the
     /// scratch's stamped counter, and no allocation once the scratch has
     /// grown.
     ///
     /// `cluster_rows`/`cluster_starts` are the CSR clusters (size ≥ 2) of
-    /// the X-partition, ordered by first row with rows ascending inside
-    /// each — the layout [`crate::strip_codes_into`] and
+    /// the X-partition — the layout [`crate::strip_codes_into`] and
     /// [`crate::refine_stripped_into`] write — and `dropped` holds its
     /// NULL rows. Every other row is a singleton X-group. `y` may have
-    /// NULLs.
-    ///
-    /// The result equals the [`ContingencyTable::summary`] of the
-    /// full-codes table, the pdep group sum bit for bit: its terms are
-    /// added in the order of each group's first surviving row. Clusters
-    /// already come in that order unless a cluster's first row is
-    /// Y-NULL; from the first such cluster on, the terms are buffered in
-    /// the scratch and sorted.
+    /// NULLs. The result equals the [`ContingencyTable::summary`] of the
+    /// full-codes table.
     pub fn tally_stripped_with(
         scratch: &mut Scratch,
         cluster_rows: &[u32],
@@ -618,26 +656,20 @@ impl Summary {
                 sum_sq_cols -= b * b - (b - d) * (b - d);
             }
         }
-        let nf = n as f64;
         let mut s = Summary {
             n,
             sum_sq_cols,
             ..Summary::default()
         };
-        let mut late = std::mem::take(&mut scratch.terms);
-        late.clear();
         let mut clustered = 0;
         for w in cluster_starts.windows(2) {
-            let cluster = &cluster_rows[w[0] as usize..w[1] as usize];
             scratch.count.begin();
             let (mut a, mut cells, mut max, mut sq) = (0, 0, 0, 0);
-            let mut first = None;
-            for &row in cluster {
+            for &row in &cluster_rows[w[0] as usize..w[1] as usize] {
                 let yc = y.codes[row as usize];
                 if yc == NULL_CODE {
                     continue;
                 }
-                first.get_or_insert(row);
                 let k = scratch.count.get(yc).unwrap_or(0) + 1;
                 scratch.count.set(yc, k);
                 a += 1;
@@ -648,7 +680,9 @@ impl Summary {
                 // k² − (k − 1)²: keeps Σ n_j² current.
                 sq += 2 * k - 1;
             }
-            let Some(first) = first else { continue };
+            if a == 0 {
+                continue;
+            }
             clustered += a;
             s.n_x += 1;
             s.nonzero_cells += cells;
@@ -658,26 +692,17 @@ impl Summary {
             if cells >= 2 {
                 s.violating_rows += a;
             }
-            let term = pdep_term(a, sq, nf);
-            if late.is_empty() && first == cluster[0] {
-                s.pdep_group_sum += term;
-            } else {
-                late.push((first, term));
-            }
+            s.pdep_sum.add_sq_over_a(sq, a, 1);
         }
-        late.sort_unstable_by_key(|&(first, _)| first);
-        for &(_, term) in &late {
-            s.pdep_group_sum += term;
-        }
-        scratch.terms = late;
         // Surviving rows outside the clusters: one group, one cell of
-        // count 1 each; their pdep terms are exactly 0.0.
+        // count 1 each, and a pdep term of 1/1.
         let singletons = n - clustered;
         s.n_x += singletons as usize;
         s.nonzero_cells += singletons as usize;
         s.sum_row_max += singletons;
         s.sum_sq_rows += singletons;
         s.sum_sq_cells += singletons;
+        s.pdep_sum.add_sq_over_a(1, 1, singletons);
         s
     }
 
@@ -722,10 +747,9 @@ impl Summary {
         self.sum_sq_cols
     }
 
-    /// `Σ_i (a_i/N − Σ_j n_ij²/(a_i·N))`, added over the X-groups in
-    /// first-encounter order: `E_x[h(Y|x)]` before clamping at 0.
-    pub fn pdep_group_sum(&self) -> f64 {
-        self.pdep_group_sum
+    /// `Σ_i (Σ_j n_ij²)/a_i`, exactly: `N · pdep(X → Y)`.
+    pub fn pdep_sum(&self) -> ExactSum {
+        self.pdep_sum
     }
 
     /// `true` iff the FD `X -> Y` holds exactly: every X-group has one
@@ -733,6 +757,83 @@ impl Summary {
     pub fn is_exact_fd(&self) -> bool {
         self.nonzero_cells == self.n_x
     }
+}
+
+/// An exact sum of `f64` terms that are each 0 or ≥ 1. Such a term is a
+/// whole number of units of 2⁻⁵², so the sum is kept as an `i128` count
+/// of those units: every order of additions, and every merge of partial
+/// sums, gives the same integer, and [`ExactSum::value`] rounds it once.
+/// Only the two terms the measures read can be added.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExactSum(i128);
+
+impl ExactSum {
+    /// Adds `mult` times `sq/a`, the pdep term of an X-group with row
+    /// total `a` and `Σ_j n_j² = sq` (`sq ≥ a ≥ 1`, so the term is ≥ 1).
+    #[inline]
+    pub fn add_sq_over_a(&mut self, sq: u64, a: u64, mult: u64) {
+        self.add(sq as f64 / a as f64, mult);
+    }
+
+    /// Adds `mult` times `v·lg v`, the Shannon term of a count `v`
+    /// (exactly 0 at `v = 1`, ≥ 2 above).
+    #[inline]
+    pub fn add_v_lg_v(&mut self, v: u64, mult: u64) {
+        if v > 1 {
+            let v = v as f64;
+            self.add(v * v.log2(), mult);
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, term: f64, mult: u64) {
+        self.0 += units(term) * i128::from(mult);
+    }
+
+    /// The sum, rounded once to the nearest `f64`.
+    pub fn value(self) -> f64 {
+        // `f64::EPSILON` is exactly 2⁻⁵².
+        self.0 as f64 * f64::EPSILON
+    }
+}
+
+impl std::ops::Sub for ExactSum {
+    type Output = ExactSum;
+    fn sub(self, other: ExactSum) -> ExactSum {
+        ExactSum(self.0 - other.0)
+    }
+}
+
+/// `term` (0, or in `[1, 2⁷⁵)`) in units of 2⁻⁵², exactly: the 53-bit
+/// significand shifted by the unbiased exponent (an `as i128` cast goes
+/// through a much slower software conversion).
+#[inline]
+fn units(term: f64) -> i128 {
+    let bits = term.to_bits();
+    if bits == 0 {
+        return 0;
+    }
+    let exp = (bits >> 52) as u32;
+    debug_assert!((1023..1023 + 75).contains(&exp), "term {term} out of range");
+    let significand = (bits & ((1 << 52) - 1)) | (1 << 52);
+    (u128::from(significand) << (exp - 1023)) as i128
+}
+
+/// The exact Shannon sums of a table: `N` and `Σ v·lg v` over its row
+/// totals, cells and column totals. Every Shannon quantity is a
+/// difference of these over `N` (`afd-entropy`), so it is order-free up
+/// to one rounding. Produced by [`ContingencyTable::shannon_sums`], or
+/// filled from counts maintained elsewhere.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShannonSums {
+    /// Total count `N`.
+    pub n: u64,
+    /// `Σ_i a_i·lg a_i` over the row totals.
+    pub rows: ExactSum,
+    /// `Σ_ij n_ij·lg n_ij` over the cells.
+    pub cells: ExactSum,
+    /// `Σ_j b_j·lg b_j` over the column totals.
+    pub cols: ExactSum,
 }
 
 #[cfg(test)]
@@ -872,6 +973,7 @@ mod tests {
             with_scratch(|s| Summary::tally_stripped_with(s, &rows, &starts, &dropped, &y_side));
         assert_eq!(stripped.summary(), full.summary());
         assert_eq!(tally, full.summary());
+        assert_eq!(stripped.shannon_sums(), full.shannon_sums());
         assert_eq!(stripped.n(), full.n());
         assert_eq!(stripped.n_x(), full.n_x());
         assert_eq!(stripped.n_y(), full.n_y());
@@ -894,6 +996,28 @@ mod tests {
         for (si, &fi) in full_big.iter().enumerate() {
             assert_eq!(stripped.row_totals()[si], full.row_totals()[fi]);
             assert_eq!(stripped.row(si), full.row(fi), "group {si}");
+        }
+    }
+
+    #[test]
+    fn exact_units_match_the_reference_conversion() {
+        let reference = |t: f64| (t * 2f64.powi(52)) as i128;
+        let mut terms = vec![0.0, 1.0];
+        terms.extend((0..70).map(|k| 2f64.powi(k)));
+        for a in 1..=60u64 {
+            for sq in (a..=a * a).step_by(7) {
+                terms.push(sq as f64 / a as f64);
+            }
+        }
+        let mut vs: Vec<u64> = (1..=5000).collect();
+        vs.extend((1..=32).flat_map(|k| [(1 << k) - 1, 1 << k, (1 << k) + 1]));
+        vs.extend((1..=4096u64).map(|i| i * 1_048_573));
+        for v in vs {
+            let v = v as f64;
+            terms.push(v * v.log2());
+        }
+        for t in terms {
+            assert_eq!(units(t), reference(t), "term {t}");
         }
     }
 

@@ -109,11 +109,6 @@ pub struct Scratch {
     pub(crate) buf_d: Vec<u32>,
     /// Fallback pair-key index when the dense key space would be too big.
     pub(crate) pair_hash: HashMap<u64, u32>,
-    /// Group terms awaiting reordering by first surviving row
-    /// ([`Summary::tally_stripped_with`]).
-    ///
-    /// [`Summary::tally_stripped_with`]: crate::Summary::tally_stripped_with
-    pub(crate) terms: Vec<(u32, f64)>,
 }
 
 impl Scratch {

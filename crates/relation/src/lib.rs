@@ -11,7 +11,9 @@
 //! * the grouping primitives every measure consumes:
 //!   [`ContingencyTable`] (joint frequencies of `X` vs `Y`), its
 //!   aggregate [`Summary`] (also tallied straight from a stripped
-//!   partition) and [`Pli`] (stripped partitions for lattice discovery),
+//!   partition) and exact [`ShannonSums`], whose float sums are
+//!   [`ExactSum`]s (the same bits in every order), and [`Pli`]
+//!   (stripped partitions for lattice discovery),
 //! * functional dependencies ([`Fd`]) with the paper's NULL semantics, and
 //! * structural statistics ([`lhs_uniqueness`], [`rhs_skew`]).
 //!
@@ -43,7 +45,7 @@ pub mod value;
 
 pub use cache::EncodingCache;
 pub use candidates::{linear_candidates, violated_candidates};
-pub use contingency::{ContingencyTable, Summary, YSide};
+pub use contingency::{ContingencyTable, ExactSum, ShannonSums, Summary, YSide};
 pub use csv::{read_csv, read_csv_typed, write_csv, CsvKind};
 pub use dictionary::{Dictionary, NULL_CODE};
 pub use error::RelationError;

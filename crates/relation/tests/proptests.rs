@@ -91,10 +91,10 @@ proptest! {
     }
 
     /// The one-pass tally of a stripped candidate equals the summary of
-    /// its full-codes table, the pdep group sum bit for bit — with NULLs
-    /// on every column, so X-NULL rows, Y-NULL rows and clusters whose
-    /// first row is Y-NULL (reordered groups) all occur. X is each pair
-    /// of attributes, Y the third.
+    /// its full-codes table, the exact pdep sum included — with NULLs on
+    /// every column, so X-NULL rows, Y-NULL rows and clusters whose
+    /// first row is Y-NULL all occur. X is each pair of attributes, Y
+    /// the third.
     #[test]
     fn tally_equals_table_summary(rows in rows3()) {
         let rel = rel3(&rows);
@@ -109,8 +109,6 @@ proptest! {
             });
             let want = ContingencyTable::from_codes(&x.codes, &y.codes).summary();
             prop_assert_eq!(tally, want, "Y = attribute {}", c);
-            prop_assert_eq!(tally.pdep_group_sum().to_bits(), want.pdep_group_sum().to_bits(),
-                "Y = attribute {}", c);
         }
     }
 

@@ -36,10 +36,10 @@
 //!   to an unsharded session over the same history, and to the full
 //!   re-merge of [`IncTable::merged_scores`].
 //!
-//! Score reads are bitwise deterministic: every floating-point reduction
-//! iterates ordered count histograms, so a session that ingested a
-//! million deltas and a fresh session built from the final snapshot
-//! return bit-identical `f64`s — the property the crate's proptests pin.
+//! Score reads are the batch scores, bit for bit: each read scores the
+//! exact sums of its aggregates through `afd_core::fast_scores`, so a
+//! session that ingested a million deltas and `afd-core` on the final
+//! snapshot return bit-identical `f64`s — the crate's proptests pin it.
 //!
 //! ## Architecture & performance: the wire and the process topology
 //!

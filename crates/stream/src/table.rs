@@ -7,24 +7,23 @@
 //! an O(distinct-Y-of-group) max recomputation when a delete lowers a
 //! group's majority count).
 //!
-//! # Why score reads are bitwise deterministic
+//! # Why score reads equal the batch scores bit for bit
 //!
 //! Every maintained aggregate is an **integer** (exact under insert and
-//! delete), and every floating-point reduction in [`IncTable::scores`]
-//! iterates a `BTreeMap` *histogram* keyed by count value — never a group
-//! id, never a hash order. Two `IncTable`s holding the same multiset of
-//! counts therefore produce bit-identical `f64` scores, regardless of the
-//! insert/delete interleaving that built them. This is what lets the
-//! proptests pin `incremental == from-scratch rebuild` at the bit level,
-//! and lets compaction assert equivalence instead of "approximately
-//! equal".
-//!
-//! The per-group Shannon terms are thereby patched group-by-group: a
-//! touched group moves its old count out of the histogram and its new
-//! count in; untouched groups' contributions are never recomputed.
+//! delete), and the per-group terms the float measures sum are kept as
+//! `BTreeMap` *histograms* keyed by count value, patched group by group.
+//! A score read ([`IncTable::scores`]) turns each histogram into an exact
+//! `Σ mult·term` ([`afd_relation::ExactSum`]), builds the [`Summary`] and
+//! [`ShannonSums`] a batch table of the same rows has, and scores them
+//! through [`afd_core::fast_scores`]. So a stream, a rebuild, a merge of
+//! shards in any order and `afd-core` return bit-identical `f64`s, and
+//! compaction asserts equivalence instead of "approximately equal".
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
+use afd_core::fast_scores;
+use afd_relation::{ExactSum, ShannonSums, Summary};
 use afd_wire::{Decode, DecodeError, Encode, Reader};
 
 /// Per-X-group state: total, sum of squared cell counts, majority count,
@@ -74,13 +73,11 @@ fn hist_dec(h: &mut CountHist, v: u64) {
     }
 }
 
-/// `Σ v·log2(v) · mult` over a histogram, in ascending-key order.
-fn hist_entropy_sum(h: &CountHist) -> f64 {
-    let mut s = 0.0;
+/// `Σ mult·(v·lg v)` over a count histogram, exactly.
+fn lg_sum(h: &CountHist) -> ExactSum {
+    let mut s = ExactSum::default();
     for (&v, &mult) in h {
-        if v > 1 {
-            s += mult as f64 * (v as f64) * (v as f64).log2();
-        }
+        s.add_v_lg_v(v, mult);
     }
     s
 }
@@ -343,31 +340,11 @@ impl IncTable {
         }
     }
 
-    /// The current scores of the incremental measure family.
-    ///
-    /// Applies the paper's conventions exactly like
-    /// [`afd_core::Measure::score_contingency`]: empty or exactly
-    /// satisfied tables score 1 across the board, everything else is
-    /// clamped into `[0, 1]`.
-    ///
-    /// [`afd_core::Measure::score_contingency`]:
-    /// https://docs.rs/afd-core (Measure trait)
+    /// The current scores of the incremental measure family, through
+    /// [`afd_core::fast_scores`]: bit for bit what each measure's
+    /// `score_contingency` returns on the batch table of the same rows.
     pub fn scores(&self) -> StreamScores {
-        ScoreAggregates {
-            n: self.n,
-            kx: self.groups.len() as u64,
-            nonzero_cells: self.nonzero_cells,
-            sum_row_max: self.sum_row_max,
-            violating_mass: self.violating_mass,
-            sum_sq_rows: self.sum_sq_rows,
-            sum_sq_cols: self.sum_sq_cols,
-            sum_sq_cells: self.sum_sq_cells,
-            hist_rows: &self.hist_rows,
-            hist_cols: &self.hist_cols,
-            hist_cells: &self.hist_cells,
-            hist_row_shape: &self.hist_row_shape,
-        }
-        .scores()
+        XSide::of(self).scores(self.sum_sq_cols, &self.hist_cols)
     }
 
     /// Column total `b_j` of Y side id `y` (0 when the column is empty).
@@ -398,7 +375,7 @@ impl IncTable {
     pub fn merged_scores<'a>(
         parts: impl IntoIterator<Item = (&'a IncTable, &'a [u32])>,
     ) -> StreamScores {
-        let mut x = XSideSum::default();
+        let mut x = XSide::default();
         let mut cols: BTreeMap<u32, u64> = BTreeMap::new();
         for (t, y_map) in parts {
             x.add(t);
@@ -416,14 +393,13 @@ impl IncTable {
     }
 }
 
-/// The X-side score inputs of a union of shard tables whose X-group key
-/// spaces are value-disjoint: plain sums of the scalars and of the three
-/// X-side count histograms. Each histogram is bounded by the number of
-/// distinct count values, not by K_X or K_Y. Both cross-shard reads
-/// ([`IncTable::merged_scores`] and [`FoldedYMargins::scores`]) sum
-/// through this one type.
+/// The X-side score inputs of one table, borrowed, or of a union of
+/// shard tables whose X-group key spaces are value-disjoint: plain sums
+/// of the scalars and of the three X-side count histograms, each bounded
+/// by the number of distinct count values. Every score read goes through
+/// [`XSide::scores`].
 #[derive(Default)]
-struct XSideSum {
+struct XSide<'a> {
     n: u64,
     kx: u64,
     nonzero_cells: u64,
@@ -431,12 +407,27 @@ struct XSideSum {
     violating_mass: u64,
     sum_sq_rows: u64,
     sum_sq_cells: u64,
-    hist_rows: CountHist,
-    hist_cells: CountHist,
-    hist_row_shape: BTreeMap<(u64, u64), u64>,
+    hist_rows: Cow<'a, CountHist>,
+    hist_cells: Cow<'a, CountHist>,
+    hist_row_shape: Cow<'a, BTreeMap<(u64, u64), u64>>,
 }
 
-impl XSideSum {
+impl<'a> XSide<'a> {
+    fn of(t: &'a IncTable) -> Self {
+        XSide {
+            n: t.n,
+            kx: t.groups.len() as u64,
+            nonzero_cells: t.nonzero_cells,
+            sum_row_max: t.sum_row_max,
+            violating_mass: t.violating_mass,
+            sum_sq_rows: t.sum_sq_rows,
+            sum_sq_cells: t.sum_sq_cells,
+            hist_rows: Cow::Borrowed(&t.hist_rows),
+            hist_cells: Cow::Borrowed(&t.hist_cells),
+            hist_row_shape: Cow::Borrowed(&t.hist_row_shape),
+        }
+    }
+
     fn add(&mut self, t: &IncTable) {
         self.n += t.n;
         self.kx += t.groups.len() as u64;
@@ -446,33 +437,39 @@ impl XSideSum {
         self.sum_sq_rows += t.sum_sq_rows;
         self.sum_sq_cells += t.sum_sq_cells;
         for (&v, &mult) in &t.hist_rows {
-            *self.hist_rows.entry(v).or_insert(0) += mult;
+            *self.hist_rows.to_mut().entry(v).or_insert(0) += mult;
         }
         for (&v, &mult) in &t.hist_cells {
-            *self.hist_cells.entry(v).or_insert(0) += mult;
+            *self.hist_cells.to_mut().entry(v).or_insert(0) += mult;
         }
         for (&shape, &mult) in &t.hist_row_shape {
-            *self.hist_row_shape.entry(shape).or_insert(0) += mult;
+            *self.hist_row_shape.to_mut().entry(shape).or_insert(0) += mult;
         }
     }
 
-    /// The scores of these X-side sums with the union's Y margins.
+    /// The scores with Y margins `sum_sq_cols` and `hist_cols`: every
+    /// histogram becomes an exact `Σ mult·term` of the batch sums.
     fn scores(&self, sum_sq_cols: u64, hist_cols: &CountHist) -> StreamScores {
-        ScoreAggregates {
-            n: self.n,
-            kx: self.kx,
-            nonzero_cells: self.nonzero_cells,
-            sum_row_max: self.sum_row_max,
-            violating_mass: self.violating_mass,
-            sum_sq_rows: self.sum_sq_rows,
-            sum_sq_cols,
-            sum_sq_cells: self.sum_sq_cells,
-            hist_rows: &self.hist_rows,
-            hist_cols,
-            hist_cells: &self.hist_cells,
-            hist_row_shape: &self.hist_row_shape,
+        let mut pdep = ExactSum::default();
+        for (&(a, sq), &mult) in self.hist_row_shape.iter() {
+            pdep.add_sq_over_a(sq, a, mult);
         }
-        .scores()
+        let summary = Summary::from_aggregates(
+            self.n,
+            self.kx as usize,
+            self.nonzero_cells as usize,
+            self.sum_row_max,
+            self.violating_mass,
+            [self.sum_sq_rows, self.sum_sq_cells, sum_sq_cols],
+            pdep,
+        );
+        let shannon = ShannonSums {
+            n: self.n,
+            rows: lg_sum(&self.hist_rows),
+            cells: lg_sum(&self.hist_cells),
+            cols: lg_sum(hist_cols),
+        };
+        StreamScores::from_values(fast_scores(&summary, &shannon))
     }
 }
 
@@ -515,90 +512,11 @@ impl FoldedYMargins {
         &self,
         tables: impl IntoIterator<Item = &'a IncTable>,
     ) -> StreamScores {
-        let mut x = XSideSum::default();
+        let mut x = XSide::default();
         for t in tables {
             x.add(t);
         }
         x.scores(self.sum_sq_cols, &self.hist_cols)
-    }
-}
-
-/// The exact inputs a score read consumes — borrowed from one table's
-/// fields ([`IncTable::scores`]) or summed across shards
-/// ([`XSideSum::scores`]). Keeping every path on this one struct is what
-/// guarantees their bit-identical results.
-struct ScoreAggregates<'a> {
-    n: u64,
-    kx: u64,
-    nonzero_cells: u64,
-    sum_row_max: u64,
-    violating_mass: u64,
-    sum_sq_rows: u64,
-    sum_sq_cols: u64,
-    sum_sq_cells: u64,
-    hist_rows: &'a CountHist,
-    hist_cols: &'a CountHist,
-    hist_cells: &'a CountHist,
-    hist_row_shape: &'a BTreeMap<(u64, u64), u64>,
-}
-
-impl ScoreAggregates<'_> {
-    fn scores(&self) -> StreamScores {
-        if self.n == 0 || self.nonzero_cells == self.kx {
-            return StreamScores::exact();
-        }
-        let nf = self.n as f64;
-        let kx = self.kx as f64;
-        let n2 = nf * nf;
-        // VIOLATION family (pure integer ratios).
-        let rho = kx / self.nonzero_cells as f64;
-        let g2 = 1.0 - self.violating_mass as f64 / nf;
-        let g3 = self.sum_row_max as f64 / nf;
-        let k = self.kx;
-        let g3_prime = (self.sum_row_max - k) as f64 / (self.n - k) as f64;
-        // LOGICAL family. The integer sums are exact, and every partial
-        // f64 sum below 2^53 of integer terms is too, so these match the
-        // batch measures bit-for-bit.
-        let violating_pairs = (self.sum_sq_rows - self.sum_sq_cells) as f64;
-        let g1 = 1.0 - violating_pairs / n2;
-        let g1_prime = 1.0 - violating_pairs / (n2 - self.sum_sq_cells as f64);
-        // pdep via the group-shape histogram: Σ_i (a_i/N − sq_i/(a_i·N)),
-        // identical shapes merged, ascending shape order.
-        let mut ecl = 0.0;
-        for (&(a, sq), &mult) in self.hist_row_shape {
-            let (af, sqf) = (a as f64, sq as f64);
-            ecl += mult as f64 * (af / nf - sqf / (af * nf));
-        }
-        let pdep = 1.0 - ecl.max(0.0);
-        let py = self.sum_sq_cols as f64 / n2;
-        let tau = (pdep - py) / (1.0 - py);
-        let e_pdep = py + (kx - 1.0) / (nf - 1.0) * (1.0 - py);
-        let mu_plus = ((pdep - e_pdep) / (1.0 - e_pdep)).max(0.0);
-        // SHANNON family via the count histograms:
-        // H(Y|X) = (Σ_i a·lg a − Σ_ij c·lg c)/N,
-        // H(Y)   = lg N − (Σ_j b·lg b)/N.
-        let s_rows = hist_entropy_sum(self.hist_rows);
-        let s_cells = hist_entropy_sum(self.hist_cells);
-        let s_cols = hist_entropy_sum(self.hist_cols);
-        let hyx = ((s_rows - s_cells) / nf).max(0.0);
-        let hy = (nf.log2() - s_cols / nf).max(0.0);
-        let g1s = (1.0 - hyx).max(0.0);
-        // FD violated => |dom(Y)| ≥ 2 => H(Y) > 0.
-        let fi = 1.0 - hyx / hy;
-        StreamScores {
-            rho,
-            g2,
-            g3,
-            g3_prime,
-            g1s,
-            fi,
-            g1,
-            g1_prime,
-            pdep,
-            tau,
-            mu_plus,
-        }
-        .clamped()
     }
 }
 
@@ -869,18 +787,25 @@ impl StreamScores {
 
     /// All scores 1.0 — the exactly-satisfied / empty convention.
     pub fn exact() -> Self {
+        Self::from_values([1.0; 11])
+    }
+
+    /// The scores from values in [`StreamScores::NAMES`] order.
+    fn from_values(
+        [rho, g2, g3, g3_prime, g1s, fi, g1, g1_prime, pdep, tau, mu_plus]: [f64; 11],
+    ) -> Self {
         StreamScores {
-            rho: 1.0,
-            g2: 1.0,
-            g3: 1.0,
-            g3_prime: 1.0,
-            g1s: 1.0,
-            fi: 1.0,
-            g1: 1.0,
-            g1_prime: 1.0,
-            pdep: 1.0,
-            tau: 1.0,
-            mu_plus: 1.0,
+            rho,
+            g2,
+            g3,
+            g3_prime,
+            g1s,
+            fi,
+            g1,
+            g1_prime,
+            pdep,
+            tau,
+            mu_plus,
         }
     }
 
@@ -924,25 +849,6 @@ impl StreamScores {
             .iter()
             .zip(other.values())
             .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
-    fn clamped(mut self) -> Self {
-        for v in [
-            &mut self.rho,
-            &mut self.g2,
-            &mut self.g3,
-            &mut self.g3_prime,
-            &mut self.g1s,
-            &mut self.fi,
-            &mut self.g1,
-            &mut self.g1_prime,
-            &mut self.pdep,
-            &mut self.tau,
-            &mut self.mu_plus,
-        ] {
-            *v = v.clamp(0.0, 1.0);
-        }
-        self
     }
 }
 
@@ -1137,5 +1043,7 @@ mod tests {
         assert_eq!(s.get("G3'"), Some(s.g3_prime));
         assert_eq!(s.get("nope"), None);
         assert_eq!(StreamScores::NAMES.len(), s.values().len());
+        let fast: Vec<&str> = afd_core::fast_measures().iter().map(|m| m.name()).collect();
+        assert_eq!(fast, StreamScores::NAMES);
     }
 }

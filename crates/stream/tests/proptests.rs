@@ -1,8 +1,9 @@
 //! Property tests pinning the incremental engine to the batch kernels:
 //! random insert/delete sequences must yield byte-identical PLIs,
-//! contingency tables and (bit-exact) scores to a from-scratch rebuild
-//! at every step, and stay within float-association distance of the
-//! `afd-core` batch measures.
+//! contingency tables and scores to a from-scratch rebuild at every
+//! step, and every one of the 11 scores must equal the `afd-core` batch
+//! measure on the same rows bit for bit (`f64::to_bits`): both sides
+//! score through `afd-core`'s exact, order-free sums.
 
 use afd_core::measure_by_name;
 use afd_relation::{AttrId, AttrSet, Fd, Pli, Relation, Schema, Value};
@@ -104,13 +105,13 @@ fn check_against_batch(
         session.scores(cid),
         fresh.scores(fcid)
     );
-    // Association-tolerance agreement with the batch measures.
+    // Bit-exact agreement with the batch measures.
     for name in StreamScores::NAMES {
         let measure = measure_by_name(name).expect("known measure");
         let want = measure.score_contingency(&batch_ct);
         let got = session.scores(cid).get(name).expect("known name");
         prop_assert!(
-            (want - got).abs() < 1e-9,
+            want.to_bits() == got.to_bits(),
             "{name} differs from afd-core: stream {got} vs batch {want}"
         );
     }
@@ -258,7 +259,7 @@ proptest! {
                     let want = measure_by_name(name).unwrap().score_contingency(&batch_ct);
                     let got = single.scores(cid).get(name).unwrap();
                     prop_assert!(
-                        (want - got).abs() < 1e-9,
+                        want.to_bits() == got.to_bits(),
                         "{name} differs from afd-core for {:?}: {got} vs {want}",
                         fd
                     );

@@ -92,8 +92,8 @@
 //!   rows of non-singleton partition groups (CSR clusters, TANE-style),
 //!   so per-node work and memory shrink monotonically up the lattice
 //!   instead of staying `O(rows)`. Candidates of the measures whose
-//!   formula reads only table aggregates (ρ, g2, g3, g3′, g1′, pdep, τ,
-//!   µ⁺) are scored from a one-pass tally of the stripped clusters
+//!   formula reads only table aggregates (ρ, g2, g3, g3′, g1, g1′, pdep,
+//!   τ, µ⁺) are scored from a one-pass tally of the stripped clusters
 //!   ([`relation::Summary::tally_stripped_with`]), NULLs included, with
 //!   no contingency table built; the other measures score
 //!   implicit-singleton tables
@@ -146,12 +146,14 @@
 //! 3. Score reads merge the per-shard tables: the X-side counts and
 //!    histograms are summed, and the column totals come from merged Y
 //!    margins the coordinator keeps through a global Y-id space,
-//!    re-summing only the columns each apply touched. Because every
-//!    floating-point reduction iterates ordered histograms, the merge is
-//!    order-independent and **bit-identical** to a single unsharded
-//!    session, to the full re-merge `IncTable::merged_scores`, and to a
-//!    from-scratch rebuild via the batch kernels (pinned by proptests
-//!    for N ∈ {1, 2, 3, 7}).
+//!    re-summing only the columns each apply touched. Every float sum a
+//!    measure reads is kept exactly (an integer count of 2⁻⁵² units,
+//!    rounded once when read), and every path scores through
+//!    `afd_core::fast_scores`, so the merge is order-independent and
+//!    **bit-identical** to a single unsharded session, to the full
+//!    re-merge `IncTable::merged_scores`, and to the batch measures on
+//!    the same rows (pinned by proptests for N ∈ {1, 2, 3, 7}; a
+//!    shuffled relation also scores the same bits in batch).
 //! 4. An apply costs `O(|delta|)`, not `O(N rows)`: `BENCH_stream.json`
 //!    records ~16× vs full recompute at a 1/256 delta on 65 536 rows,
 //!    and `BENCH_shard.json` (from `cargo run --release -p afd-bench
