@@ -5,11 +5,12 @@
 //! * `expected_mi`: exact hypergeometric E[I] vs. Monte-Carlo sampling at
 //!   increasing sample counts;
 //! * `g3_path`: g3 on a built contingency table vs. g3 from the
-//!   one-pass tally of the LHS's stripped partition (the lattice's path).
+//!   lattice's tally of the LHS's stripped partition, here with one RHS
+//!   lane.
 
 use afd_bench::{fixture_relation, fixture_table};
 use afd_core::{sfi_closed_form, Measure, Sfi, G3};
-use afd_relation::{strip_codes_into, AttrId, AttrSet, ContingencyTable, Scratch, Summary, YSide};
+use afd_relation::{strip_codes_into, AttrId, AttrSet, ContingencyTable, Scratch, YMatrix, YSide};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,17 +84,19 @@ fn bench_g3_path(c: &mut Criterion) {
             &mut starts,
             &mut dropped,
         );
-        let y_side = YSide::new(&y.codes, y.n_groups);
+        let y_lane = YMatrix::new(vec![YSide::new(&y.codes, y.n_groups)]);
+        let mut summaries = Vec::new();
         group.bench_function(BenchmarkId::new("tally", n), |b| {
             b.iter(|| {
-                let s = Summary::tally_stripped_with(
+                y_lane.tally_with(
                     &mut scratch,
                     black_box(&rows),
                     &starts,
                     &dropped,
-                    &y_side,
+                    &[0],
+                    &mut summaries,
                 );
-                black_box(g3(&s))
+                black_box(g3(&summaries[0]))
             })
         });
     }

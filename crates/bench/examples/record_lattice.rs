@@ -15,10 +15,10 @@
 //! (`afd_discovery::naive_lattice`, one search per RHS), after asserting
 //! their outputs are bit-identical. The measure is g3′, whose formula
 //! reads only table aggregates, so the stripped side scores every
-//! candidate from a one-pass tally of its clusters
-//! (`afd_relation::Summary::tally_stripped_with`) and builds no
-//! contingency table; the reference builds one full-codes table per
-//! candidate.
+//! candidate from a tally that counts all the RHS of an LHS set in one
+//! pass over its clusters (`afd_relation::YMatrix::tally_with`) and
+//! builds no contingency table; the reference builds one full-codes
+//! table per candidate.
 //!
 //! Acceptance bars (both sides run at `threads = 1`, so both wins come
 //! from work/allocation reduction, not parallelism):
@@ -36,7 +36,7 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample so CI can
 //! exercise the full path quickly.
 
-use afd_bench::median;
+use afd_bench::{median, Host};
 use afd_core::G3Prime;
 use afd_discovery::{naive_lattice, try_discover_all_stats, LatticeConfig};
 use afd_relation::{AttrSet, Relation, Schema, Value};
@@ -224,10 +224,10 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"cores\": {cores},\n  \"samples\": {samples},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); the stripped side scores every g3' candidate from a one-pass tally of its clusters (no contingency table); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
+        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"samples\": {samples},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); the stripped side scores every g3' candidate from one tally pass per LHS set over all its RHS (no contingency table); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
         cfg.max_lhs, cfg.epsilon
     );
     std::fs::write(&out_path, json).expect("write JSON");

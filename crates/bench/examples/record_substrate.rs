@@ -9,9 +9,10 @@
 //! naive reference (`afd_relation::naive`), plus end-to-end
 //! `discover_all` sequential vs parallel. The acceptance bar for the
 //! kernel substrate is a ≥ 3× speedup of `ContingencyTable::from_codes`
-//! and `Pli::refine` on the 8 192-row fixture.
+//! and `Pli::refine` on the 8 192-row fixture. Each row records its
+//! sample count and iterations per sample; the file records the host.
 
-use afd_bench::{fixture_relation, median};
+use afd_bench::{fixture_relation, median, Host};
 use afd_core::G3Prime;
 use afd_discovery::{discover_all_threaded, LatticeConfig};
 use afd_relation::{
@@ -43,6 +44,8 @@ struct Record {
     n: usize,
     optimized: Duration,
     naive: Duration,
+    /// Samples per side and iterations per sample.
+    samples: (usize, usize),
 }
 
 impl Record {
@@ -94,6 +97,7 @@ fn main() {
             optimized: time(samples, iters, || {
                 black_box(ContingencyTable::from_codes(&gx.codes, &gy.codes));
             }),
+            samples: (samples, iters),
             naive: time(samples, iters, || {
                 black_box(naive::contingency_from_codes(&gx.codes, &gy.codes));
             }),
@@ -106,6 +110,7 @@ fn main() {
             optimized: time(samples, iters, || {
                 black_box(pli.refine(&gy.codes));
             }),
+            samples: (samples, iters),
             naive: time(samples, iters, || {
                 black_box(naive::pli_refine(&pli, &gy.codes));
             }),
@@ -118,6 +123,7 @@ fn main() {
             optimized: time(samples, iters, || {
                 black_box(rel.group_encode(&xy));
             }),
+            samples: (samples, iters),
             naive: time(samples, iters, || {
                 black_box(naive::group_encode_multi(
                     &rel,
@@ -134,6 +140,7 @@ fn main() {
             optimized: time(samples, iters, || {
                 black_box(pli.intersect(&pli_b));
             }),
+            samples: (samples, iters),
             naive: time(samples, iters, || {
                 black_box(naive::pli_intersect(&pli, &pli_b));
             }),
@@ -169,6 +176,7 @@ fn main() {
             optimized: time(3, 3, || {
                 black_box(engine.matrix(&req).expect("valid matrix request"));
             }),
+            samples: (3, 3),
             naive: time(3, 3, || {
                 let cols: Vec<Vec<f64>> = cands
                     .iter()
@@ -201,6 +209,7 @@ fn main() {
                     afd_parallel::max_threads(),
                 ));
             }),
+            samples: (3, 3),
             naive: time(3, 3, || {
                 black_box(discover_all_threaded(&rel, &G3Prime, cfg, 1));
             }),
@@ -211,12 +220,14 @@ fn main() {
     for (i, r) in records.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"kernel\": \"{}\", \"rows\": {}, \"optimized_ns\": {}, \"baseline_ns\": {}, \"speedup\": {:.2}}}{}",
+            "    {{\"kernel\": \"{}\", \"rows\": {}, \"optimized_ns\": {}, \"baseline_ns\": {}, \"speedup\": {:.2}, \"samples\": {}, \"iters\": {}}}{}",
             r.name,
             r.n,
             r.optimized.as_nanos(),
             r.naive.as_nanos(),
             r.speedup(),
+            r.samples.0,
+            r.samples.1,
             if i + 1 < records.len() { "," } else { "" }
         );
         println!(
@@ -229,10 +240,11 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    json.push_str(&Host::detect().json_fields());
     let threads = afd_parallel::max_threads();
     let _ = write!(
         json,
-        "  \"threads\": {threads},\n  \"note\": \"median ns/iter; baseline = naive reference (afd_relation::naive), except discover_all_par_vs_seq where baseline = sequential (threads=1) — on a single-core host the parallel path can only show its overhead, not a speedup\"\n}}\n"
+        "  \"threads\": {threads},\n  \"note\": \"median ns/iter over samples of iters iterations each; baseline = naive reference (afd_relation::naive), except discover_all_par_vs_seq where baseline = sequential (threads=1) and the optimized side runs at threads; score_matrix_encoding_cache times the engine's matrix request (one encoding per attribute set, one Summary per candidate) against per-candidate tables scored measure by measure\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");
     println!("wrote {out_path}");

@@ -46,7 +46,7 @@ pub mod violation;
 
 pub use extensions::{extended_measures, RfiMcPlus};
 pub use logical_measures::{G1Prime, MuPlus, Pdep, Tau, G1};
-pub use measure::{Measure, MeasureClass, MeasureProperties, Tribool};
+pub use measure::{score_summary, Measure, MeasureClass, MeasureProperties, Tribool};
 pub use registry::{all_measures, fast_measures, fast_scores, measure_by_name};
 pub use shannon_measures::{sfi_closed_form, Fi, RfiPlus, RfiPrimePlus, Sfi, G1S};
 pub use violation::{G3Prime, Rho, G2, G3};

@@ -115,14 +115,16 @@ pub trait Measure: Send + Sync {
     /// pdep, τ and µ⁺. Their [`Measure::score_table`] is this function
     /// applied to [`ContingencyTable::summary`], so each formula exists
     /// once, and the stripped lattice scores their candidates from a
-    /// one-pass tally ([`Summary::tally_stripped_with`]) without building
+    /// tally that counts every RHS of an LHS set in one pass over its
+    /// clusters ([`afd_relation::YMatrix::tally_with`]) without building
     /// a table. The summary's float sum is exact, so the tally, a table
     /// and a stream give the same bits. `None` (the default) for measures
     /// that read more than a [`Summary`].
     ///
     /// The function has [`Measure::score_table`]'s contract: the summary
     /// is of a non-empty table whose FD does not hold exactly, and the
-    /// result is not yet clamped.
+    /// result is not yet clamped; [`score_summary`] applies the
+    /// conventions.
     fn summary_formula(&self) -> Option<fn(&Summary) -> f64> {
         None
     }
@@ -157,6 +159,20 @@ pub trait Measure: Send + Sync {
     fn score(&self, rel: &Relation, fd: &Fd) -> f64 {
         self.score_contingency(&fd.contingency(rel))
     }
+}
+
+/// Scores a table's [`Summary`] through `formula` (a
+/// [`Measure::summary_formula`], or a formula over sums the summary
+/// stands beside) with the paper's conventions, as
+/// [`Measure::score_contingency`] applies them to a table: 1 when the
+/// table is empty or the FD holds exactly, otherwise the formula
+/// clamped into `[0, 1]`. Every path that scores from aggregates
+/// instead of a table goes through here.
+pub fn score_summary(s: &Summary, formula: impl FnOnce(&Summary) -> f64) -> f64 {
+    if s.n() == 0 || s.is_exact_fd() {
+        return 1.0;
+    }
+    formula(s).clamp(0.0, 1.0)
 }
 
 impl std::fmt::Debug for dyn Measure {

@@ -4,7 +4,7 @@ use afd_entropy::pdep_xy;
 use afd_relation::{ShannonSums, Summary};
 
 use crate::logical_measures::{G1Prime, MuPlus, Pdep, Tau, G1};
-use crate::measure::Measure;
+use crate::measure::{score_summary, Measure};
 use crate::shannon_measures::{Fi, RfiPlus, RfiPrimePlus, Sfi, G1S};
 use crate::violation::{G3Prime, Rho, G2, G3};
 
@@ -45,25 +45,23 @@ pub fn fast_measures() -> Vec<Box<dyn Measure>> {
 /// The scores of the 11 [`fast_measures`], in their order, from a table's
 /// [`Summary`] and [`ShannonSums`]: bit for bit each measure's
 /// [`Measure::score_contingency`] on that table (same formulas, same
-/// conventions). The streaming engine scores through this function.
+/// conventions, applied by [`score_summary`]). The streaming engine
+/// scores through this function.
 pub fn fast_scores(s: &Summary, h: &ShannonSums) -> [f64; 11] {
-    if s.n() == 0 || s.is_exact_fd() {
-        return [1.0; 11];
-    }
+    let shannon = |formula: fn(&ShannonSums) -> f64| score_summary(s, |_| formula(h));
     [
-        Rho::formula(s),
-        G2::formula(s),
-        G3::formula(s),
-        G3Prime::formula(s),
-        G1S::formula(h),
-        Fi::formula(h),
-        G1::formula(s),
-        G1Prime::formula(s),
-        pdep_xy(s),
-        Tau::formula(s),
-        MuPlus::formula(s),
+        score_summary(s, Rho::formula),
+        score_summary(s, G2::formula),
+        score_summary(s, G3::formula),
+        score_summary(s, G3Prime::formula),
+        shannon(G1S::formula),
+        shannon(Fi::formula),
+        score_summary(s, G1::formula),
+        score_summary(s, G1Prime::formula),
+        score_summary(s, pdep_xy),
+        score_summary(s, Tau::formula),
+        score_summary(s, MuPlus::formula),
     ]
-    .map(|v| v.clamp(0.0, 1.0))
 }
 
 /// Looks a measure up by its paper name (e.g. `"mu+"`, `"g3'"`, `"RFI'+"`).

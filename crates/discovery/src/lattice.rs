@@ -35,12 +35,17 @@
 //! with one counting pass per cluster, a measure with a
 //! [`Measure::summary_formula`] (ρ, g2, g3, g3′, g1, g1′, pdep, τ, µ⁺)
 //! scores every candidate — NULL-bearing ones included — from
-//! [`Summary::tally_stripped_with`]: one pass per cluster against the
-//! RHS's shared [`YSide`], no allocation, no table. Y-NULL rows are
-//! skipped, X-NULL rows come off the RHS column totals, singleton groups
-//! are counted arithmetically, and the pdep sum is exact, so it needs no
-//! group order: scores are **bit-identical** to the full-codes reference
-//! retained in [`crate::naive_lattice`].
+//! [`YMatrix::tally_with`]: **one pass per node**, not per candidate,
+//! fills the [`Summary`] of every RHS the node is a candidate for, with
+//! no allocation and no table. The search's RHS codes are laid out once
+//! per call as a row-major matrix beside the attribute bases, so a
+//! small X-group is counted by comparing whole rows, one lane per RHS;
+//! larger groups keep a stamped counter over each RHS's column. Y-NULL
+//! rows are skipped, X-NULL rows come off the RHS column totals,
+//! singleton groups are counted arithmetically, and the pdep sum is
+//! exact, so it needs no group order: scores
+//! ([`afd_core::score_summary`]) are **bit-identical** to the full-codes
+//! reference retained in [`crate::naive_lattice`].
 //! The other measures keep two table paths. NULL-free candidates of a
 //! measure whose [`Measure::bit_exact_on_implicit_singletons`] holds
 //! (g1ˢ, FI and the RFI family) go through
@@ -91,15 +96,15 @@
 //! another same-level candidate, and evaluating a level across workers
 //! is exactly equivalent to the sequential left-to-right sweep — output
 //! and statistics are identical for every thread count. The
-//! per-attribute encodings and stripped bases are built once per call
-//! and shared by every node and RHS, instead of re-encoding `O(m²)`
-//! times.
+//! per-attribute encodings, stripped bases and RHS code matrix are built
+//! once per call and shared by every node and RHS, instead of
+//! re-encoding `O(m²)` times.
 
-use afd_core::Measure;
+use afd_core::{score_summary, Measure};
 use afd_parallel::{max_threads, par_map_with};
 use afd_relation::{
     refine_stripped_into, strip_codes_into, AttrId, AttrSet, ContingencyTable, Fd, GroupEncoding,
-    Relation, Scratch, Summary, YSide, NULL_CODE,
+    Relation, Scratch, Summary, YMatrix, YSide, NULL_CODE,
 };
 
 use crate::threshold::Discovered;
@@ -398,24 +403,13 @@ fn build_bases(rel: &Relation, threads: usize) -> Vec<AttrBase> {
     })
 }
 
-/// One RHS attribute of a search: its shared [`YSide`] and the LHS sets
-/// closed for it.
-struct Rhs<'a> {
+/// One RHS attribute of a search and the LHS sets closed for it. Its
+/// [`YSide`] is the lane of the same index in the search's [`YMatrix`].
+struct Rhs {
     attr: AttrId,
-    side: YSide<'a>,
     /// Emitted and exact LHS sets: their supersets are never candidates
     /// for this RHS.
     closed: SubsetIndex,
-}
-
-impl<'a> Rhs<'a> {
-    fn new(attr: AttrId, base: &'a AttrBase, arity: usize) -> Self {
-        Rhs {
-            attr,
-            side: YSide::new(&base.enc.codes, base.enc.n_groups),
-            closed: SubsetIndex::new(arity),
-        }
-    }
 }
 
 // ------------------------------------------------------------------
@@ -501,8 +495,9 @@ fn any_open(verdicts: &[(usize, Verdict)]) -> bool {
     verdicts.iter().any(|(_, v)| matches!(v, Verdict::Open))
 }
 
-/// Per-worker state: kernel scratch, refinement output buffers, and a
-/// dense code buffer for the NULL/full-table fallback reconstruction.
+/// Per-worker state: kernel scratch (the tally's per-lane sums
+/// included), refinement output buffers, a dense code buffer for the
+/// NULL/full-table fallback reconstruction, and the tallied summaries.
 /// Children that close (the common case) live and die entirely in these
 /// buffers — only open nodes copy into storage of their own.
 #[derive(Default)]
@@ -511,6 +506,7 @@ struct EvalCtx {
     rows_buf: Vec<u32>,
     starts_buf: Vec<u32>,
     codes_buf: Vec<u32>,
+    summaries: Vec<Summary>,
 }
 
 /// Marker for rows that are neither clustered nor dropped during
@@ -596,7 +592,9 @@ fn merge_dropped(a: &[u32], b: &[u32]) -> Vec<u32> {
 struct Search<'a> {
     n_rows: usize,
     bases: &'a [AttrBase],
-    rhss: Vec<Rhs<'a>>,
+    rhss: Vec<Rhs>,
+    /// Lane `k` is the Y side of `rhss[k]`.
+    ys: YMatrix<'a>,
     measure: &'a dyn Measure,
     /// The measure's [`Measure::summary_formula`], asked once per call:
     /// `Some` means every candidate is tallied.
@@ -608,53 +606,58 @@ struct Search<'a> {
 impl Search<'_> {
     /// Scores a stripped partition against each RHS in `rhs`.
     ///
-    /// A measure with a summary formula scores every candidate from
-    /// [`Summary::tally_stripped_with`] — `O(stripped + dropped)` work and
-    /// no table, NULLs or not. For the other measures, a NULL-free
-    /// candidate of an implicit-exact measure builds the
-    /// implicit-singleton table straight from the clusters; any other
-    /// candidate is evaluated on dense codes through the full-codes
-    /// kernel, bit-identical to the reference by construction. The dense
-    /// codes depend only on the partition, so they are rebuilt in the
-    /// worker's buffer at most once per set, however many RHS need them.
+    /// A measure with a summary formula scores every candidate from one
+    /// [`YMatrix::tally_with`] pass over the node — `O(stripped ·
+    /// lanes + dropped)` work and no table, NULLs or not. For the other
+    /// measures, a NULL-free candidate of an implicit-exact measure
+    /// builds the implicit-singleton table straight from the clusters;
+    /// any other candidate is evaluated on dense codes through the
+    /// full-codes kernel, bit-identical to the reference by construction.
+    /// The dense codes depend only on the partition, so they are rebuilt
+    /// in the worker's buffer at most once per set, however many RHS need
+    /// them.
     fn score(
         &self,
         scratch: &mut Scratch,
         codes_buf: &mut Vec<u32>,
+        summaries: &mut Vec<Summary>,
         (rows, starts): (&[u32], &[u32]),
         dropped: &[u32],
         rhs: Vec<usize>,
     ) -> Vec<(usize, Verdict)> {
+        if let Some(formula) = self.formula {
+            self.ys
+                .tally_with(scratch, rows, starts, dropped, &rhs, summaries);
+            return rhs
+                .into_iter()
+                .zip(summaries.iter())
+                .map(|(k, s)| {
+                    let v = verdict(s.is_exact_fd(), || score_summary(s, formula), self.epsilon);
+                    (k, v)
+                })
+                .collect();
+        }
         let mut dense = false;
         rhs.into_iter()
             .map(|k| {
-                let y = &self.rhss[k].side;
-                let v = if let Some(formula) = self.formula {
-                    let s = Summary::tally_stripped_with(scratch, rows, starts, dropped, y);
-                    verdict(
-                        s.is_exact_fd(),
-                        || formula(&s).clamp(0.0, 1.0),
-                        self.epsilon,
-                    )
+                let y = self.ys.side(k);
+                let t = if !y.has_nulls()
+                    && dropped.is_empty()
+                    && self.measure.bit_exact_on_implicit_singletons()
+                {
+                    ContingencyTable::from_stripped_with(scratch, rows, starts, y)
                 } else {
-                    let t = if !y.has_nulls()
-                        && dropped.is_empty()
-                        && self.measure.bit_exact_on_implicit_singletons()
-                    {
-                        ContingencyTable::from_stripped_with(scratch, rows, starts, y)
-                    } else {
-                        if !dense {
-                            densify(codes_buf, rows, starts, dropped, self.n_rows);
-                            dense = true;
-                        }
-                        ContingencyTable::from_codes_with(scratch, codes_buf, y.codes())
-                    };
-                    verdict(
-                        t.is_exact_fd(),
-                        || self.measure.score_contingency(&t),
-                        self.epsilon,
-                    )
+                    if !dense {
+                        densify(codes_buf, rows, starts, dropped, self.n_rows);
+                        dense = true;
+                    }
+                    ContingencyTable::from_codes_with(scratch, codes_buf, y.codes())
                 };
+                let v = verdict(
+                    t.is_exact_fd(),
+                    || self.measure.score_contingency(&t),
+                    self.epsilon,
+                );
                 (k, v)
             })
             .collect()
@@ -672,6 +675,7 @@ impl Search<'_> {
         let verdicts = self.score(
             &mut ctx.scratch,
             &mut ctx.codes_buf,
+            &mut ctx.summaries,
             (&base.rows, &base.starts),
             &base.dropped,
             rhs,
@@ -699,6 +703,7 @@ impl Search<'_> {
             rows_buf,
             starts_buf,
             codes_buf,
+            summaries,
         } = ctx;
         let (p_rows, p_starts) = parent.csr(self.bases);
         let max_attr = parent.attrs.ids().last().expect("non-empty LHS").index();
@@ -732,7 +737,14 @@ impl Search<'_> {
                 starts_buf,
             );
             let dropped = merge_dropped(parent.dropped_rows(self.bases), &b.dropped);
-            let verdicts = self.score(scratch, codes_buf, (rows_buf, starts_buf), &dropped, rhs);
+            let verdicts = self.score(
+                scratch,
+                codes_buf,
+                summaries,
+                (rows_buf, starts_buf),
+                &dropped,
+                rhs,
+            );
             let kept = (keep && any_open(&verdicts)).then(|| {
                 let store = NodeStore::Owned {
                     rows: rows_buf.to_vec(),
@@ -845,7 +857,8 @@ impl Search<'_> {
     }
 }
 
-/// Builds the shared attribute bases and runs one search over `rhs`.
+/// Builds the shared attribute bases and, beside them, the matrix of
+/// `rhs`'s codes, and runs one search over `rhs`.
 fn discover(
     rel: &Relation,
     rhs: &[AttrId],
@@ -859,8 +872,19 @@ fn discover(
         bases: &bases,
         rhss: rhs
             .iter()
-            .map(|&a| Rhs::new(a, &bases[a.index()], rel.arity()))
+            .map(|&attr| Rhs {
+                attr,
+                closed: SubsetIndex::new(rel.arity()),
+            })
             .collect(),
+        ys: YMatrix::new(
+            rhs.iter()
+                .map(|a| {
+                    let enc = &bases[a.index()].enc;
+                    YSide::new(&enc.codes, enc.n_groups)
+                })
+                .collect(),
+        ),
         measure,
         formula: measure.summary_formula(),
         epsilon: cfg.epsilon,

@@ -3,7 +3,10 @@
 //! The expensive part of evaluating a candidate is shared by all measures:
 //! building the NULL-filtered contingency table. [`score_matrix`] therefore
 //! builds each candidate's table once and scores every measure on it,
-//! fanning candidates out over an `afd-parallel` scoped-thread pool.
+//! fanning candidates out over an `afd-parallel` scoped-thread pool. The
+//! measures whose formula reads only the table's `Summary` (ρ, g2, g3,
+//! g3′, g1, g1′, pdep, τ, µ⁺) share one summary per candidate, scored
+//! through [`afd_core::score_summary`].
 //!
 //! The table build itself shares work too: each distinct attribute set in
 //! the candidate list is group-encoded once into an
@@ -15,7 +18,7 @@
 //! This module is deliberately crate-private: [`crate::AfdEngine::matrix`]
 //! is the one public way in, so no caller can bypass the request layer.
 
-use afd_core::Measure;
+use afd_core::{score_summary, Measure};
 use afd_parallel::par_map;
 use afd_relation::{AttrSet, EncodingCache, Fd, Relation};
 
@@ -50,13 +53,20 @@ pub(crate) fn score_matrix(
     let n = candidates.len();
     let m = measures.len();
     let cache = warm_cache(rel, candidates, threads);
+    let formulas: Vec<_> = measures.iter().map(|x| x.summary_formula()).collect();
+    let any_formula = formulas.iter().any(Option::is_some);
     let cols = par_map(candidates, threads, |_, fd| {
         let t = cache
             .contingency_prewarmed(fd)
             .expect("all candidate sides warmed above");
+        let summary = any_formula.then(|| t.summary());
         measures
             .iter()
-            .map(|measure| measure.score_contingency(&t))
+            .zip(&formulas)
+            .map(|(measure, formula)| match (formula, &summary) {
+                (Some(formula), Some(s)) => score_summary(s, formula),
+                _ => measure.score_contingency(&t),
+            })
             .collect::<Vec<f64>>()
     });
     let mut out = vec![vec![0.0; n]; m];
@@ -113,8 +123,8 @@ mod tests {
             let t = fd.contingency(&rel);
             for (mi, measure) in measures.iter().enumerate() {
                 assert_eq!(
-                    m[mi][ci],
-                    measure.score_contingency(&t),
+                    m[mi][ci].to_bits(),
+                    measure.score_contingency(&t).to_bits(),
                     "{}",
                     measure.name()
                 );

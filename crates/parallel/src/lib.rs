@@ -18,7 +18,8 @@
 //! Thread count defaults to [`max_threads`] (`AFD_THREADS` env override,
 //! else `std::thread::available_parallelism`). Every entry point runs
 //! inline (no threads spawned) when `threads <= 1` or there are fewer
-//! than two items.
+//! than two items, and [`par_map_with`] runs one of its workers on the
+//! calling thread instead of leaving it to wait.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -85,6 +86,10 @@ where
 /// As [`par_map`], but each worker first builds a local state `S` via
 /// `init` and threads it through every item it processes. Use this to
 /// reuse scratch allocations across items.
+///
+/// One worker runs on the calling thread and `workers − 1` are spawned,
+/// so a call costs one thread spawn fewer. A panic on the calling
+/// thread propagates once the spawned workers have finished.
 pub fn par_map_with<T, S, R, F, I>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -103,24 +108,22 @@ where
     }
     let workers = threads.min(n);
     let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(&mut state, i, &items[i])));
+        }
+        local
+    };
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&mut state, i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        buckets.push(work());
         for h in handles {
             buckets.push(h.join().expect("parallel worker panicked"));
         }
@@ -209,6 +212,42 @@ mod tests {
         assert_eq!(counts.len(), 100);
         // Per-worker counters only grow, proving state persistence.
         assert!(counts.iter().any(|&(_, seen)| seen > 1));
+    }
+
+    #[test]
+    fn caller_panic_propagates_after_the_spawned_workers_finish() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let caller = std::thread::current().id();
+        let caller_started = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let items: Vec<u32> = (0..64).collect();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map_with(
+                &items,
+                2,
+                || (),
+                |(), _, _| {
+                    if std::thread::current().id() == caller {
+                        caller_started.store(true, Ordering::SeqCst);
+                        panic!("the caller's share");
+                    }
+                    // The spawned worker waits for the caller to take
+                    // an item, then drains the rest slowly.
+                    while !caller_started.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                },
+            )
+        }));
+        let err = result.expect_err("the caller's panic propagates");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"the caller's share"));
+        // The caller took one item and panicked on it; the panic surfaced
+        // only after the spawned worker had processed every other item.
+        assert_eq!(finished.load(Ordering::SeqCst), items.len() - 1);
     }
 
     #[test]

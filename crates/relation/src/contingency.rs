@@ -30,15 +30,18 @@
 //! against a [`YSide`] built once per RHS attribute. Two kernels read
 //! that layout:
 //!
-//! * [`Summary::tally_stripped_with`] fills the candidate's [`Summary`]
-//!   with one counting pass per cluster and no allocation; no table is
-//!   built. Y-NULL rows are skipped, X-NULL rows come off the column
-//!   totals in `O(dropped)`, and the singleton X-groups outside the
-//!   clusters are counted arithmetically. It equals the full-codes
-//!   table's [`ContingencyTable::summary`], NULLs included. Every
-//!   measure whose formula reads only a [`Summary`] scores from it. The
-//!   tally leaves the [`ShannonSums`] out: a `log2` per group would cost
-//!   every candidate of every measure.
+//! * [`crate::YMatrix::tally_with`] (module [`crate::tally`]) fills the
+//!   [`Summary`] of every candidate RHS of an LHS set in one pass over
+//!   its clusters, with no allocation and no table built. Small groups
+//!   are compared lane-wise over the RHS codes laid out row-major;
+//!   larger groups keep a stamped counter per RHS. Y-NULL rows are
+//!   skipped, X-NULL rows come off the column totals in `O(dropped)`,
+//!   and the singleton X-groups outside the clusters are counted
+//!   arithmetically. Each summary equals the full-codes table's
+//!   [`ContingencyTable::summary`], NULLs included. Every measure whose
+//!   formula reads only a [`Summary`] scores from it. The tally leaves
+//!   the [`ShannonSums`] out: a `log2` per group would cost every
+//!   candidate of every measure.
 //! * [`ContingencyTable::from_stripped_with`] builds the table of a
 //!   NULL-free candidate for the measures that read cells. Each
 //!   singleton X-group stays implicit (row total 1, one cell of count 1),
@@ -528,9 +531,9 @@ impl ContingencyTable {
 #[derive(Debug)]
 pub struct YSide<'a> {
     codes: &'a [u32],
-    col_totals: Vec<u64>,
-    n: u64,
-    sum_sq_cols: u64,
+    pub(crate) col_totals: Vec<u64>,
+    pub(crate) n: u64,
+    pub(crate) sum_sq_cols: u64,
     nulls: u64,
 }
 
@@ -571,9 +574,9 @@ impl<'a> YSide<'a> {
 /// reading no cells consume: `N`, `K_X`, the nonzero cells, `Σ max`, the
 /// rows of violating groups, the three sums of squares, and the exact
 /// pdep sum `Σ sq/a`. Produced by [`ContingencyTable::summary`] from a
-/// built table, by [`Summary::tally_stripped_with`] straight from a
-/// stripped partition, or by [`Summary::from_aggregates`] from counts
-/// maintained elsewhere; all give the same value.
+/// built table, by [`crate::YMatrix::tally_with`] straight from a stripped
+/// partition, or by [`Summary::from_aggregates`] from counts maintained
+/// elsewhere; all give the same value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Summary {
     n: u64,
@@ -610,100 +613,6 @@ impl Summary {
             sum_sq_cols,
             pdep_sum,
         }
-    }
-
-    /// Tallies the [`Summary`] of a stripped candidate `X -> Y` without
-    /// building its table: one counting pass per cluster over the
-    /// scratch's stamped counter, and no allocation once the scratch has
-    /// grown.
-    ///
-    /// `cluster_rows`/`cluster_starts` are the CSR clusters (size ≥ 2) of
-    /// the X-partition — the layout [`crate::strip_codes_into`] and
-    /// [`crate::refine_stripped_into`] write — and `dropped` holds its
-    /// NULL rows. Every other row is a singleton X-group. `y` may have
-    /// NULLs. The result equals the [`ContingencyTable::summary`] of the
-    /// full-codes table.
-    pub fn tally_stripped_with(
-        scratch: &mut Scratch,
-        cluster_rows: &[u32],
-        cluster_starts: &[u32],
-        dropped: &[u32],
-        y: &YSide,
-    ) -> Summary {
-        scratch.count.ensure(y.col_totals.len());
-        // X-NULL rows leave the table: take them off N and Σ b².
-        let (mut n, mut sum_sq_cols) = (y.n, y.sum_sq_cols);
-        if !dropped.is_empty() {
-            scratch.count.begin();
-            scratch.touched.clear();
-            for &row in dropped {
-                let yc = y.codes[row as usize];
-                if yc == NULL_CODE {
-                    continue;
-                }
-                n -= 1;
-                match scratch.count.get(yc) {
-                    Some(d) => scratch.count.set(yc, d + 1),
-                    None => {
-                        scratch.count.set(yc, 1);
-                        scratch.touched.push(yc);
-                    }
-                }
-            }
-            for &yc in &scratch.touched {
-                let b = y.col_totals[yc as usize];
-                let d = scratch.count.get(yc).expect("touched key counted");
-                sum_sq_cols -= b * b - (b - d) * (b - d);
-            }
-        }
-        let mut s = Summary {
-            n,
-            sum_sq_cols,
-            ..Summary::default()
-        };
-        let mut clustered = 0;
-        for w in cluster_starts.windows(2) {
-            scratch.count.begin();
-            let (mut a, mut cells, mut max, mut sq) = (0, 0, 0, 0);
-            for &row in &cluster_rows[w[0] as usize..w[1] as usize] {
-                let yc = y.codes[row as usize];
-                if yc == NULL_CODE {
-                    continue;
-                }
-                let k = scratch.count.get(yc).unwrap_or(0) + 1;
-                scratch.count.set(yc, k);
-                a += 1;
-                if k == 1 {
-                    cells += 1;
-                }
-                max = max.max(k);
-                // k² − (k − 1)²: keeps Σ n_j² current.
-                sq += 2 * k - 1;
-            }
-            if a == 0 {
-                continue;
-            }
-            clustered += a;
-            s.n_x += 1;
-            s.nonzero_cells += cells;
-            s.sum_row_max += max;
-            s.sum_sq_rows += a * a;
-            s.sum_sq_cells += sq;
-            if cells >= 2 {
-                s.violating_rows += a;
-            }
-            s.pdep_sum.add_sq_over_a(sq, a, 1);
-        }
-        // Surviving rows outside the clusters: one group, one cell of
-        // count 1 each, and a pdep term of 1/1.
-        let singletons = n - clustered;
-        s.n_x += singletons as usize;
-        s.nonzero_cells += singletons as usize;
-        s.sum_row_max += singletons;
-        s.sum_sq_rows += singletons;
-        s.sum_sq_cells += singletons;
-        s.pdep_sum.add_sq_over_a(1, 1, singletons);
-        s
     }
 
     /// Total count `N`.
@@ -765,7 +674,7 @@ impl Summary {
 /// sums, gives the same integer, and [`ExactSum::value`] rounds it once.
 /// Only the two terms the measures read can be added.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExactSum(i128);
+pub struct ExactSum(pub(crate) i128);
 
 impl ExactSum {
     /// Adds `mult` times `sq/a`, the pdep term of an X-group with row
@@ -806,17 +715,18 @@ impl std::ops::Sub for ExactSum {
 
 /// `term` (0, or in `[1, 2⁷⁵)`) in units of 2⁻⁵², exactly: the 53-bit
 /// significand shifted by the unbiased exponent (an `as i128` cast goes
-/// through a much slower software conversion).
+/// through a much slower software conversion). A `const fn`, so the
+/// tally's table of small-group pdep terms is built at compile time.
 #[inline]
-fn units(term: f64) -> i128 {
+pub(crate) const fn units(term: f64) -> i128 {
     let bits = term.to_bits();
     if bits == 0 {
         return 0;
     }
     let exp = (bits >> 52) as u32;
-    debug_assert!((1023..1023 + 75).contains(&exp), "term {term} out of range");
+    debug_assert!(exp >= 1023 && exp < 1023 + 75, "term out of range");
     let significand = (bits & ((1 << 52) - 1)) | (1 << 52);
-    (u128::from(significand) << (exp - 1023)) as i128
+    ((significand as u128) << (exp - 1023)) as i128
 }
 
 /// The exact Shannon sums of a table: `N` and `Σ v·lg v` over its row
@@ -840,6 +750,7 @@ pub struct ShannonSums {
 mod tests {
     use super::*;
     use crate::schema::AttrId;
+    use crate::tally::YMatrix;
     use crate::value::Value;
     use crate::Schema;
 
@@ -969,10 +880,11 @@ mod tests {
         let implicit = (x.len() - rows.len()) as u64;
         let stripped =
             with_scratch(|s| ContingencyTable::from_stripped_with(s, &rows, &starts, &y_side));
-        let tally =
-            with_scratch(|s| Summary::tally_stripped_with(s, &rows, &starts, &dropped, &y_side));
+        let mut tally = Vec::new();
+        let y_lane = YMatrix::new(vec![YSide::new(&y, 6)]);
+        with_scratch(|s| y_lane.tally_with(s, &rows, &starts, &dropped, &[0], &mut tally));
         assert_eq!(stripped.summary(), full.summary());
-        assert_eq!(tally, full.summary());
+        assert_eq!(tally, [full.summary()]);
         assert_eq!(stripped.shannon_sums(), full.shannon_sums());
         assert_eq!(stripped.n(), full.n());
         assert_eq!(stripped.n_x(), full.n_x());

@@ -28,6 +28,7 @@
 //! a reused `u64 -> u32` hash map (no per-row `Vec` keys either way).
 
 use crate::dictionary::NULL_CODE;
+use crate::tally::LaneSums;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -109,6 +110,8 @@ pub struct Scratch {
     pub(crate) buf_d: Vec<u32>,
     /// Fallback pair-key index when the dense key space would be too big.
     pub(crate) pair_hash: HashMap<u64, u32>,
+    /// Buffers of the multi-RHS tally ([`crate::YMatrix::tally_with`]).
+    pub(crate) lanes: LaneSums,
 }
 
 impl Scratch {

@@ -11,7 +11,8 @@
 //! * the grouping primitives every measure consumes:
 //!   [`ContingencyTable`] (joint frequencies of `X` vs `Y`), its
 //!   aggregate [`Summary`] (also tallied straight from a stripped
-//!   partition) and exact [`ShannonSums`], whose float sums are
+//!   partition, for every RHS of a [`YMatrix`] in one pass) and exact
+//!   [`ShannonSums`], whose float sums are
 //!   [`ExactSum`]s (the same bits in every order), and [`Pli`]
 //!   (stripped partitions for lattice discovery),
 //! * functional dependencies ([`Fd`]) with the paper's NULL semantics, and
@@ -41,6 +42,7 @@ pub mod pli;
 pub mod relation;
 pub mod schema;
 pub mod stats;
+pub mod tally;
 pub mod value;
 
 pub use cache::EncodingCache;
@@ -57,4 +59,5 @@ pub use pli::Pli;
 pub use relation::{Column, GroupEncoding, NullSemantics, Relation};
 pub use schema::{AttrId, AttrSet, Schema};
 pub use stats::{frequency_skewness, lhs_uniqueness, rhs_skew};
+pub use tally::YMatrix;
 pub use value::{OrderedF64, Value};

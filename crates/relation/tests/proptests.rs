@@ -2,7 +2,7 @@
 
 use afd_relation::{
     read_csv, strip_codes_into, with_scratch, write_csv, AttrId, AttrSet, ContingencyTable, Pli,
-    Relation, Schema, Summary, Value, YSide,
+    Relation, Schema, Value, YMatrix, YSide, NULL_CODE,
 };
 use proptest::prelude::*;
 
@@ -22,6 +22,20 @@ fn rows3() -> impl Strategy<Value = Vec<[Option<i64>; 3]>> {
         ],
         0..80,
     )
+}
+
+/// A small deterministic generator for properties whose inputs are
+/// easier to derive from one seed than to describe as strategies.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % bound
+    }
 }
 
 fn rel3(rows: &[[Option<i64>; 3]]) -> Relation {
@@ -102,13 +116,78 @@ proptest! {
             let x = rel.group_encode(&AttrSet::new([AttrId(a), AttrId(b)]));
             let y = rel.group_encode(&AttrSet::single(AttrId(c)));
             let (mut c_rows, mut starts, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
-            let tally = with_scratch(|s| {
+            let y_lane = YMatrix::new(vec![YSide::new(&y.codes, y.n_groups)]);
+            let mut tally = Vec::new();
+            with_scratch(|s| {
                 strip_codes_into(s, &x.codes, x.n_groups, &mut c_rows, &mut starts, &mut dropped);
-                Summary::tally_stripped_with(
-                    s, &c_rows, &starts, &dropped, &YSide::new(&y.codes, y.n_groups))
+                y_lane.tally_with(s, &c_rows, &starts, &dropped, &[0], &mut tally);
             });
             let want = ContingencyTable::from_codes(&x.codes, &y.codes).summary();
-            prop_assert_eq!(tally, want, "Y = attribute {}", c);
+            prop_assert_eq!(&tally[..], &[want], "Y = attribute {}", c);
+        }
+    }
+
+    /// The multi-RHS tally on wide matrices: every lane's summary equals
+    /// its full-codes table's. X-groups of 1 to 17 rows straddle the
+    /// small-group bound (8) and include NULL-free two-row groups; some
+    /// lanes have NULLs, also inside small groups; some rows are X-NULL;
+    /// 1 to 40 lanes cross the compare blocks. Each lane is requested,
+    /// in a shuffled order with one lane left out.
+    #[test]
+    fn lane_tally_equals_table_summaries(
+        width in 1usize..41,
+        groups in prop::collection::vec(1usize..18, 1..40),
+        x_nulls in 0usize..6,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = SplitMix(seed);
+        // Row i belongs to X-group x[i]; groups are interleaved.
+        let mut x: Vec<u32> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, &len)| std::iter::repeat_n(g as u32, len))
+            .chain(std::iter::repeat_n(NULL_CODE, x_nulls))
+            .collect();
+        for i in (1..x.len()).rev() {
+            x.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let n = x.len();
+        // Lane domains from constant to near-unique; about a third of
+        // the lanes are NULL on about a fifth of their rows.
+        let cols: Vec<(Vec<u32>, u32)> = (0..width)
+            .map(|_| {
+                let dom = [1, 2, 3, 5, 40][rng.below(5) as usize];
+                let nullable = rng.below(3) == 0;
+                let col = (0..n)
+                    .map(|_| {
+                        if nullable && rng.below(5) == 0 {
+                            NULL_CODE
+                        } else {
+                            rng.below(u64::from(dom)) as u32
+                        }
+                    })
+                    .collect();
+                (col, dom)
+            })
+            .collect();
+        let m = YMatrix::new(cols.iter().map(|(c, dom)| YSide::new(c, *dom)).collect());
+        let mut lanes: Vec<usize> = (0..width).collect();
+        for i in (1..width).rev() {
+            lanes.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        if width > 1 {
+            lanes.pop();
+        }
+        let (mut c_rows, mut starts, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
+        let mut got = Vec::new();
+        with_scratch(|s| {
+            strip_codes_into(s, &x, groups.len() as u32, &mut c_rows, &mut starts, &mut dropped);
+            m.tally_with(s, &c_rows, &starts, &dropped, &lanes, &mut got);
+        });
+        prop_assert_eq!(got.len(), lanes.len());
+        for (summary, &k) in got.iter().zip(&lanes) {
+            let want = ContingencyTable::from_codes(&x, &cols[k].0).summary();
+            prop_assert_eq!(summary, &want, "lane {} of {}", k, width);
         }
     }
 

@@ -93,9 +93,11 @@
 //!   so per-node work and memory shrink monotonically up the lattice
 //!   instead of staying `O(rows)`. Candidates of the measures whose
 //!   formula reads only table aggregates (ρ, g2, g3, g3′, g1, g1′, pdep,
-//!   τ, µ⁺) are scored from a one-pass tally of the stripped clusters
-//!   ([`relation::Summary::tally_stripped_with`]), NULLs included, with
-//!   no contingency table built; the other measures score
+//!   τ, µ⁺) are scored from a tally of the stripped clusters that counts
+//!   every RHS of an LHS set in one pass
+//!   ([`relation::YMatrix::tally_with`]: small groups compared lane-wise
+//!   over a row-major matrix of the RHS codes), NULLs included, with no
+//!   contingency table built; the other measures score
 //!   implicit-singleton tables
 //!   ([`ContingencyTable::from_stripped_with`]). One lattice serves
 //!   every RHS: an LHS set is refined once per call and scored against
