@@ -18,7 +18,9 @@
 //! candidate from a tally that counts all the RHS of an LHS set in one
 //! pass over its clusters (`afd_relation::YMatrix::tally_with`) and
 //! builds no contingency table; the reference builds one full-codes
-//! table per candidate.
+//! table per candidate. The memory block also records the bytes of the
+//! row-major RHS code matrix that tally reads, which a discover call
+//! holds beside its attribute bases.
 //!
 //! Acceptance bars (both sides run at `threads = 1`, so both wins come
 //! from work/allocation reduction, not parallelism):
@@ -39,7 +41,7 @@
 use afd_bench::{median, Host};
 use afd_core::G3Prime;
 use afd_discovery::{naive_lattice, try_discover_all_stats, LatticeConfig};
-use afd_relation::{AttrSet, Relation, Schema, Value};
+use afd_relation::{AttrSet, Relation, Schema, Value, YMatrix, YSide};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -166,6 +168,16 @@ fn main() {
     });
     let encode_speedup = t_per_rhs.as_secs_f64() / t_shared.as_secs_f64().max(1e-12);
 
+    // The row-major RHS matrix a g3' discover call builds beside its
+    // bases: every attribute is an RHS of `discover_all`.
+    let encs: Vec<_> = attrs.iter().map(|a| rel.group_encode(a)).collect();
+    let matrix_bytes = YMatrix::new(
+        encs.iter()
+            .map(|e| YSide::new(&e.codes, e.n_groups))
+            .collect(),
+    )
+    .bytes();
+
     let naive_peak = naive_stats.peak_node_bytes;
     let stripped_peak = stripped_stats.peak_node_bytes;
     let byte_ratio = naive_peak as f64 / stripped_peak.max(1) as f64;
@@ -186,7 +198,10 @@ fn main() {
             lvl.node_bytes, lvl.stored_rows
         );
     }
-    println!("  base_bytes {}", stripped_stats.base_bytes);
+    println!(
+        "  base_bytes {} matrix_bytes {matrix_bytes}",
+        stripped_stats.base_bytes
+    );
 
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     let _ = writeln!(
@@ -204,7 +219,7 @@ fn main() {
     json.push_str("  ],\n  \"memory\": {\n");
     let _ = writeln!(
         json,
-        "    \"full_codes_peak_node_bytes\": {naive_peak},\n    \"stripped_peak_node_bytes\": {stripped_peak},\n    \"reduction\": {byte_ratio:.2},\n    \"stripped_base_bytes\": {}",
+        "    \"full_codes_peak_node_bytes\": {naive_peak},\n    \"stripped_peak_node_bytes\": {stripped_peak},\n    \"reduction\": {byte_ratio:.2},\n    \"stripped_base_bytes\": {},\n    \"stripped_matrix_bytes\": {matrix_bytes}",
         stripped_stats.base_bytes,
     );
     json.push_str("  },\n  \"levels\": [\n");
@@ -227,7 +242,7 @@ fn main() {
     json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"samples\": {samples},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); the stripped side scores every g3' candidate from one tally pass per LHS set over all its RHS (no contingency table); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
+        "  \"max_lhs\": {},\n  \"epsilon\": {},\n  \"samples\": {samples},\n  \"smoke\": {smoke},\n  \"note\": \"discover_all end-to-end at threads=1 (all gains are work/allocation reduction); baseline = retained full-codes lattice (afd_discovery::naive_lattice); the stripped side scores every g3' candidate from one tally pass per LHS set over all its RHS (no contingency table); outputs asserted bit-identical before timing; peak bytes = most node partition storage alive at once - stripped: the whole shared lattice over every RHS (a level's parents plus its open children); reference: its worst single RHS search (a level's parents plus its generated children); stripped_base_bytes = the shared attribute bases; stripped_matrix_bytes = the row-major RHS code matrix the call builds beside them for a measure with a summary formula (g3' here), alive for the whole call and counted in neither; bars: >= 2x end-to-end, >= 4x lower peak bytes\"\n}}\n",
         cfg.max_lhs, cfg.epsilon
     );
     std::fs::write(&out_path, json).expect("write JSON");

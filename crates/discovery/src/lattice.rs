@@ -37,8 +37,10 @@
 //! scores every candidate — NULL-bearing ones included — from
 //! [`YMatrix::tally_with`]: **one pass per node**, not per candidate,
 //! fills the [`Summary`] of every RHS the node is a candidate for, with
-//! no allocation and no table. The search's RHS codes are laid out once
-//! per call as a row-major matrix beside the attribute bases, so a
+//! no allocation and no table. For these measures only, the search's
+//! RHS codes are laid out once per call as a row-major matrix beside
+//! the attribute bases (`rows × lanes` `u32`s, lanes rounded up to a
+//! multiple of 8; not counted in `LatticeStats::base_bytes`), so a
 //! small X-group is counted by comparing whole rows, one lane per RHS;
 //! larger groups keep a stamped counter over each RHS's column. Y-NULL
 //! rows are skipped, X-NULL rows come off the RHS column totals,
@@ -404,7 +406,7 @@ fn build_bases(rel: &Relation, threads: usize) -> Vec<AttrBase> {
 }
 
 /// One RHS attribute of a search and the LHS sets closed for it. Its
-/// [`YSide`] is the lane of the same index in the search's [`YMatrix`].
+/// [`YSide`] has the same index in the search's [`Scoring`].
 struct Rhs {
     attr: AttrId,
     /// Emitted and exact LHS sets: their supersets are never candidates
@@ -587,18 +589,28 @@ fn merge_dropped(a: &[u32], b: &[u32]) -> Vec<u32> {
 // ------------------------------------------------------------------
 // The shared search
 
+/// How a search scores its candidates, fixed per call by the measure's
+/// [`Measure::summary_formula`]. Index `k` is the Y side of `rhss[k]`.
+enum Scoring<'a> {
+    /// Every candidate is tallied: the RHS codes laid out row-major
+    /// (lane `k`) and the formula that scores a [`Summary`].
+    Tally {
+        ys: YMatrix<'a>,
+        formula: fn(&Summary) -> f64,
+    },
+    /// Every candidate builds a contingency table from its RHS column;
+    /// no row-major copy is made.
+    Table(Vec<YSide<'a>>),
+}
+
 /// One lattice search over a set of RHS attributes: the shared
 /// read-only inputs, each RHS's closed sets, and the AFDs found so far.
 struct Search<'a> {
     n_rows: usize,
     bases: &'a [AttrBase],
     rhss: Vec<Rhs>,
-    /// Lane `k` is the Y side of `rhss[k]`.
-    ys: YMatrix<'a>,
+    scoring: Scoring<'a>,
     measure: &'a dyn Measure,
-    /// The measure's [`Measure::summary_formula`], asked once per call:
-    /// `Some` means every candidate is tallied.
-    formula: Option<fn(&Summary) -> f64>,
     epsilon: f64,
     found: Vec<Discovered>,
 }
@@ -625,22 +637,25 @@ impl Search<'_> {
         dropped: &[u32],
         rhs: Vec<usize>,
     ) -> Vec<(usize, Verdict)> {
-        if let Some(formula) = self.formula {
-            self.ys
-                .tally_with(scratch, rows, starts, dropped, &rhs, summaries);
-            return rhs
-                .into_iter()
-                .zip(summaries.iter())
-                .map(|(k, s)| {
-                    let v = verdict(s.is_exact_fd(), || score_summary(s, formula), self.epsilon);
-                    (k, v)
-                })
-                .collect();
-        }
+        let ys = match &self.scoring {
+            Scoring::Tally { ys, formula } => {
+                ys.tally_with(scratch, rows, starts, dropped, &rhs, summaries);
+                return rhs
+                    .into_iter()
+                    .zip(summaries.iter())
+                    .map(|(k, s)| {
+                        let v =
+                            verdict(s.is_exact_fd(), || score_summary(s, *formula), self.epsilon);
+                        (k, v)
+                    })
+                    .collect();
+            }
+            Scoring::Table(ys) => ys,
+        };
         let mut dense = false;
         rhs.into_iter()
             .map(|k| {
-                let y = self.ys.side(k);
+                let y = &ys[k];
                 let t = if !y.has_nulls()
                     && dropped.is_empty()
                     && self.measure.bit_exact_on_implicit_singletons()
@@ -857,8 +872,9 @@ impl Search<'_> {
     }
 }
 
-/// Builds the shared attribute bases and, beside them, the matrix of
-/// `rhs`'s codes, and runs one search over `rhs`.
+/// Builds the shared attribute bases and, for a measure with a summary
+/// formula, the row-major matrix of `rhs`'s codes beside them, and runs
+/// one search over `rhs`.
 fn discover(
     rel: &Relation,
     rhs: &[AttrId],
@@ -867,6 +883,13 @@ fn discover(
     threads: usize,
 ) -> (Vec<Discovered>, LatticeStats) {
     let bases = build_bases(rel, threads);
+    let sides = rhs
+        .iter()
+        .map(|a| {
+            let enc = &bases[a.index()].enc;
+            YSide::new(&enc.codes, enc.n_groups)
+        })
+        .collect();
     let search = Search {
         n_rows: rel.n_rows(),
         bases: &bases,
@@ -877,16 +900,14 @@ fn discover(
                 closed: SubsetIndex::new(rel.arity()),
             })
             .collect(),
-        ys: YMatrix::new(
-            rhs.iter()
-                .map(|a| {
-                    let enc = &bases[a.index()].enc;
-                    YSide::new(&enc.codes, enc.n_groups)
-                })
-                .collect(),
-        ),
+        scoring: match measure.summary_formula() {
+            Some(formula) => Scoring::Tally {
+                ys: YMatrix::new(sides),
+                formula,
+            },
+            None => Scoring::Table(sides),
+        },
         measure,
-        formula: measure.summary_formula(),
         epsilon: cfg.epsilon,
         found: Vec::new(),
     };

@@ -200,18 +200,14 @@ impl ContingencyTable {
             scratch.count.begin();
             scratch.touched.clear();
             for &yj in &sorted_y[start..end] {
-                match scratch.count.get(yj) {
-                    Some(c) => scratch.count.set(yj, c + 1),
-                    None => {
-                        scratch.count.set(yj, 1);
-                        scratch.touched.push(yj);
-                    }
+                if scratch.count.bump(yj) == 1 {
+                    scratch.touched.push(yj);
                 }
             }
             scratch.touched.sort_unstable();
             row_starts.push(cells.len() as u32);
             for &yj in &scratch.touched {
-                cells.push((yj, scratch.count.get(yj).expect("touched key counted")));
+                cells.push((yj, scratch.count.count(yj).into()));
             }
             debug_assert_eq!(i + 1, row_starts.len());
             start = end;
@@ -331,18 +327,14 @@ impl ContingencyTable {
             scratch.touched.clear();
             for &row in cluster {
                 let yc = y.codes[row as usize];
-                match scratch.count.get(yc) {
-                    Some(c) => scratch.count.set(yc, c + 1),
-                    None => {
-                        scratch.count.set(yc, 1);
-                        scratch.touched.push(yc);
-                    }
+                if scratch.count.bump(yc) == 1 {
+                    scratch.touched.push(yc);
                 }
             }
             scratch.touched.sort_unstable();
             row_starts.push(cells.len() as u32);
             for &yc in &scratch.touched {
-                cells.push((yc, scratch.count.get(yc).expect("touched key counted")));
+                cells.push((yc, scratch.count.count(yc).into()));
             }
             row_totals.push(cluster.len() as u64);
         }

@@ -59,8 +59,7 @@ impl Pli {
         scratch.count.begin();
         for &c in &enc.codes {
             if c != NULL_CODE {
-                let cur = scratch.count.get(c).unwrap_or(0);
-                scratch.count.set(c, cur + 1);
+                scratch.count.bump(c);
             }
         }
         // Reserve output ranges for groups with ≥ 2 rows, in group order.
@@ -69,12 +68,11 @@ impl Pli {
         let mut starts = Vec::new();
         let mut total = 0u32;
         for g in 0..n_groups as u32 {
-            if let Some(c) = scratch.count.get(g) {
-                if c >= 2 {
-                    scratch.pos.set(g, total);
-                    starts.push(total);
-                    total += c as u32;
-                }
+            let c = scratch.count.count(g);
+            if c >= 2 {
+                scratch.pos.set(g, total);
+                starts.push(total);
+                total += c;
             }
         }
         starts.push(total);
@@ -171,12 +169,8 @@ impl Pli {
                 if c == NULL_CODE {
                     continue;
                 }
-                match scratch.count.get(c) {
-                    Some(k) => scratch.count.set(c, k + 1),
-                    None => {
-                        scratch.count.set(c, 1);
-                        scratch.touched.push(c);
-                    }
+                if scratch.count.bump(c) == 1 {
+                    scratch.touched.push(c);
                 }
             }
             // Reserve output ranges for subclusters of size ≥ 2, in
@@ -185,11 +179,11 @@ impl Pli {
             let mut cur = out_rows.len() as u32;
             for ti in 0..scratch.touched.len() {
                 let c = scratch.touched[ti];
-                let k = scratch.count.get(c).expect("touched key counted");
+                let k = scratch.count.count(c);
                 if k >= 2 {
                     scratch.pos.set(c, cur);
                     out_starts.push(cur);
-                    cur += k as u32;
+                    cur += k;
                 }
             }
             out_rows.resize(cur as usize, 0);
@@ -252,23 +246,19 @@ impl Pli {
                 let Some(c) = scratch.map_b.get(row) else {
                     continue;
                 };
-                match scratch.count.get(c) {
-                    Some(k) => scratch.count.set(c, k + 1),
-                    None => {
-                        scratch.count.set(c, 1);
-                        scratch.touched.push(c);
-                    }
+                if scratch.count.bump(c) == 1 {
+                    scratch.touched.push(c);
                 }
             }
             scratch.pos.begin();
             let mut cur = out_rows.len() as u32;
             for ti in 0..scratch.touched.len() {
                 let c = scratch.touched[ti];
-                let k = scratch.count.get(c).expect("touched key counted");
+                let k = scratch.count.count(c);
                 if k >= 2 {
                     scratch.pos.set(c, cur);
                     out_starts.push(cur);
-                    cur += k as u32;
+                    cur += k;
                 }
             }
             out_rows.resize(cur as usize, 0);

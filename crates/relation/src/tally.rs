@@ -8,11 +8,11 @@
 //! [`YMatrix::tally_with`] counts those by comparing whole matrix rows
 //! lane by lane — no stamped counter, no branch on NULL, and no
 //! division: a group of at most 8 rows reads its exact pdep term from a
-//! compile-time table. Two-row groups without a NULL
-//! only count, per lane, how many are equal, and are folded in
-//! arithmetically at the end. Larger groups and the X-NULL rows are
-//! counted one RHS at a time over that RHS's own column, with a stamped
-//! counter whose slots pack the generation with the count.
+//! compile-time table. Two-row groups, the most common, only add to
+//! three per-lane counts (non-NULL rows, groups with both rows non-NULL,
+//! equal ones) that are folded in arithmetically at the end. Larger
+//! groups and the X-NULL rows are counted one RHS at a time over that
+//! RHS's own column, with the scratch's stamped counter.
 
 use std::borrow::Cow;
 
@@ -62,8 +62,6 @@ pub struct YMatrix<'a> {
     sides: Vec<YSide<'a>>,
     codes: Cow<'a, [u32]>,
     stride: usize,
-    /// Per row: some lane is NULL. Empty when no lane has a NULL.
-    null_rows: Vec<bool>,
 }
 
 impl<'a> YMatrix<'a> {
@@ -90,24 +88,20 @@ impl<'a> YMatrix<'a> {
                 (Cow::Owned(codes), stride)
             }
         };
-        let null_rows = if sides.iter().any(YSide::has_nulls) {
-            (0..n_rows)
-                .map(|row| sides.iter().any(|y| y.codes()[row] == NULL_CODE))
-                .collect()
-        } else {
-            Vec::new()
-        };
         YMatrix {
             sides,
             codes,
             stride,
-            null_rows,
         }
     }
 
-    /// Lane `k`'s Y side.
-    pub fn side(&self, k: usize) -> &YSide<'a> {
-        &self.sides[k]
+    /// Bytes the matrix owns beyond its lanes' columns: the row-major
+    /// codes, none for a single lane, which borrows its column.
+    pub fn bytes(&self) -> u64 {
+        match &self.codes {
+            Cow::Borrowed(_) => 0,
+            Cow::Owned(c) => (c.len() * std::mem::size_of::<u32>()) as u64,
+        }
     }
 
     fn row(&self, row: u32) -> &[u32] {
@@ -137,16 +131,14 @@ impl<'a> YMatrix<'a> {
     ) {
         let lane_sums = &mut scratch.lanes;
         lane_sums.reset(self.stride);
-        let mut pairs = 0u64;
         for (ci, w) in cluster_starts.windows(2).enumerate() {
             let group = &cluster_rows[w[0] as usize..w[1] as usize];
             if group.len() > SMALL_GROUP {
                 lane_sums.big.push(ci as u32);
-            } else if group.len() == 2 && !self.has_null(group[0]) && !self.has_null(group[1]) {
-                pairs += 1;
+            } else if group.len() == 2 {
                 let (r0, r1) = (self.row(group[0]), self.row(group[1]));
-                for ((e, &c0), &c1) in lane_sums.equal_pairs.iter_mut().zip(r0).zip(r1) {
-                    *e += u32::from(c0 == c1);
+                for ((p, &c0), &c1) in lane_sums.pairs.iter_mut().zip(r0).zip(r1) {
+                    p.add(c0, c1);
                 }
             } else if self.stride == 1 {
                 lane_sums.small_group::<1>(&self.codes, 1, 0, group);
@@ -158,16 +150,12 @@ impl<'a> YMatrix<'a> {
         }
         out.clear();
         for &k in lanes {
-            let s = self.finish_lane(scratch, cluster_rows, cluster_starts, dropped, k, pairs);
+            let s = self.finish_lane(scratch, cluster_rows, cluster_starts, dropped, k);
             out.push(s);
         }
     }
 
-    fn has_null(&self, row: u32) -> bool {
-        !self.null_rows.is_empty() && self.null_rows[row as usize]
-    }
-
-    /// Lane `k`'s summary: its small-group sums, the two-row groups
+    /// Lane `k`'s summary: its small-group sums, its two-row groups
     /// folded in, its large groups and X-NULL rows counted over its own
     /// column, and the singleton groups added arithmetically.
     fn finish_lane(
@@ -177,16 +165,16 @@ impl<'a> YMatrix<'a> {
         cluster_starts: &[u32],
         dropped: &[u32],
         k: usize,
-        pairs: u64,
     ) -> Summary {
         let y = &self.sides[k];
         let codes = y.codes();
-        let l = &mut scratch.lanes;
-        l.counter.ensure(y.col_totals.len());
+        let l = &scratch.lanes;
+        let counter = &mut scratch.count;
+        counter.ensure(y.col_totals.len());
         // X-NULL rows leave the table: take them off N and Σ b².
         let (mut n, mut sum_sq_cols) = (y.n, y.sum_sq_cols);
         if !dropped.is_empty() {
-            l.counter.begin();
+            counter.begin();
             scratch.touched.clear();
             for &row in dropped {
                 let yc = codes[row as usize];
@@ -194,44 +182,46 @@ impl<'a> YMatrix<'a> {
                     continue;
                 }
                 n -= 1;
-                if l.counter.bump(yc) == 1 {
+                if counter.bump(yc) == 1 {
                     scratch.touched.push(yc);
                 }
             }
             for &yc in &scratch.touched {
                 let b = y.col_totals[yc as usize];
-                let d = u64::from(l.counter.count(yc));
+                let d = u64::from(counter.count(yc));
                 sum_sq_cols -= b * b - (b - d) * (b - d);
             }
         }
-        // A two-row group is one cell of 2 when its rows are equal
-        // (pdep term 4/2), else two cells of 1 (term 2/2).
-        let equal = u64::from(l.equal_pairs[k]);
+        // Two-row groups: with both rows non-NULL, one cell of 2 when
+        // they are equal (pdep term 4/2), else two cells of 1 (term 2/2);
+        // with one non-NULL row, one cell of 1 (term 1/1).
+        let p = l.pairs[k];
+        let (v, full, eq) = (u64::from(p.rows), u64::from(p.full), u64::from(p.equal));
         let mut t = LaneTotal {
-            n_x: pairs,
-            cells: 2 * pairs - equal,
-            max: pairs + equal,
-            violating: 2 * (pairs - equal),
-            sq_rows: 4 * pairs,
-            sq_cells: 2 * pairs + 2 * equal,
-            rows: 2 * pairs,
+            n_x: v - full,
+            cells: v - eq,
+            max: v - full + eq,
+            violating: 2 * (full - eq),
+            sq_rows: v + 2 * full,
+            sq_cells: v + 2 * eq,
+            rows: v,
             pdep: 0,
         };
         t.add(&l.totals[k]);
         let mut pdep = ExactSum(t.pdep as i128);
-        pdep.add_sq_over_a(4, 2, equal);
-        pdep.add_sq_over_a(2, 2, pairs - equal);
+        pdep.add_sq_over_a(4, 2, eq);
+        pdep.add_sq_over_a(1, 1, v - full - eq);
         for &ci in &l.big {
             let ci = ci as usize;
             let group = &cluster_rows[cluster_starts[ci] as usize..cluster_starts[ci + 1] as usize];
-            l.counter.begin();
+            counter.begin();
             let (mut a, mut cells, mut max, mut sq) = (0, 0, 0, 0);
             for &row in group {
                 let yc = codes[row as usize];
                 if yc == NULL_CODE {
                     continue;
                 }
-                let c = u64::from(l.counter.bump(yc));
+                let c = u64::from(counter.bump(yc));
                 a += 1;
                 cells += u64::from(c == 1);
                 max = max.max(c);
@@ -303,67 +293,33 @@ impl LaneTotal {
 }
 
 /// The buffers of [`YMatrix::tally_with`], kept in a [`Scratch`]: per
-/// lane the small groups' sums and the count of equal NULL-free two-row
-/// groups, then the indices of the large groups and their counter.
+/// lane the small groups' sums and the two-row groups' counts, then the
+/// indices of the large groups.
 #[derive(Debug, Default)]
 pub(crate) struct LaneSums {
     totals: Vec<LaneTotal>,
-    equal_pairs: Vec<u32>,
+    pairs: Vec<PairSums>,
     big: Vec<u32>,
-    counter: GroupCounter,
 }
 
-/// Counts of Y codes within one X-group: each slot packs the generation
-/// that last wrote it (high 32 bits) with its count (low 32 bits), so
-/// counting a row is one load and one store. On the level-2 partitions
-/// of the `discover_rwd` relations the tally ran about a fifth faster
-/// with it than with the crate's `Stamped` table, whether that keeps
-/// stamps and values in two arrays or in one array of pairs.
-#[derive(Debug, Default)]
-struct GroupCounter {
-    slots: Vec<u64>,
-    gen: u32,
+/// One lane's counts over the two-row X-groups: its non-NULL rows in
+/// them, the groups with both rows non-NULL, and those of them whose two
+/// codes are equal. Every sum of such a group follows from the three.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairSums {
+    rows: u32,
+    full: u32,
+    equal: u32,
 }
 
-impl GroupCounter {
-    /// Grows the counter to cover keys `0..n`.
-    fn ensure(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, 0);
-        }
-    }
-
-    /// Starts a new generation, logically zeroing every count.
-    fn begin(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // One physical clear every 2^32 generations.
-            self.slots.fill(0);
-            self.gen = 1;
-        }
-    }
-
-    /// Counts one more `key` and returns its count in this generation.
+impl PairSums {
+    /// Counts one two-row group whose rows hold `c0` and `c1`.
     #[inline]
-    fn bump(&mut self, key: u32) -> u32 {
-        let slot = &mut self.slots[key as usize];
-        let count = if (*slot >> 32) as u32 == self.gen {
-            *slot as u32 + 1
-        } else {
-            1
-        };
-        *slot = (u64::from(self.gen) << 32) | u64::from(count);
-        count
-    }
-
-    /// `key`'s count in this generation.
-    fn count(&self, key: u32) -> u32 {
-        let slot = self.slots[key as usize];
-        if (slot >> 32) as u32 == self.gen {
-            slot as u32
-        } else {
-            0
-        }
+    fn add(&mut self, c0: u32, c1: u32) {
+        let (v0, v1) = (u32::from(c0 != NULL_CODE), u32::from(c1 != NULL_CODE));
+        self.rows += v0 + v1;
+        self.full += v0 & v1;
+        self.equal += v0 & u32::from(c0 == c1);
     }
 }
 
@@ -371,8 +327,8 @@ impl LaneSums {
     fn reset(&mut self, stride: usize) {
         self.totals.clear();
         self.totals.resize(stride, LaneTotal::default());
-        self.equal_pairs.clear();
-        self.equal_pairs.resize(stride, 0);
+        self.pairs.clear();
+        self.pairs.resize(stride, PairSums::default());
         self.big.clear();
     }
 
@@ -429,6 +385,15 @@ impl LaneSums {
 mod tests {
     use super::*;
     use std::hint::black_box;
+
+    #[test]
+    fn bytes_count_the_row_major_copy_only() {
+        let (a, b) = ([0, 1, 0, 2, 1], [3, 3, 0, 1, 2]);
+        let one = YMatrix::new(vec![YSide::new(&a, 3)]);
+        assert_eq!(one.bytes(), 0);
+        let two = YMatrix::new(vec![YSide::new(&a, 3), YSide::new(&b, 4)]);
+        assert_eq!(two.bytes(), 5 * BLOCK as u64 * 4);
+    }
 
     #[test]
     fn pdep_table_matches_run_time_units() {

@@ -129,8 +129,8 @@ proptest! {
 
     /// The multi-RHS tally on wide matrices: every lane's summary equals
     /// its full-codes table's. X-groups of 1 to 17 rows straddle the
-    /// small-group bound (8) and include NULL-free two-row groups; some
-    /// lanes have NULLs, also inside small groups; some rows are X-NULL;
+    /// small-group bound (8) and include two-row groups; some lanes have
+    /// NULLs, also inside small and two-row groups; some rows are X-NULL;
     /// 1 to 40 lanes cross the compare blocks. Each lane is requested,
     /// in a shuffled order with one lane left out.
     #[test]
