@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the subset of the proptest API the workspace's property
-//! tests use: the [`proptest!`] macro, [`Strategy`] with `prop_map`,
+//! tests use: the [`proptest!`] macro, [`Strategy`](strategy::Strategy) with `prop_map`,
 //! range/tuple/array strategies, `prop::collection::vec`,
 //! `prop::option::weighted`, `prop::bool::ANY`, `prop::sample::select`,
 //! and the `prop_assert!` / `prop_assert_eq!` / `prop_assume!` macros.

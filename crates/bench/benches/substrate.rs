@@ -1,6 +1,6 @@
 //! Substrate microbenchmarks: the primitives every experiment is built
 //! on — grouping, contingency construction, PLI construction and
-//! intersection, entropy evaluation — plus optimized-vs-naive
+//! refinement, entropy evaluation — plus optimized-vs-naive
 //! comparisons for the stamped-array kernels (the numbers recorded in
 //! `BENCH_substrate.json`; see `examples/record_substrate.rs`).
 

@@ -8,10 +8,11 @@
 //! Workload: the standard 65 536-row bench fixture with a tracked
 //! `X -> Y` candidate, churned by half-insert/half-delete deltas of
 //! `rows / 256` events, with the rows hash-partitioned across
-//! N ∈ {1, 2, 4, 8} shards by the candidate's LHS. The host is
-//! single-core, so the recorded quantity is **work per shard** (each
-//! routed slice applied and timed individually), not wall-clock: the
-//! number a real N-core/N-node deployment would see per worker. The
+//! N ∈ {1, 2, 4, 8} shards by the candidate's LHS. The recorded
+//! quantity is **work per shard** (each routed slice applied and timed
+//! on its own, one shard after another), not wall-clock: the number a
+//! real N-core/N-node deployment would see per worker. The file records
+//! each row's sample count and the host. The
 //! correctness gate runs a `ShardedSession` over the same deltas and
 //! asserts its merged score reads bit-identical to the unsharded
 //! session, then closes with a per-shard verified compaction.
@@ -19,7 +20,7 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample per shard
 //! count so CI can exercise the full path in well under a second.
 
-use afd_bench::{fixture_relation, median};
+use afd_bench::{fixture_relation, median, Host};
 use afd_relation::{AttrId, AttrSet, Fd};
 use afd_stream::{ChurnPlanner, DeltaRouter, ShardedSession, StreamSession};
 use std::fmt::Write as _;
@@ -137,7 +138,7 @@ fn main() {
     for (i, r) in records.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"per_shard_apply_work\", \"rows\": {}, \"shards\": {}, \"delta_rows\": {}, \"mean_shard_ns\": {}, \"max_shard_ns\": {}, \"single_session_ns\": {}, \"work_ratio\": {:.3}}}{}",
+            "    {{\"workload\": \"per_shard_apply_work\", \"rows\": {}, \"shards\": {}, \"delta_rows\": {}, \"mean_shard_ns\": {}, \"max_shard_ns\": {}, \"single_session_ns\": {}, \"work_ratio\": {:.3}, \"samples\": {}}}{}",
             n,
             r.shards,
             r.delta_rows,
@@ -145,6 +146,7 @@ fn main() {
             r.max_shard.as_nanos(),
             r.single.as_nanos(),
             r.work_ratio(),
+            samples,
             if i + 1 < records.len() { "," } else { "" }
         );
         println!(
@@ -156,9 +158,10 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"smoke\": {smoke},\n  \"note\": \"median per-delta stats; rows hash-partitioned by the candidate LHS across N StreamSession shards; mean_shard = average per-shard apply time of one routed churn delta (the work one worker does — the host is single-core, so wall-clock parallel speedup is not measurable here), single_session = N=1 baseline; merged ShardedSession score reads verified bit-identical to the unsharded session and per-shard compaction verification passed\"\n}}\n"
+        "  \"smoke\": {smoke},\n  \"note\": \"median over samples churn deltas per row; rows hash-partitioned by the candidate LHS across N StreamSession shards; mean_shard = average per-shard apply time of one routed churn delta (the work one worker does; the shards apply one after another, so this is not a wall-clock speedup), single_session = N=1 baseline; merged ShardedSession score reads verified bit-identical to the unsharded session and per-shard compaction verification passed\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");
     println!("wrote {out_path}");

@@ -132,19 +132,6 @@ fn main() {
                 ));
             }),
         });
-
-        let pli_b = Pli::from_relation(&rel, &y);
-        records.push(Record {
-            name: "pli_intersect".into(),
-            n,
-            optimized: time(samples, iters, || {
-                black_box(pli.intersect(&pli_b));
-            }),
-            samples: (samples, iters),
-            naive: time(samples, iters, || {
-                black_box(naive::pli_intersect(&pli, &pli_b));
-            }),
-        });
     }
 
     // Encoding cache: the engine's matrix request shares one

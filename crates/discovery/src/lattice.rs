@@ -25,9 +25,9 @@
 //! ## Performance architecture
 //!
 //! **Stripped nodes.** A node stores only the rows of its partition's
-//! non-singleton groups (CSR clusters ordered by first row, like
-//! `Pli`), plus the usually-empty list of NULL-dropped rows — not a
-//! dense `O(rows)` code vector. Work and memory per node shrink
+//! non-singleton groups (CSR clusters, built and refined by the kernels
+//! behind `Pli`), plus the usually-empty list of NULL-dropped rows — not
+//! a dense `O(rows)` code vector. Work and memory per node shrink
 //! monotonically up the lattice: once a group shrinks to one row it
 //! leaves the representation for good.
 //!
@@ -45,15 +45,16 @@
 //! larger groups keep a stamped counter over each RHS's column. Y-NULL
 //! rows are skipped, X-NULL rows come off the RHS column totals,
 //! singleton groups are counted arithmetically, and the pdep sum is
-//! exact, so it needs no group order: scores
-//! ([`afd_core::score_summary`]) are **bit-identical** to the full-codes
-//! reference retained in [`crate::naive_lattice`].
+//! exact: scores ([`afd_core::score_summary`]) are **bit-identical** to
+//! the full-codes reference retained in [`crate::naive_lattice`].
 //! The other measures keep two table paths. NULL-free candidates of a
 //! measure whose [`Measure::bit_exact_on_implicit_singletons`] holds
 //! (g1ˢ, FI and the RFI family) go through
 //! [`ContingencyTable::from_stripped_with`], which folds the implicit
 //! singleton groups in arithmetically (they add exactly 0 to the exact
-//! Shannon sums). The rest — candidates over NULL-bearing attributes,
+//! Shannon sums). No score reads the clusters' order: every sum taken
+//! from a stripped partition is an integer or an order-free exact sum,
+//! and the RFI expectation reads sorted margin histograms. The rest — candidates over NULL-bearing attributes,
 //! and measures that need materialised singleton rows, like SFI —
 //! reconstruct dense codes in a per-worker scratch buffer (once per set,
 //! however many RHS need them) and are evaluated through the classic
@@ -121,9 +122,9 @@ pub const DEFAULT_EPSILON: f64 = 0.5;
 pub struct LatticeConfig {
     /// Maximum LHS size (level cap). Defaults to 3 — the non-linear
     /// depth the paper's experiments use. (The engine's
-    /// `DiscoverRequest` defaults to `max_lhs = 1` instead because its
-    /// default algorithm is the *linear* threshold search; this type is
-    /// the non-linear preset.)
+    /// `DiscoverRequest` defaults to `max_lhs = 1` instead: linear
+    /// discovery, which is this search's first level; this type is the
+    /// non-linear preset.)
     pub max_lhs: usize,
     /// Discovery threshold ε: emit AFDs with score in `[ε, 1)`.
     /// Defaults to [`DEFAULT_EPSILON`], shared with the engine.
@@ -173,8 +174,7 @@ impl std::error::Error for LatticeError {}
 
 impl LatticeConfig {
     /// Checks the configuration without running anything — the shared
-    /// validation behind every `discover_*` entry (and the engine's
-    /// linear threshold path, so both algorithms reject identically).
+    /// validation behind every `discover_*` entry.
     ///
     /// # Errors
     /// [`LatticeError`] for `epsilon ∉ [0, 1)` or `max_lhs == 0`.
@@ -1176,7 +1176,7 @@ mod tests {
         for epsilon in [0.5, 0.8] {
             for max_lhs in [1, 2, 3] {
                 let cfg = LatticeConfig { max_lhs, epsilon };
-                for measure in afd_core::fast_measures() {
+                for measure in afd_core::extended_measures() {
                     let name = measure.name();
                     let fast = discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
                     let slow =
@@ -1201,7 +1201,7 @@ mod tests {
     fn nulls_fall_back_to_full_codes_and_match_reference() {
         let mut rel = nonlinear_rel();
         // Sprinkle NULLs across three columns: tallied measures skip the
-        // NULL rows, g1/g1ˢ/FI fall back to full codes.
+        // NULL rows, the table measures fall back to full codes.
         for (row, col) in [(3usize, 0u32), (17, 1), (40, 2), (41, 0), (100, 3)] {
             rel.set_value(row, AttrId(col), Value::Null);
         }
@@ -1209,7 +1209,7 @@ mod tests {
             max_lhs: 3,
             epsilon: 0.6,
         };
-        for measure in afd_core::fast_measures() {
+        for measure in afd_core::extended_measures() {
             let name = measure.name();
             let fast = discover_all_threaded(&rel, measure.as_ref(), cfg, 1);
             let slow = crate::naive_lattice::discover_all_threaded(&rel, measure.as_ref(), cfg, 1);

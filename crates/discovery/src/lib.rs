@@ -3,7 +3,7 @@
 //! AFD discovery algorithms built on the measures of `afd-core`:
 //!
 //! * [`threshold`]: the paper's induced discovery algorithm `A_f^ε` over
-//!   linear candidates;
+//!   linear candidates, run as the first level of the lattice below;
 //! * [`lattice`]: TANE-style levelwise search for minimal **non-linear**
 //!   AFDs (multi-attribute LHS) on stripped partitions, in one lattice
 //!   shared by every RHS (each LHS set refined once per call, then

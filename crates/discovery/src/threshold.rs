@@ -2,11 +2,15 @@
 //!
 //! Every AFD measure `f` and threshold `ε ∈ [0, 1)` induce the discovery
 //! algorithm `A_f^ε`: return all FDs violated by `R` whose score lies in
-//! `[ε, 1)`. This module implements it for linear candidates; the lattice
-//! module extends it to multi-attribute LHS.
+//! `[ε, 1)`. On linear candidates it is the first level of the lattice
+//! search ([`crate::lattice`], `max_lhs = 1`): every attribute's stripped
+//! partition scored against every other attribute, and the satisfied
+//! FDs closed unscored.
 
 use afd_core::Measure;
-use afd_relation::{violated_candidates, Fd, Relation};
+use afd_relation::{Fd, Relation};
+
+use crate::lattice::{discover_all_threaded, LatticeConfig};
 
 /// One discovered AFD with its score.
 #[derive(Debug, Clone)]
@@ -19,21 +23,19 @@ pub struct Discovered {
 
 /// Runs `A_f^ε` on linear candidates: all violated candidate FDs with
 /// `f(φ, R) ∈ [ε, 1)`, sorted by descending score (ties broken by FD
-/// order for determinism).
+/// order for determinism) — the lattice at `max_lhs = 1` on one thread.
 ///
 /// # Panics
 /// Panics if `epsilon` is outside `[0, 1)` (programmer error — `ε = 1`
 /// would return satisfied FDs, which exact discovery already finds).
 pub fn discover_linear(rel: &Relation, measure: &dyn Measure, epsilon: f64) -> Vec<Discovered> {
     assert!((0.0..1.0).contains(&epsilon), "ε must be in [0, 1)");
-    let mut out: Vec<Discovered> = violated_candidates(rel)
-        .into_iter()
-        .filter_map(|fd| {
-            let score = measure.score(rel, &fd);
-            (score >= epsilon && score < 1.0).then_some(Discovered { fd, score })
-        })
-        .collect();
-    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.fd.cmp(&b.fd)));
+    let cfg = LatticeConfig {
+        max_lhs: 1,
+        epsilon,
+    };
+    let mut out = discover_all_threaded(rel, measure, cfg, 1);
+    out.retain(|d| d.score < 1.0);
     out
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the discovery algorithms.
 
-use afd_core::{measure_by_name, MuPlus};
+use afd_core::{measure_by_name, Measure, MuPlus};
 use afd_discovery::{discover_for_rhs, discover_linear, LatticeConfig};
 use afd_relation::{AttrId, Relation, Schema, Value};
 use proptest::prelude::*;
@@ -75,18 +75,32 @@ proptest! {
         }
     }
 
+    /// Linear discovery and the lattice's first level both equal the
+    /// per-candidate sweep `A_f^ε` is defined by: every violated linear
+    /// candidate scored on its own table, kept when in `[ε, 1)`.
     #[test]
     fn lattice_level1_matches_linear_discovery(rel in rel3()) {
+        let mut reference: Vec<_> = afd_relation::violated_candidates(&rel)
+            .into_iter()
+            .filter_map(|fd| {
+                let score = MuPlus.score(&rel, &fd);
+                (0.4..1.0).contains(&score).then_some((fd, score))
+            })
+            .collect();
+        reference.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let linear = discover_linear(&rel, &MuPlus, 0.4);
+        prop_assert_eq!(linear.len(), reference.len());
+        for (a, (fd, score)) in linear.iter().zip(&reference) {
+            prop_assert_eq!(&a.fd, fd);
+            prop_assert_eq!(a.score.to_bits(), score.to_bits());
+        }
         let cfg = LatticeConfig { max_lhs: 1, epsilon: 0.4 };
         let lattice = discover_for_rhs(&rel, AttrId(2), &MuPlus, cfg);
-        let linear: Vec<_> = discover_linear(&rel, &MuPlus, 0.4)
-            .into_iter()
-            .filter(|d| d.fd.rhs().ids() == [AttrId(2)])
-            .collect();
-        prop_assert_eq!(lattice.len(), linear.len());
-        for (a, b) in lattice.iter().zip(&linear) {
-            prop_assert_eq!(&a.fd, &b.fd);
-            prop_assert!((a.score - b.score).abs() < 1e-12);
+        let on_c: Vec<_> = reference.iter().filter(|(fd, _)| fd.rhs().ids() == [AttrId(2)]).collect();
+        prop_assert_eq!(lattice.len(), on_c.len());
+        for (a, (fd, score)) in lattice.iter().zip(on_c) {
+            prop_assert_eq!(&a.fd, fd);
+            prop_assert_eq!(a.score.to_bits(), score.to_bits());
         }
     }
 }

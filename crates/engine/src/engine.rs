@@ -4,7 +4,7 @@
 use std::io::BufRead;
 
 use afd_core::{all_measures, measure_by_name, Measure};
-use afd_discovery::{discover_linear, try_discover_all_stats, LatticeConfig};
+use afd_discovery::{try_discover_all_stats, LatticeConfig};
 use afd_relation::{
     linear_candidates, read_csv_typed, violated_candidates, AttrSet, CsvKind, Fd, Relation, Schema,
 };
@@ -347,11 +347,10 @@ impl AfdEngine {
         })
     }
 
-    /// Runs discovery on the current snapshot: threshold over linear
-    /// candidates for `max_lhs == 1`, the stripped
-    /// level-synchronous parallel lattice search otherwise (per-level
-    /// node/byte statistics come back on
-    /// [`DiscoverResponse::lattice`]).
+    /// Runs discovery on the current snapshot: the stripped
+    /// level-synchronous parallel lattice search, whose first level is
+    /// linear discovery (per-level node/byte statistics come back on
+    /// [`DiscoverResponse::lattice`] when `max_lhs > 1`).
     ///
     /// # Errors
     /// [`AfdError::UnknownMeasure`] / [`AfdError::Config`] (epsilon
@@ -359,8 +358,8 @@ impl AfdEngine {
     /// non-panicking `try_` entry — or bad `AFD_THREADS`).
     pub fn discover(&mut self, req: &DiscoverRequest) -> Result<DiscoverResponse, AfdError> {
         let measure = self.measure(&req.measure)?;
-        // Linear threshold discovery shares the lattice's validation so
-        // both algorithms reject the same configurations.
+        // A bad configuration is a `Config` error whatever the engine's
+        // state, so it is checked before the threads and the snapshot.
         let cfg = LatticeConfig {
             max_lhs: req.max_lhs,
             epsilon: req.epsilon,
@@ -369,17 +368,11 @@ impl AfdEngine {
             .map_err(|e| AfdError::Config(e.to_string()))?;
         let threads = self.threads()?;
         let rel = self.snapshot()?;
-        if req.max_lhs == 1 {
-            return Ok(DiscoverResponse {
-                found: discover_linear(rel, measure.as_ref(), req.epsilon),
-                lattice: None,
-            });
-        }
         let (found, stats) = try_discover_all_stats(rel, measure.as_ref(), cfg, threads)
             .map_err(|e| AfdError::Config(e.to_string()))?;
         Ok(DiscoverResponse {
             found,
-            lattice: Some(stats),
+            lattice: (req.max_lhs > 1).then_some(stats),
         })
     }
 
@@ -809,7 +802,7 @@ mod tests {
     fn discovery_defaults_cannot_silently_drift() {
         // The two discovery front doors share their default ε through
         // `afd_discovery::DEFAULT_EPSILON`; `max_lhs` intentionally
-        // differs (engine default = linear threshold search, lattice
+        // differs (engine default = linear discovery, lattice
         // preset = non-linear depth 3) — if either side changes, this
         // test forces the divergence to be a conscious decision.
         let req = DiscoverRequest::default();

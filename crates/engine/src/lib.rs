@@ -13,7 +13,7 @@
 //! | [`ScoreRequest`] | `afd-core` measures on the current snapshot |
 //! | [`MatrixRequest`] | encoding-cache batch path, threaded fan-out |
 //! | [`SubscribeRequest`] / [`DeltaRequest`] | sharded incremental sessions (`afd-stream`) |
-//! | [`DiscoverRequest`] | threshold / parallel lattice (`afd-discovery`) |
+//! | [`DiscoverRequest`] | parallel lattice, linear at `max_lhs = 1` (`afd-discovery`) |
 //!
 //! Behind the streaming requests sits the distributed-sharding design
 //! from the ROADMAP: a `DeltaRouter` hash-partitions row deltas by shard

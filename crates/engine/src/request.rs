@@ -8,8 +8,8 @@
 //!   encodings through the cache-backed batch path;
 //! * [`SubscribeRequest`] / [`DeltaRequest`]: streaming — track
 //!   candidates, apply row deltas, read delta-maintained scores;
-//! * [`DiscoverRequest`]: threshold (linear) or lattice (non-linear)
-//!   discovery.
+//! * [`DiscoverRequest`]: lattice discovery, linear (`max_lhs = 1`) or
+//!   non-linear.
 
 use afd_discovery::{Discovered, LatticeStats};
 use afd_relation::Fd;
@@ -138,8 +138,8 @@ pub struct DeltaResponse {
     pub n_live: usize,
 }
 
-/// Run AFD discovery: threshold over linear candidates (`max_lhs == 1`)
-/// or the level-wise lattice search (`max_lhs > 1`).
+/// Run AFD discovery: the level-wise lattice search up to `max_lhs`,
+/// whose first level is linear discovery (`max_lhs == 1`).
 #[derive(Debug, Clone)]
 pub struct DiscoverRequest {
     /// The measure's paper name.
@@ -153,9 +153,9 @@ pub struct DiscoverRequest {
 impl Default for DiscoverRequest {
     fn default() -> Self {
         // ε is shared with `LatticeConfig::default()` (pinned by a
-        // regression test); `max_lhs` deliberately differs — the engine's
-        // default algorithm is the cheap *linear* threshold search, while
-        // `LatticeConfig` is the non-linear preset (depth 3).
+        // regression test); `max_lhs` deliberately differs — the engine
+        // defaults to the cheap *linear* discovery, the lattice's first
+        // level, while `LatticeConfig` is the non-linear preset (depth 3).
         DiscoverRequest {
             measure: "mu+".into(),
             epsilon: afd_discovery::DEFAULT_EPSILON,
@@ -208,7 +208,7 @@ pub struct DiscoverResponse {
     /// Discovered AFDs, sorted by descending score.
     pub found: Vec<Discovered>,
     /// Per-level node/byte accounting of the lattice search (`None` for
-    /// the linear threshold path): candidates evaluated, subset-index
+    /// linear discovery, `max_lhs == 1`): candidates evaluated, subset-index
     /// prunes, open-node storage bytes, and the peak node bytes — the
     /// numbers `record_lattice` tracks.
     pub lattice: Option<LatticeStats>,

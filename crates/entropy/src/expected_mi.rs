@@ -249,7 +249,7 @@ mod tests {
         let (xs, ys) = expand_codes(&t);
         let back = ContingencyTable::from_codes(&xs, &ys);
         assert_eq!(back.n(), t.n());
-        assert_eq!(back.sum_sq_cells(), t.sum_sq_cells());
+        assert_eq!(back.summary().sum_sq_cells(), t.summary().sum_sq_cells());
     }
 
     #[test]

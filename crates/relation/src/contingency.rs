@@ -11,8 +11,9 @@
 //! Storage is CSR-style: one flat cell vector plus per-X-group offsets,
 //! built by [`ContingencyTable::from_codes_with`] using only dense
 //! stamped scratch arrays (no hashing, no per-group allocations) — a
-//! counting sort by X-group followed by a stamped tally per group. The
-//! hash-based reference implementation is retained as
+//! counting sort by X-group followed by a stamped tally per group, the
+//! same tally [`ContingencyTable::from_stripped_with`] runs per cluster.
+//! The hash-based reference implementation is retained as
 //! [`crate::naive::contingency_from_codes`].
 //!
 //! ## Exact sums: the same bits in every order
@@ -46,19 +47,18 @@
 //!   NULL-free candidate for the measures that read cells. Each
 //!   singleton X-group stays implicit (row total 1, one cell of count 1),
 //!   and every aggregate ([`ContingencyTable::n_x`],
-//!   [`ContingencyTable::sum_row_max`], [`ContingencyTable::summary`],
-//!   [`ContingencyTable::shannon_sums`], ...) folds them in
-//!   arithmetically; an implicit singleton adds exactly 0 to the Shannon
-//!   sums. Row-level accessors ([`ContingencyTable::row_totals`],
-//!   [`ContingencyTable::row`], [`ContingencyTable::cells`]) expose
-//!   **explicit** groups only; callers that iterate rows must add the
-//!   implicit contribution themselves. The per-Y distribution of the
-//!   implicit rows stays recoverable as
-//!   [`ContingencyTable::implicit_col_counts`] because `col_totals`
-//!   always covers *all* surviving rows.
+//!   [`ContingencyTable::summary`], [`ContingencyTable::shannon_sums`],
+//!   ...) folds them in arithmetically; an implicit singleton adds
+//!   exactly 0 to the Shannon sums. Row-level accessors
+//!   ([`ContingencyTable::row_totals`], [`ContingencyTable::row`],
+//!   [`ContingencyTable::cells`]) expose **explicit** groups only, in the
+//!   clusters' order; callers that iterate rows must add the implicit
+//!   contribution themselves. The per-Y distribution of the implicit
+//!   rows stays recoverable as [`ContingencyTable::implicit_col_counts`]
+//!   because `col_totals` always covers *all* surviving rows.
 
 use crate::dictionary::NULL_CODE;
-use crate::kernels::{with_scratch, Scratch};
+use crate::kernels::{with_scratch, Counter, Scratch};
 use crate::relation::{NullSemantics, Relation};
 use crate::schema::AttrSet;
 
@@ -195,21 +195,11 @@ impl ContingencyTable {
         let mut cells: Vec<(u32, u64)> = Vec::new();
         let mut row_starts: Vec<u32> = Vec::with_capacity(kx + 1);
         let mut start = 0usize;
-        for (i, &total) in row_totals.iter().enumerate() {
+        for &total in &row_totals {
             let end = start + total as usize;
-            scratch.count.begin();
-            scratch.touched.clear();
-            for &yj in &sorted_y[start..end] {
-                if scratch.count.bump(yj) == 1 {
-                    scratch.touched.push(yj);
-                }
-            }
-            scratch.touched.sort_unstable();
             row_starts.push(cells.len() as u32);
-            for &yj in &scratch.touched {
-                cells.push((yj, scratch.count.count(yj).into()));
-            }
-            debug_assert_eq!(i + 1, row_starts.len());
+            let ys = sorted_y[start..end].iter().copied();
+            push_group_cells(&mut scratch.count, &mut scratch.touched, ys, &mut cells);
             start = end;
         }
         row_starts.push(cells.len() as u32);
@@ -297,17 +287,16 @@ impl ContingencyTable {
     /// `afd-discovery`, for measures that read cells.
     ///
     /// `cluster_rows`/`cluster_starts` are the CSR clusters (size ≥ 2) of
-    /// the X-partition, **ordered by first row** with rows ascending
-    /// inside each cluster — the first-encounter group order the
-    /// full-codes path would produce. Every row outside the clusters is
-    /// an implicit singleton X-group.
+    /// the X-partition, in any order; the explicit rows follow it. Every
+    /// row outside the clusters is an implicit singleton X-group.
     ///
     /// The caller guarantees there are no NULLs on either side (the
     /// stripped lattice falls back to [`ContingencyTable::from_codes_with`]
-    /// otherwise). Under that contract the resulting table is identical
-    /// to the full-codes table up to the implicit representation of
-    /// singleton groups, and every measure score that reads it through
-    /// the aggregate accessors is **bit-identical**.
+    /// otherwise). Under that contract the resulting table is the
+    /// full-codes table up to the order of its explicit rows and the
+    /// implicit representation of singleton groups. No aggregate depends
+    /// on either: every measure score that reads the table through them
+    /// is **bit-identical**.
     pub fn from_stripped_with(
         scratch: &mut Scratch,
         cluster_rows: &[u32],
@@ -320,22 +309,11 @@ impl ContingencyTable {
         let mut row_totals: Vec<u64> = Vec::with_capacity(n_clusters);
         let mut cells: Vec<(u32, u64)> = Vec::new();
         let mut row_starts: Vec<u32> = Vec::with_capacity(n_clusters + 1);
-        for ci in 0..n_clusters {
-            let cluster =
-                &cluster_rows[cluster_starts[ci] as usize..cluster_starts[ci + 1] as usize];
-            scratch.count.begin();
-            scratch.touched.clear();
-            for &row in cluster {
-                let yc = y.codes[row as usize];
-                if scratch.count.bump(yc) == 1 {
-                    scratch.touched.push(yc);
-                }
-            }
-            scratch.touched.sort_unstable();
+        for w in cluster_starts.windows(2) {
+            let cluster = &cluster_rows[w[0] as usize..w[1] as usize];
             row_starts.push(cells.len() as u32);
-            for &yc in &scratch.touched {
-                cells.push((yc, scratch.count.count(yc).into()));
-            }
+            let ys = cluster.iter().map(|&row| y.codes[row as usize]);
+            push_group_cells(&mut scratch.count, &mut scratch.touched, ys, &mut cells);
             row_totals.push(cluster.len() as u64);
         }
         row_starts.push(cells.len() as u32);
@@ -435,45 +413,23 @@ impl ContingencyTable {
         self.row_starts.windows(2).all(|w| w[1] - w[0] <= 1)
     }
 
-    /// `Σ_i max_j n_ij` — the size of the largest FD-satisfying subrelation
-    /// (numerator of `g3`).
-    pub fn sum_row_max(&self) -> u64 {
-        (0..self.n_explicit_x())
-            .map(|i| self.row(i).iter().map(|&(_, c)| c).max().unwrap_or(0))
-            .sum::<u64>()
-            + self.implicit_singletons
-    }
-
-    /// `Σ_ij n_ij²` — used by `g1'` and logical entropy.
-    pub fn sum_sq_cells(&self) -> u64 {
-        self.cells.iter().map(|&(_, c)| c * c).sum::<u64>() + self.implicit_singletons
-    }
-
-    /// `Σ_i a_i²`.
-    pub fn sum_sq_rows(&self) -> u64 {
-        self.row_totals.iter().map(|&a| a * a).sum::<u64>() + self.implicit_singletons
-    }
-
-    /// `Σ_j b_j²`.
-    pub fn sum_sq_cols(&self) -> u64 {
-        self.col_totals.iter().map(|&b| b * b).sum()
-    }
-
-    /// The table's [`Summary`]. An implicit singleton group adds `1/1`
-    /// to the exact pdep sum, like its full-codes twin.
+    /// The table's [`Summary`], the one home of its aggregates
+    /// (`Σ max`, the sums of squares, ...). An implicit singleton group
+    /// adds 1 to each of `Σ max`, `Σ a²` and `Σ n²`, and `1/1` to the
+    /// exact pdep sum, like its full-codes twin.
     pub fn summary(&self) -> Summary {
-        // Each implicit singleton group is one cell of count 1.
+        let implicit = self.implicit_singletons;
         let mut s = Summary {
             n: self.n,
             n_x: self.n_x(),
             nonzero_cells: self.nonzero_cells(),
-            sum_row_max: self.implicit_singletons,
-            sum_sq_rows: self.sum_sq_rows(),
-            sum_sq_cells: self.implicit_singletons,
-            sum_sq_cols: self.sum_sq_cols(),
+            sum_row_max: implicit,
+            sum_sq_rows: implicit,
+            sum_sq_cells: implicit,
+            sum_sq_cols: self.col_totals.iter().map(|&b| b * b).sum(),
             ..Summary::default()
         };
-        s.pdep_sum.add_sq_over_a(1, 1, self.implicit_singletons);
+        s.pdep_sum.add_sq_over_a(1, 1, implicit);
         for (i, &a) in self.row_totals.iter().enumerate() {
             let row = self.row(i);
             let (mut max, mut sq) = (0, 0);
@@ -482,6 +438,7 @@ impl ContingencyTable {
                 sq += c * c;
             }
             s.sum_row_max += max;
+            s.sum_sq_rows += a * a;
             s.sum_sq_cells += sq;
             if row.len() >= 2 {
                 s.violating_rows += a;
@@ -513,6 +470,25 @@ impl ContingencyTable {
         }
         h
     }
+}
+
+/// Appends one X-group's cells, sorted by Y id, to `cells` from the Y
+/// ids of its rows — the per-group tally of both table builders.
+fn push_group_cells(
+    count: &mut Counter,
+    touched: &mut Vec<u32>,
+    ys: impl Iterator<Item = u32>,
+    cells: &mut Vec<(u32, u64)>,
+) {
+    count.begin();
+    touched.clear();
+    for yj in ys {
+        if count.bump(yj) == 1 {
+            touched.push(yj);
+        }
+    }
+    touched.sort_unstable();
+    cells.extend(touched.iter().map(|&yj| (yj, u64::from(count.count(yj)))));
 }
 
 /// The Y side of stripped candidates for one RHS attribute, built once
@@ -795,11 +771,11 @@ mod tests {
     #[test]
     fn sums_match_hand_computation() {
         // X=1: y1->2, y2->1 ; X=2: y1->3
-        let t = table(&[(1, 1), (1, 1), (1, 2), (2, 1), (2, 1), (2, 1)]);
-        assert_eq!(t.sum_row_max(), 2 + 3);
-        assert_eq!(t.sum_sq_cells(), 4 + 1 + 9);
-        assert_eq!(t.sum_sq_rows(), 9 + 9);
-        assert_eq!(t.sum_sq_cols(), 25 + 1);
+        let s = table(&[(1, 1), (1, 1), (1, 2), (2, 1), (2, 1), (2, 1)]).summary();
+        assert_eq!(s.sum_row_max(), 2 + 3);
+        assert_eq!(s.sum_sq_cells(), 4 + 1 + 9);
+        assert_eq!(s.sum_sq_rows(), 9 + 9);
+        assert_eq!(s.sum_sq_cols(), 25 + 1);
     }
 
     #[test]
@@ -820,8 +796,8 @@ mod tests {
         let t1 = table(&[(0, 0), (0, 1), (1, 1)]);
         let t2 = ContingencyTable::from_counts(&[vec![1, 1], vec![0, 1]]);
         assert_eq!(t1.n(), t2.n());
-        assert_eq!(t1.sum_sq_cells(), t2.sum_sq_cells());
-        assert_eq!(t1.sum_row_max(), t2.sum_row_max());
+        assert_eq!(t1.summary().sum_sq_cells(), t2.summary().sum_sq_cells());
+        assert_eq!(t1.summary().sum_row_max(), t2.summary().sum_row_max());
     }
 
     #[test]
@@ -829,7 +805,7 @@ mod tests {
         let t = table(&[]);
         assert!(t.is_empty());
         assert_eq!(t.n_x(), 0);
-        assert_eq!(t.sum_row_max(), 0);
+        assert_eq!(t.summary().sum_row_max(), 0);
     }
 
     #[test]
@@ -882,25 +858,26 @@ mod tests {
         assert_eq!(stripped.n_x(), full.n_x());
         assert_eq!(stripped.n_y(), full.n_y());
         assert_eq!(stripped.nonzero_cells(), full.nonzero_cells());
-        assert_eq!(stripped.sum_row_max(), full.sum_row_max());
-        assert_eq!(stripped.sum_sq_cells(), full.sum_sq_cells());
-        assert_eq!(stripped.sum_sq_rows(), full.sum_sq_rows());
-        assert_eq!(stripped.sum_sq_cols(), full.sum_sq_cols());
         assert_eq!(stripped.col_totals(), full.col_totals());
         assert_eq!(stripped.is_exact_fd(), full.is_exact_fd());
         // Implicit singleton Y distribution is recoverable.
         let implicit_cols = stripped.implicit_col_counts();
         assert_eq!(implicit_cols.iter().sum::<u64>(), implicit);
-        // Explicit rows are the full table's multi-row groups, in the
-        // same relative (first-encounter) order.
-        let full_big: Vec<usize> = (0..full.n_x())
-            .filter(|&i| full.row_totals()[i] >= 2)
-            .collect();
-        assert_eq!(stripped.n_explicit_x(), full_big.len());
-        for (si, &fi) in full_big.iter().enumerate() {
-            assert_eq!(stripped.row_totals()[si], full.row_totals()[fi]);
-            assert_eq!(stripped.row(si), full.row(fi), "group {si}");
-        }
+        // Explicit rows are the full table's multi-row groups, as a
+        // multiset: the clusters' order is not the full table's.
+        let explicit_rows = |t: &ContingencyTable, n: usize| {
+            let mut rows: Vec<(u64, Vec<(u32, u64)>)> = (0..n)
+                .filter(|&i| t.row_totals()[i] >= 2)
+                .map(|i| (t.row_totals()[i], t.row(i).to_vec()))
+                .collect();
+            rows.sort();
+            rows
+        };
+        assert_eq!(stripped.n_explicit_x(), full.n_x() - implicit as usize);
+        assert_eq!(
+            explicit_rows(&stripped, stripped.n_explicit_x()),
+            explicit_rows(&full, full.n_x())
+        );
     }
 
     #[test]

@@ -150,9 +150,9 @@ impl Counter {
 /// [`Relation::group_encode_with_scratch`]: crate::Relation::group_encode_with_scratch
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Primary remap table (X side / pair keys / probe cluster ids).
+    /// Primary remap table (X side / pair keys).
     pub(crate) map_a: Stamped<u32>,
-    /// Secondary remap table (Y side / per-row lookups).
+    /// Secondary remap table (Y side).
     pub(crate) map_b: Stamped<u32>,
     /// Per-group counts of keys.
     pub(crate) count: Counter,
@@ -276,14 +276,16 @@ pub fn combine_codes_with(
     next
 }
 
-/// Builds a stripped partition (CSR clusters of size ≥ 2, ordered by
-/// first row, rows ascending within each cluster) from dense per-row
-/// group codes, writing into caller-owned buffers (the lattice's
-/// per-attribute bases). Rows with [`NULL_CODE`] are appended to
-/// `out_dropped` (ascending) instead.
+/// Builds a stripped partition (CSR clusters of size ≥ 2, in group-id
+/// order, rows ascending within each cluster) from dense per-row group
+/// codes, writing into caller-owned buffers (the lattice's per-attribute
+/// bases, [`Pli::from_encoding_with`]). Rows with [`NULL_CODE`] are
+/// appended to `out_dropped` (ascending) instead.
 ///
 /// `bound` is an exclusive upper bound on the non-NULL codes (e.g. the
 /// encoding's `n_groups`).
+///
+/// [`Pli::from_encoding_with`]: crate::Pli::from_encoding_with
 pub fn strip_codes_into(
     scratch: &mut Scratch,
     codes: &[u32],
@@ -302,26 +304,18 @@ pub fn strip_codes_into(
             scratch.count.bump(c);
         }
     }
-    // Reserve output ranges in first-encounter order (single-attribute
-    // encodings are first-encounter dense, so group-id order would be
-    // equivalent there; scanning rows keeps the invariant for any input).
     scratch.pos.ensure(bound as usize);
     scratch.pos.begin();
-    scratch.map_b.ensure(bound as usize);
-    scratch.map_b.begin();
     let mut total = 0u32;
-    for &c in codes {
-        if c == NULL_CODE || scratch.map_b.get(c).is_some() {
-            continue;
-        }
-        scratch.map_b.set(c, 1);
-        let k = scratch.count.count(c);
+    for g in 0..bound {
+        let k = scratch.count.count(g);
         if k >= 2 {
-            scratch.pos.set(c, total);
+            scratch.pos.set(g, total);
             out_starts.push(total);
             total += k;
         }
     }
+    out_starts.push(total);
     out_rows.resize(total as usize, 0);
     for (row, &c) in codes.iter().enumerate() {
         if c == NULL_CODE {
@@ -331,23 +325,22 @@ pub fn strip_codes_into(
             scratch.pos.set(c, p + 1);
         }
     }
-    out_starts.push(total);
 }
 
 /// Refines a stripped partition (`rows`/`starts`, the layout
-/// [`strip_codes_into`] produces) by another attribute's per-row codes,
-/// writing the stripped partition of the union set into caller-owned
-/// buffers — the TANE partition product (the lattice refines into
-/// per-worker buffers it reuses across candidates).
+/// [`strip_codes_into`] produces) by another attribute's per-row codes
+/// below `bound`, writing the stripped partition of the union set into
+/// caller-owned buffers — the TANE partition product behind
+/// [`Pli::refine_with`] and the lattice's node refinement (which reuses
+/// per-worker buffers across candidates).
 ///
 /// Within each input cluster, rows are re-grouped by `codes` (NULL rows
-/// fall out, subclusters of size 1 are stripped); the output clusters are
-/// then reordered globally by first row, preserving the first-encounter
-/// invariant the stripped contingency kernel
-/// ([`ContingencyTable::from_stripped_with`]) relies on. Cost is linear
-/// in the stripped size plus `O(k log k)` for the final cluster sort.
+/// fall out, subclusters of size 1 are stripped). Subclusters come out
+/// parent by parent, each parent's in first-encounter order, rows
+/// ascending. Two stamped passes per cluster (tally, then place): time
+/// linear in the stripped size.
 ///
-/// [`ContingencyTable::from_stripped_with`]: crate::ContingencyTable::from_stripped_with
+/// [`Pli::refine_with`]: crate::Pli::refine_with
 pub fn refine_stripped_into(
     scratch: &mut Scratch,
     rows: &[u32],
@@ -400,45 +393,6 @@ pub fn refine_stripped_into(
         }
     }
     out_starts.push(out_rows.len() as u32);
-    sort_clusters_by_first_row(scratch, out_rows, out_starts);
-}
-
-/// Restores the global first-row ordering of a CSR cluster list after a
-/// per-parent-cluster refinement (subclusters of different parents
-/// interleave). No-op when already sorted — the common case for level-1
-/// partitions and single-cluster parents.
-fn sort_clusters_by_first_row(scratch: &mut Scratch, rows: &mut Vec<u32>, starts: &mut Vec<u32>) {
-    let k = starts.len().saturating_sub(1);
-    if k < 2 {
-        return;
-    }
-    let sorted = (0..k - 1).all(|i| rows[starts[i] as usize] <= rows[starts[i + 1] as usize]);
-    if sorted {
-        return;
-    }
-    let mut order: Vec<u32> = std::mem::take(&mut scratch.buf_c);
-    order.clear();
-    order.extend(0..k as u32);
-    order.sort_unstable_by_key(|&ci| rows[starts[ci as usize] as usize]);
-    let mut new_rows: Vec<u32> = std::mem::take(&mut scratch.buf_a);
-    let mut new_starts: Vec<u32> = std::mem::take(&mut scratch.buf_b);
-    new_rows.clear();
-    new_starts.clear();
-    for &ci in &order {
-        let (s, e) = (
-            starts[ci as usize] as usize,
-            starts[ci as usize + 1] as usize,
-        );
-        new_starts.push(new_rows.len() as u32);
-        new_rows.extend_from_slice(&rows[s..e]);
-    }
-    new_starts.push(new_rows.len() as u32);
-    // Swap contents back into the caller's buffers.
-    std::mem::swap(rows, &mut new_rows);
-    std::mem::swap(starts, &mut new_starts);
-    scratch.buf_a = new_rows;
-    scratch.buf_b = new_starts;
-    scratch.buf_c = order;
 }
 
 #[cfg(test)]
@@ -535,69 +489,14 @@ mod tests {
     }
 
     #[test]
-    fn strip_codes_orders_clusters_by_first_row() {
+    fn strip_codes_orders_clusters_by_group_id() {
         // codes: groups 2 -> rows {0,3}, 0 -> {1,4}, NULL row 2, 1 -> {5} single.
         let codes = vec![2, 0, NULL_CODE, 2, 0, 1];
         let (mut rows, mut starts, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
         with_scratch(|s| strip_codes_into(s, &codes, 3, &mut rows, &mut starts, &mut dropped));
-        assert_eq!(rows, vec![0, 3, 1, 4]); // cluster of 2 first (row 0), then 0
+        assert_eq!(rows, vec![1, 4, 0, 3]); // group 0 first, then group 2
         assert_eq!(starts, vec![0, 2, 4]);
         assert_eq!(dropped, vec![2]);
-    }
-
-    #[test]
-    fn refine_stripped_matches_pli_refine() {
-        use crate::pli::Pli;
-        use crate::relation::Relation;
-        use crate::schema::{AttrId, AttrSet};
-        use crate::value::Value;
-        let rel = Relation::from_rows(
-            crate::Schema::new(["A", "B"]).unwrap(),
-            (0..60).map(|i| vec![Value::Int((i % 4) as i64), Value::Int(((i * 7) % 9) as i64)]),
-        )
-        .unwrap();
-        let ea = rel.group_encode(&AttrSet::single(AttrId(0)));
-        let eb = rel.group_encode(&AttrSet::single(AttrId(1)));
-        let (mut rows, mut starts, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
-        with_scratch(|s| {
-            strip_codes_into(
-                s,
-                &ea.codes,
-                ea.n_groups,
-                &mut rows,
-                &mut starts,
-                &mut dropped,
-            )
-        });
-        let (mut out_rows, mut out_starts) = (Vec::new(), Vec::new());
-        with_scratch(|s| {
-            refine_stripped_into(
-                s,
-                &rows,
-                &starts,
-                &eb.codes,
-                eb.n_groups,
-                &mut out_rows,
-                &mut out_starts,
-            )
-        });
-        // Same clusters as the Pli partition product (order-insensitive).
-        let pa = Pli::from_relation(&rel, &AttrSet::single(AttrId(0)));
-        let direct = pa.refine(&eb.codes);
-        let mut got: Vec<Vec<u32>> = (0..out_starts.len() - 1)
-            .map(|i| out_rows[out_starts[i] as usize..out_starts[i + 1] as usize].to_vec())
-            .collect();
-        let mut want: Vec<Vec<u32>> = direct.clusters().map(|c| c.to_vec()).collect();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
-        // And the stripped invariant: clusters ordered by first row.
-        for w in out_starts.windows(2).collect::<Vec<_>>().windows(2) {
-            assert!(
-                out_rows[w[0][0] as usize] < out_rows[w[1][0] as usize],
-                "clusters not in first-row order"
-            );
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! assert!(!fd.holds_in(&rel));
 //! let table = fd.contingency(&rel);
 //! assert_eq!(table.n(), 4);
-//! assert_eq!(table.sum_row_max(), 3); // best FD-satisfying subrelation
+//! assert_eq!(table.summary().sum_row_max(), 3); // best FD-satisfying subrelation
 //! ```
 
 pub mod cache;

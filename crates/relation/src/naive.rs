@@ -99,19 +99,6 @@ pub fn pli_refine(pli: &Pli, codes: &[u32]) -> Pli {
     Pli::from_clusters(clusters, pli.n_rows())
 }
 
-/// Reference [`Pli::intersect`]: always materialises `other` as a dense
-/// codes vector, then runs [`pli_refine`].
-pub fn pli_intersect(pli: &Pli, other: &Pli) -> Pli {
-    assert_eq!(pli.n_rows(), other.n_rows(), "PLIs over the same relation");
-    let mut codes = vec![NULL_CODE; pli.n_rows()];
-    for (cid, cluster) in other.clusters().enumerate() {
-        for &row in cluster {
-            codes[row as usize] = cid as u32;
-        }
-    }
-    pli_refine(pli, &codes)
-}
-
 /// Reference [`Relation::project`]: materialises every cell as a
 /// [`Value`] and re-interns it row by row.
 pub fn project(rel: &Relation, attrs: &AttrSet) -> Relation {

@@ -11,14 +11,15 @@
 //! row never participates in an agree-pair and is dropped from measure
 //! computation.
 //!
-//! Storage is CSR-style (one flat row vector plus cluster offsets) and
-//! the partition product ([`Pli::refine`] / [`Pli::intersect`]) runs on
-//! dense generation-stamped scratch counters — no hashing, no per-cluster
-//! allocations. The hash-based reference implementations are retained in
-//! [`crate::naive`].
+//! Storage is CSR-style (one flat row vector plus cluster offsets). A
+//! `Pli` is built and refined ([`Pli::refine`], the partition product) by
+//! the same stamped kernels the lattice runs on its nodes,
+//! [`strip_codes_into`] and [`refine_stripped_into`] — no hashing, no
+//! per-cluster allocations. The hash-based reference implementations are
+//! retained in [`crate::naive`].
 
 use crate::dictionary::NULL_CODE;
-use crate::kernels::{with_scratch, Scratch};
+use crate::kernels::{refine_stripped_into, strip_codes_into, with_scratch, Scratch};
 use crate::relation::{GroupEncoding, Relation};
 use crate::schema::AttrSet;
 
@@ -50,41 +51,19 @@ impl Pli {
         with_scratch(|scratch| Self::from_encoding_with(scratch, enc, n_rows))
     }
 
-    /// As [`Pli::from_encoding`], reusing the caller's [`Scratch`]:
-    /// a counting sort over group ids keeping only groups of size ≥ 2.
-    /// Clusters come out in group-id order, rows ascending within each.
+    /// As [`Pli::from_encoding`], reusing the caller's [`Scratch`]
+    /// ([`strip_codes_into`]): clusters come out in group-id order, rows
+    /// ascending within each.
     pub fn from_encoding_with(scratch: &mut Scratch, enc: &GroupEncoding, n_rows: usize) -> Self {
-        let n_groups = enc.n_groups as usize;
-        scratch.count.ensure(n_groups);
-        scratch.count.begin();
-        for &c in &enc.codes {
-            if c != NULL_CODE {
-                scratch.count.bump(c);
-            }
-        }
-        // Reserve output ranges for groups with ≥ 2 rows, in group order.
-        scratch.pos.ensure(n_groups);
-        scratch.pos.begin();
-        let mut starts = Vec::new();
-        let mut total = 0u32;
-        for g in 0..n_groups as u32 {
-            let c = scratch.count.count(g);
-            if c >= 2 {
-                scratch.pos.set(g, total);
-                starts.push(total);
-                total += c;
-            }
-        }
-        starts.push(total);
-        let mut rows = vec![0u32; total as usize];
-        for (row, &c) in enc.codes.iter().enumerate() {
-            if c != NULL_CODE {
-                if let Some(p) = scratch.pos.get(c) {
-                    rows[p as usize] = row as u32;
-                    scratch.pos.set(c, p + 1);
-                }
-            }
-        }
+        let (mut rows, mut starts, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
+        strip_codes_into(
+            scratch,
+            &enc.codes,
+            enc.n_groups,
+            &mut rows,
+            &mut starts,
+            &mut dropped,
+        );
         Pli {
             rows,
             starts,
@@ -147,135 +126,24 @@ impl Pli {
         with_scratch(|scratch| self.refine_with(scratch, codes))
     }
 
-    /// As [`Pli::refine`], reusing the caller's [`Scratch`]. Two stamped
-    /// passes per cluster (tally, then place) — time linear in the
-    /// stripped size, zero allocation beyond the output.
+    /// As [`Pli::refine`], reusing the caller's [`Scratch`]
+    /// ([`refine_stripped_into`]): time linear in the stripped size, zero
+    /// allocation beyond the output.
     pub fn refine_with(&self, scratch: &mut Scratch, codes: &[u32]) -> Pli {
         assert_eq!(codes.len(), self.n_rows, "codes cover all rows");
-        // Codes are dense group ids (or NULL); bound the stamp tables by
-        // scanning only the clustered rows, keeping the whole kernel
-        // linear in the stripped size.
-        let bound = self.code_bound(codes);
-        scratch.count.ensure(bound);
-        scratch.pos.ensure(bound);
-        let mut out_rows: Vec<u32> = Vec::new();
-        let mut out_starts: Vec<u32> = Vec::new();
-        for ci in 0..self.n_clusters() {
-            let cluster = self.cluster(ci);
-            scratch.count.begin();
-            scratch.touched.clear();
-            for &row in cluster {
-                let c = codes[row as usize];
-                if c == NULL_CODE {
-                    continue;
-                }
-                if scratch.count.bump(c) == 1 {
-                    scratch.touched.push(c);
-                }
-            }
-            // Reserve output ranges for subclusters of size ≥ 2, in
-            // first-encounter order (deterministic).
-            scratch.pos.begin();
-            let mut cur = out_rows.len() as u32;
-            for ti in 0..scratch.touched.len() {
-                let c = scratch.touched[ti];
-                let k = scratch.count.count(c);
-                if k >= 2 {
-                    scratch.pos.set(c, cur);
-                    out_starts.push(cur);
-                    cur += k;
-                }
-            }
-            out_rows.resize(cur as usize, 0);
-            for &row in cluster {
-                let c = codes[row as usize];
-                if c == NULL_CODE {
-                    continue;
-                }
-                if let Some(p) = scratch.pos.get(c) {
-                    out_rows[p as usize] = row;
-                    scratch.pos.set(c, p + 1);
-                }
-            }
-        }
-        out_starts.push(out_rows.len() as u32);
+        let (mut rows, mut starts) = (Vec::new(), Vec::new());
+        refine_stripped_into(
+            scratch,
+            &self.rows,
+            &self.starts,
+            codes,
+            self.code_bound(codes),
+            &mut rows,
+            &mut starts,
+        );
         Pli {
-            rows: out_rows,
-            starts: out_starts,
-            n_rows: self.n_rows,
-        }
-    }
-
-    /// Intersection of two PLIs — the partition of the union attribute
-    /// set. Probes from the side with the smaller [`Pli::stripped_size`]:
-    /// the larger side is materialised as stamped per-row cluster ids
-    /// (no `O(n_rows)` clearing), and the smaller side is refined against
-    /// them, so cost is linear in the stripped sizes only.
-    pub fn intersect(&self, other: &Pli) -> Pli {
-        assert_eq!(self.n_rows, other.n_rows, "PLIs over the same relation");
-        with_scratch(|scratch| self.intersect_with(scratch, other))
-    }
-
-    /// As [`Pli::intersect`], reusing the caller's [`Scratch`].
-    pub fn intersect_with(&self, scratch: &mut Scratch, other: &Pli) -> Pli {
-        assert_eq!(self.n_rows, other.n_rows, "PLIs over the same relation");
-        let (base, probe) = if self.stripped_size() <= other.stripped_size() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        // Stamp probe cluster ids onto rows; unstamped rows are probe
-        // singletons and can never pair, so they drop out below.
-        scratch.map_b.ensure(base.n_rows);
-        scratch.map_b.begin();
-        for (cid, cluster) in probe.clusters().enumerate() {
-            for &row in cluster {
-                scratch.map_b.set(row, cid as u32);
-            }
-        }
-        let probe_bound = probe.n_clusters();
-        scratch.count.ensure(probe_bound);
-        scratch.pos.ensure(probe_bound);
-        let mut out_rows: Vec<u32> = Vec::new();
-        let mut out_starts: Vec<u32> = Vec::new();
-        for ci in 0..base.n_clusters() {
-            let cluster = base.cluster(ci);
-            scratch.count.begin();
-            scratch.touched.clear();
-            for &row in cluster {
-                let Some(c) = scratch.map_b.get(row) else {
-                    continue;
-                };
-                if scratch.count.bump(c) == 1 {
-                    scratch.touched.push(c);
-                }
-            }
-            scratch.pos.begin();
-            let mut cur = out_rows.len() as u32;
-            for ti in 0..scratch.touched.len() {
-                let c = scratch.touched[ti];
-                let k = scratch.count.count(c);
-                if k >= 2 {
-                    scratch.pos.set(c, cur);
-                    out_starts.push(cur);
-                    cur += k;
-                }
-            }
-            out_rows.resize(cur as usize, 0);
-            for &row in cluster {
-                let Some(c) = scratch.map_b.get(row) else {
-                    continue;
-                };
-                if let Some(p) = scratch.pos.get(c) {
-                    out_rows[p as usize] = row;
-                    scratch.pos.set(c, p + 1);
-                }
-            }
-        }
-        out_starts.push(out_rows.len() as u32);
-        Pli {
-            rows: out_rows,
-            starts: out_starts,
+            rows,
+            starts,
             n_rows: self.n_rows,
         }
     }
@@ -284,13 +152,13 @@ impl Pli {
     /// clustered rows — the stamp-table size the refine kernel
     /// needs. O(stripped size), not O(rows): only clustered rows are
     /// ever looked up.
-    fn code_bound(&self, codes: &[u32]) -> usize {
+    fn code_bound(&self, codes: &[u32]) -> u32 {
         self.rows
             .iter()
             .map(|&r| codes[r as usize])
             .filter(|&c| c != NULL_CODE)
             .max()
-            .map_or(0, |m| m as usize + 1)
+            .map_or(0, |m| m + 1)
     }
 }
 
@@ -354,49 +222,6 @@ mod tests {
         let refined = pa.refine(r.group_encode(&AttrSet::single(AttrId(1))).codes.as_slice());
         let direct = Pli::from_relation(&r, &AttrSet::new([AttrId(0), AttrId(1)]));
         assert_eq!(sorted_clusters(&refined), sorted_clusters(&direct));
-    }
-
-    #[test]
-    fn intersect_equals_direct_multiattr_pli() {
-        let r = rel3(&[
-            [1, 1, 0],
-            [1, 1, 0],
-            [1, 2, 0],
-            [2, 2, 0],
-            [2, 2, 0],
-            [2, 1, 0],
-        ]);
-        let pa = Pli::from_relation(&r, &AttrSet::single(AttrId(0)));
-        let pb = Pli::from_relation(&r, &AttrSet::single(AttrId(1)));
-        let both = pa.intersect(&pb);
-        let direct = Pli::from_relation(&r, &AttrSet::new([AttrId(0), AttrId(1)]));
-        assert_eq!(sorted_clusters(&both), sorted_clusters(&direct));
-        // And symmetrically (exercises both probe orientations).
-        let both_rev = pb.intersect(&pa);
-        assert_eq!(sorted_clusters(&both_rev), sorted_clusters(&direct));
-    }
-
-    #[test]
-    fn intersect_probes_from_smaller_side() {
-        // One side far smaller than the other: both orientations agree.
-        let rows: Vec<[i64; 3]> = (0..64)
-            .map(|i| [i % 2, i, 0]) // A has 2 huge clusters, B is unique-ish
-            .collect();
-        let mut rows = rows;
-        rows.push([0, 0, 0]); // make one B duplicate so pb is non-empty
-        let r = rel3(&rows);
-        let pa = Pli::from_relation(&r, &AttrSet::single(AttrId(0)));
-        let pb = Pli::from_relation(&r, &AttrSet::single(AttrId(1)));
-        assert!(pb.stripped_size() < pa.stripped_size());
-        let direct = Pli::from_relation(&r, &AttrSet::new([AttrId(0), AttrId(1)]));
-        assert_eq!(
-            sorted_clusters(&pa.intersect(&pb)),
-            sorted_clusters(&direct)
-        );
-        assert_eq!(
-            sorted_clusters(&pb.intersect(&pa)),
-            sorted_clusters(&direct)
-        );
     }
 
     #[test]

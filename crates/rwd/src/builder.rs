@@ -1,4 +1,4 @@
-//! Materialises a [`RelationSpec`](crate::spec::RelationSpec) into a
+//! Materialises a [`RelationSpec`] into a
 //! relation plus its ground-truth design schema.
 
 use std::collections::HashMap;

@@ -1,4 +1,4 @@
-//! Sharded streaming: hash-partitioned [`StreamSession`] shards behind a
+//! Sharded streaming: hash-partitioned [`StreamSession`](crate::StreamSession) shards behind a
 //! single-session facade.
 //!
 //! The ROADMAP scale-out item: the histogram score reads of [`IncTable`]
@@ -16,7 +16,7 @@
 //!
 //! * [`DeltaRouter`] — splits a global [`RowDelta`] into per-shard deltas,
 //!   owning the global-row-id ⇄ (shard, local-row-id) placement map.
-//! * [`ShardedSession`] — the [`StreamSession`] API over N shards:
+//! * [`ShardedSession`] — the [`StreamSession`](crate::StreamSession) API over N shards:
 //!   `apply` sends every shard its slice before awaiting any answer, then
 //!   folds the touched Y columns into the merged margins, so its own cost
 //!   grows with the delta, not with the shards' state. Score reads sum
@@ -79,7 +79,7 @@ fn key_hash(values: impl Iterator<Item = Value>) -> u64 {
 /// Hash-partitions row deltas across `n_shards` by shard-key value and
 /// owns the global ⇄ per-shard row-id translation.
 ///
-/// Global row ids follow [`StreamSession`] semantics exactly: assigned
+/// Global row ids follow [`StreamSession`](crate::StreamSession) semantics exactly: assigned
 /// densely in arrival order, tombstoned by delete, renumbered by
 /// [`DeltaRouter::compact`].
 #[derive(Debug, Clone)]
@@ -177,7 +177,7 @@ impl DeltaRouter {
     /// Splits one global delta into per-shard deltas, assigning global
     /// ids to the inserts and translating delete ids to shard-local ones.
     /// Validation happens up front — on `Err` the router is unchanged
-    /// (the same atomicity contract as [`StreamSession::apply`]).
+    /// (the same atomicity contract as [`StreamSession::apply`](crate::StreamSession::apply)).
     ///
     /// # Errors
     /// [`StreamError::Arity`] / [`StreamError::UnknownRow`] /
@@ -223,7 +223,7 @@ impl DeltaRouter {
 
     /// Renumbers after the shards compacted: tombstoned slots vanish and
     /// both global and shard-local ids become dense again (in arrival
-    /// order, matching [`StreamSession::compact`]'s renumbering).
+    /// order, matching [`StreamSession::compact`](crate::StreamSession::compact)'s renumbering).
     pub fn compact(&mut self) {
         let mut next_local = vec![0 as RowId; self.n_shards];
         let mut placement = Vec::with_capacity(self.n_live);

@@ -35,7 +35,7 @@ impl GenParams {
     /// Samples parameters uniformly from the paper's ranges:
     /// `|R| ∈ [100, 10000]`, `|dom(X)| ∈ [N/5, 3N/4]`,
     /// `|dom(Y)| ∈ [5, |dom(X)|/2]`, `η ∈ [0.5%, 2%]`, and Beta shapes
-    /// with skewness at most 1 (α ∈ (0,1], β ∈ [1,10]).
+    /// with skewness at most 1 (α ∈ (0,1], β ∈ \[1,10\]).
     pub fn sample(rng: &mut impl Rng) -> Self {
         Self::sample_with_rows(rng.gen_range(100..=10_000), rng)
     }
@@ -56,7 +56,7 @@ impl GenParams {
     }
 }
 
-/// Rejection-samples Beta shapes from α ∈ (0,1], β ∈ [1,10] until the
+/// Rejection-samples Beta shapes from α ∈ (0,1], β ∈ \[1,10\] until the
 /// skewness is at most 1 (the paper's default cap outside SKEW).
 pub fn sample_low_skew_beta(rng: &mut impl Rng) -> Beta {
     loop {
