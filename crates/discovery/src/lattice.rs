@@ -54,10 +54,11 @@
 //! singleton groups in arithmetically (they add exactly 0 to the exact
 //! Shannon sums). No score reads the clusters' order: every sum taken
 //! from a stripped partition is an integer or an order-free exact sum,
-//! and the RFI expectation reads sorted margin histograms. The rest — candidates over NULL-bearing attributes,
-//! and measures that need materialised singleton rows, like SFI —
-//! reconstruct dense codes in a per-worker scratch buffer (once per set,
-//! however many RHS need them) and are evaluated through the classic
+//! and the RFI expectation reads sorted margin histograms. The rest —
+//! candidates over NULL-bearing attributes, and measures that need
+//! materialised singleton rows, like SFI — reconstruct dense codes in a
+//! per-worker scratch buffer (once per set, however many RHS need them)
+//! and are evaluated through the classic
 //! [`ContingencyTable::from_codes_with`] kernel, bit-identical by
 //! construction.
 //!
