@@ -24,7 +24,7 @@
 //!    ∈ {1, 8, 64}: what a caller buys by widening the window of
 //!    re-loseable (but never corrupting) registry transitions.
 
-use afd_bench::{fixture_relation, median};
+use afd_bench::{fixture_relation, median, Host};
 use afd_engine::{AfdEngine, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, Fd};
 use afd_serve::{AfdServe, DurabilityConfig, ServeConfig, SessionHandle};
@@ -254,21 +254,21 @@ fn main() {
             json,
             "      {{\"sessions\": {sessions}, \"recover_ns\": {recover_ns}, \
              \"recover_ns_per_session\": {}, \"journal_bytes\": {journal_bytes}, \
-             \"spill_bytes\": {spill_bytes}, \"register_ns\": {register_ns}}}{comma}",
+             \"spill_bytes\": {spill_bytes}, \"register_ns\": {register_ns}, \"samples\": 1}}{comma}",
             recover_ns / *sessions as u128,
         );
     }
     json.push_str("    ]},\n");
     let _ = writeln!(
         json,
-        "    {{\"workload\": \"evict_journal_overhead\", \"cycles\": {cycles}, \
+        "    {{\"workload\": \"evict_journal_overhead\", \"samples\": {cycles}, \
          \"ephemeral_evict_ns\": {ephemeral_evict}, \"durable_evict_ns\": {durable_evict}, \
          \"overhead_pct\": {overhead_pct:.2}, \"ephemeral_restore_ns\": {ephemeral_restore}, \
          \"durable_restore_ns\": {durable_restore}}},"
     );
     let _ = writeln!(
         json,
-        "    {{\"workload\": \"fsync_cadence_sweep\", \"cycles\": {cycles}, \"sweep\": ["
+        "    {{\"workload\": \"fsync_cadence_sweep\", \"samples\": {cycles}, \"sweep\": ["
     );
     for (i, (fsync_every, evict_ns, restore_ns)) in sweep_rows.iter().enumerate() {
         let comma = if i + 1 < sweep_rows.len() { "," } else { "" };
@@ -279,12 +279,14 @@ fn main() {
         );
     }
     json.push_str("    ]}\n  ],\n");
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"smoke\": {smoke},\n  \"note\": \"recover_cold_start = register N sessions from one \
-         snapshot with the registry journal on, drop, then time AfdServe::recover (journal \
-         replay + validation scan of every spill file; asserts zero lost / zero quarantined); \
-         evict_journal_overhead = median explicit evict with and without the journal at \
+        "  \"smoke\": {smoke},\n  \"note\": \"samples = timed runs behind each figure; \
+         recover_cold_start = register N sessions from one snapshot with the registry journal \
+         on, drop, then time AfdServe::recover once (journal replay + validation scan of every \
+         spill file; asserts zero lost / zero quarantined); evict_journal_overhead = median over \
+         samples evict/restore cycles of explicit evict with and without the journal at \
          fsync_every=64, the two servers' cycles alternating, asserted <= 10% apart (the spill \
          write itself is synced identically in both modes); fsync_cadence_sweep = median evict at fsync_every 1/8/64 — the cost of \
          making every registry transition durable the moment it returns\"\n}}\n"

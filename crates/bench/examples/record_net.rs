@@ -22,7 +22,7 @@
 //! `--smoke` shrinks every section so CI exercises the full path in
 //! seconds.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, Host};
 use afd_engine::{AfdEngine, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, AttrSet, Fd, Relation, Schema};
 use afd_serve::{AfdServe, DurabilityConfig, ServeClient, ServeConfig, ServeFront};
@@ -188,7 +188,7 @@ fn main() {
     let (p50, p99) = (pct(&mut rtt, 0.5), pct(&mut rtt, 0.99));
     let _ = writeln!(
         json,
-        "    {{\"workload\": \"serve_scores_rtt\", \"requests\": {rtts}, \"p50_ns\": {}, \
+        "    {{\"workload\": \"serve_scores_rtt\", \"samples\": {rtts}, \"p50_ns\": {}, \
          \"p99_ns\": {}}},",
         p50.as_nanos(),
         p99.as_nanos()
@@ -217,7 +217,7 @@ fn main() {
     let _ = writeln!(
         json,
         "    {{\"workload\": \"connection_churn\", \"connections\": {churns}, \
-         \"elapsed_ns\": {}, \"accepts_per_sec\": {per_sec:.1}}}",
+         \"elapsed_ns\": {}, \"accepts_per_sec\": {per_sec:.1}, \"samples\": 1}}",
         churn_elapsed.as_nanos()
     );
     println!("connection churn     {churns} conns in {churn_elapsed:?} ({per_sec:.1}/s)");
@@ -226,10 +226,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&spill);
 
     json.push_str("  ],\n");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"cores\": {cores},\n  \"smoke\": {smoke},\n  \"note\": \"loopback TCP; shard_apply_2x = one churn delta \
+        "  \"smoke\": {smoke},\n  \"note\": \"loopback TCP; samples = timed runs behind each \
+         figure (connection_churn times all its connections in one run); shard_apply_2x = one churn delta \
          through a 2-shard session per transport (scores asserted bit-identical across all \
          three every delta); serve_scores_rtt = framed request/response through ServeFront; \
          connection_churn = connect+hello+census+disconnect cycles against the accept loop \

@@ -31,7 +31,7 @@
 //! Requires `target/<profile>/afd` to exist (`cargo build --release`
 //! first); the example exits with a clear error otherwise.
 
-use afd_bench::{fixture_relation, median};
+use afd_bench::{fixture_relation, median, Host};
 use afd_relation::{AttrId, AttrSet, Fd};
 use afd_stream::{ChurnPlanner, ProcessShard, RecoveryConfig, ShardedSession, WorkerCommand};
 use std::fmt::Write as _;
@@ -44,6 +44,7 @@ struct KResult {
     tombstones: usize,
     fill: u64,
     apply_ns: u128,
+    apply_samples: usize,
     recovery_ns: u128,
     deltas_replayed: u64,
     respawns: u64,
@@ -151,6 +152,7 @@ fn main() {
             pre_churn,
             tombstones,
             fill,
+            apply_samples: plain_times.len(),
             apply_ns: median(plain_times).as_nanos(),
             recovery_ns: median(recovery_times).as_nanos(),
             deltas_replayed: median(replayed_counts),
@@ -168,21 +170,25 @@ fn main() {
             "    {{\"workload\": \"worker_recovery\", \"rows\": {n}, \"shards\": 2, \
              \"checkpoint_every\": {}, \"pre_churn\": {}, \"tombstones\": {}, \
              \"log_fill\": {}, \"delta_rows\": {delta_rows}, \"apply_ns\": {}, \
-             \"recovery_ns\": {}, \"deltas_replayed\": {}, \"respawns\": {}}}{comma}",
+             \"apply_samples\": {}, \"recovery_ns\": {}, \"samples\": {samples}, \
+             \"deltas_replayed\": {}, \"respawns\": {}}}{comma}",
             r.checkpoint_every,
             r.pre_churn,
             r.tombstones,
             r.fill,
             r.apply_ns,
+            r.apply_samples,
             r.recovery_ns,
             r.deltas_replayed,
             r.respawns,
         );
     }
     json.push_str("  ],\n");
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"smoke\": {smoke},\n  \"note\": \"median over samples; worker_recovery = kill one of \
+        "  \"smoke\": {smoke},\n  \"note\": \"median over samples kills (recovery_ns, deltas_replayed) and \
+         apply_samples fault-free applies (apply_ns); worker_recovery = kill one of \
          2 afd shard-worker children with its post-checkpoint log filled to log_fill deltas, \
          then time the next apply, which respawns the worker, restores its checkpoint, replays \
          the log and retries the in-flight delta; pre_churn = churn deltas applied before the \

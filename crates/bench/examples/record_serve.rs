@@ -26,7 +26,7 @@
 //! backpressure at the configured caps surfaces as the typed
 //! `ServeError::Backpressure`.
 
-use afd_bench::{fixture_relation, median};
+use afd_bench::{fixture_relation, median, Host};
 use afd_engine::{AfdEngine, DeltaRequest, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, Fd, Value};
 use afd_serve::{AfdServe, ServeConfig, ServeError};
@@ -200,9 +200,10 @@ fn main() {
     serve.tick().expect("drain the backpressure probe");
 
     // ------------------------------------------- 3. spill round-trip
+    let spill_samples = 16;
     let mut evict_times = Vec::new();
     let mut restore_times = Vec::new();
-    for s in 0..16 {
+    for s in 0..spill_samples {
         let h = handles[s * stride % sessions];
         serve.scores(h, 0).expect("warm it up");
         let start = Instant::now();
@@ -221,7 +222,8 @@ fn main() {
         json,
         "    {{\"workload\": \"serve_registry\", \"sessions\": {sessions}, \"resident_cap\": \
          {resident_cap}, \"template_rows\": {rows}, \"snapshot_bytes\": {}, \
-         \"register_ns_per_session\": {}, \"rss_start_bytes\": {rss_at_start}, \"rss_curve\": [",
+         \"register_ns_per_session\": {}, \"samples\": 1, \"rss_start_bytes\": {rss_at_start}, \
+         \"rss_curve\": [",
         snapshot_bytes.len(),
         register_elapsed.as_nanos() / sessions as u128,
     );
@@ -243,15 +245,17 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    {{\"workload\": \"serve_spill_roundtrip\", \"evict_ns\": {evict_ns}, \"restore_ns\": \
-         {restore_ns}, \"spill_bytes_total\": {}}}",
+        "    {{\"workload\": \"serve_spill_roundtrip\", \"samples\": {spill_samples}, \"evict_ns\": \
+         {evict_ns}, \"restore_ns\": {restore_ns}, \"spill_bytes_total\": {}}}",
         serve.stats().spill_bytes,
     );
     json.push_str("  ],\n");
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"smoke\": {smoke},\n  \"note\": \"one AfdServe; serve_registry = register sessions \
-         from one template snapshot (no engines built) sampling VmRSS (0 off-Linux); serve_apply \
+        "  \"smoke\": {smoke},\n  \"note\": \"one AfdServe; samples = timed runs behind each \
+         figure; serve_registry = register sessions from one template snapshot (no engines \
+         built), timed as one run, sampling VmRSS (0 off-Linux); serve_apply \
          = single-delta enqueue+tick latency, 75% hot set / 25% registry-wide cold sweep, so p99 \
          carries the restore tail; audited session asserted bit-identical to a never-evicted \
          control; serve_spill_roundtrip = median explicit evict (save+write+teardown) and \

@@ -17,7 +17,7 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample per ratio so
 //! CI can exercise the full path in well under a second.
 
-use afd_bench::{fixture_relation, median};
+use afd_bench::{fixture_relation, median, Host};
 use afd_core::fast_measures;
 use afd_relation::{AttrId, Fd};
 use afd_stream::{ChurnPlanner, StreamScores, StreamSession};
@@ -55,8 +55,9 @@ fn main() {
     // Full batch recompute baseline: what a snapshot-oriented system pays
     // per refresh — re-encode both sides, build the table, score the fast
     // measure family. Timed on a materialised relation of the same size.
+    let batch_samples = samples.max(3);
     let batch = median(
-        (0..samples.max(3))
+        (0..batch_samples)
             .map(|_| {
                 let start = Instant::now();
                 let t = fd.contingency(&fixture);
@@ -113,12 +114,14 @@ fn main() {
     for (i, r) in records.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"delta_apply_vs_full_recompute\", \"rows\": {}, \"delta_ratio\": {}, \"delta_rows\": {}, \"incremental_ns\": {}, \"batch_recompute_ns\": {}, \"speedup\": {:.2}}}{}",
+            "    {{\"workload\": \"delta_apply_vs_full_recompute\", \"rows\": {}, \"delta_ratio\": {}, \"delta_rows\": {}, \"incremental_ns\": {}, \"samples\": {}, \"batch_recompute_ns\": {}, \"batch_samples\": {}, \"speedup\": {:.2}}}{}",
             n,
             r.ratio,
             r.delta_rows,
             r.incremental.as_nanos(),
+            samples,
             r.batch.as_nanos(),
+            batch_samples,
             r.speedup(),
             if i + 1 < records.len() { "," } else { "" }
         );
@@ -132,10 +135,10 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
-        "  \"cores\": {cores},\n  \"samples\": {samples},\n  \"smoke\": {smoke},\n  \"note\": \"median ns per refresh; incremental = StreamSession::apply of a half-insert/half-delete delta (live size constant), baseline = Fd::contingency + 11 fast measures on an equal-size relation; scores verified bit-identical to rebuild and to afd-core after churn\"\n}}\n"
+        "  \"smoke\": {smoke},\n  \"note\": \"median ns per refresh over samples (incremental) and batch_samples (baseline) timed runs; incremental = StreamSession::apply of a half-insert/half-delete delta (live size constant), baseline = Fd::contingency + 11 fast measures on an equal-size relation; scores verified bit-identical to rebuild and to afd-core after churn\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");
     println!("wrote {out_path}");

@@ -1,7 +1,7 @@
 //! Records optimized-vs-naive kernel timings into `BENCH_substrate.json`.
 //!
 //! ```text
-//! cargo run --release -p afd-bench --example record_substrate [out.json]
+//! cargo run --release -p afd-bench --example record_substrate [--smoke] [out.json]
 //! ```
 //!
 //! Measures, on the standard bench fixtures (Table V workload shape),
@@ -11,6 +11,10 @@
 //! kernel substrate is a ≥ 3× speedup of `ContingencyTable::from_codes`
 //! and `Pli::refine` on the 8 192-row fixture. Each row records its
 //! sample count and iterations per sample; the file records the host.
+//!
+//! `--smoke` runs one 1 024-row fixture with one sample of one iteration
+//! per side, so CI exercises every kernel in seconds; the bar, which is
+//! set on the 8 192-row fixture, is not checked.
 
 use afd_bench::{fixture_relation, median, Host};
 use afd_core::G3Prime;
@@ -78,13 +82,21 @@ fn wide_relation(n: usize) -> Relation {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = args
+        .iter()
+        .find(|a| !a.starts_with("--"))
+        .cloned()
         .unwrap_or_else(|| "BENCH_substrate.json".to_string());
     let mut records: Vec<Record> = Vec::new();
-    let (samples, iters) = (9, 20);
+    let (sizes, (samples, iters), slow): (&[usize], _, _) = if smoke {
+        (&[1024], (1, 1), (1, 1))
+    } else {
+        (&[8192, 65_536], (9, 20), (3, 3))
+    };
 
-    for &n in &[8192usize, 65_536] {
+    for &n in sizes {
         let rel = fixture_relation(n, 7);
         let x = AttrSet::single(AttrId(0));
         let y = AttrSet::single(AttrId(1));
@@ -139,7 +151,7 @@ fn main() {
     // baseline re-encodes both sides of every candidate (the pre-cache
     // `Fd::contingency` path). Single thread so only the amortisation is
     // measured, not the fan-out.
-    for &n in &[8192usize, 65_536] {
+    for &n in sizes {
         let rel = wide_relation(n);
         let cands = afd_engine::linear_candidates(&rel);
         let measure_names: Vec<String> = afd_core::fast_measures()
@@ -160,11 +172,11 @@ fn main() {
         records.push(Record {
             name: "score_matrix_encoding_cache".into(),
             n,
-            optimized: time(3, 3, || {
+            optimized: time(slow.0, slow.1, || {
                 black_box(engine.matrix(&req).expect("valid matrix request"));
             }),
-            samples: (3, 3),
-            naive: time(3, 3, || {
+            samples: slow,
+            naive: time(slow.0, slow.1, || {
                 let cols: Vec<Vec<f64>> = cands
                     .iter()
                     .map(|fd| {
@@ -179,7 +191,7 @@ fn main() {
 
     // End-to-end: parallel vs sequential lattice discovery (the "naive"
     // slot holds the sequential time; speedup = parallel scaling).
-    for &n in &[8192usize, 65_536] {
+    for &n in sizes {
         let rel = wide_relation(n);
         let cfg = LatticeConfig {
             max_lhs: 2,
@@ -188,7 +200,7 @@ fn main() {
         records.push(Record {
             name: "discover_all_par_vs_seq".into(),
             n,
-            optimized: time(3, 3, || {
+            optimized: time(slow.0, slow.1, || {
                 black_box(discover_all_threaded(
                     &rel,
                     &G3Prime,
@@ -196,8 +208,8 @@ fn main() {
                     afd_parallel::max_threads(),
                 ));
             }),
-            samples: (3, 3),
-            naive: time(3, 3, || {
+            samples: slow,
+            naive: time(slow.0, slow.1, || {
                 black_box(discover_all_threaded(&rel, &G3Prime, cfg, 1));
             }),
         });
@@ -231,7 +243,7 @@ fn main() {
     let threads = afd_parallel::max_threads();
     let _ = write!(
         json,
-        "  \"threads\": {threads},\n  \"note\": \"median ns/iter over samples of iters iterations each; baseline = naive reference (afd_relation::naive), except discover_all_par_vs_seq where baseline = sequential (threads=1) and the optimized side runs at threads; score_matrix_encoding_cache times the engine's matrix request (one encoding per attribute set, one Summary per candidate) against per-candidate tables scored measure by measure\"\n}}\n"
+        "  \"threads\": {threads},\n  \"smoke\": {smoke},\n  \"note\": \"median ns/iter over samples of iters iterations each; baseline = naive reference (afd_relation::naive), except discover_all_par_vs_seq where baseline = sequential (threads=1) and the optimized side runs at threads; score_matrix_encoding_cache times the engine's matrix request (one encoding per attribute set, one Summary per candidate) against per-candidate tables scored measure by measure\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");
     println!("wrote {out_path}");

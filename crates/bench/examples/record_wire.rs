@@ -19,14 +19,14 @@
 //!   crash isolation: route + encode + pipe + worker apply + patch
 //!   decode and write, versus an in-memory apply.
 //!
-//! `--smoke` shrinks the fixture to 4 096 rows and one sample per
+//! `--smoke` shrinks the fixture to 4 096 rows and three samples per
 //! workload so CI exercises the full path (worker processes included)
 //! in well under a second.
 //!
 //! Requires `target/<profile>/afd` to exist (`cargo build --release`
 //! first); the example exits with a clear error otherwise.
 
-use afd_bench::{fixture_relation, median};
+use afd_bench::{fixture_relation, median, Host};
 use afd_relation::{AttrId, AttrSet, Fd, Relation};
 use afd_stream::{
     ChurnPlanner, ProcessShard, RowDelta, SessionSnapshot, ShardedSession, WorkerCommand,
@@ -48,7 +48,8 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "BENCH_wire.json".to_string());
-    let (n, samples) = if smoke { (4096, 1) } else { (65_536, 9) };
+    let samples = if smoke { 3 } else { 9 };
+    let n = if smoke { 4096 } else { 65_536 };
 
     let fixture = fixture_relation(n, 7);
     let fd = Fd::linear(AttrId(0), AttrId(1));
@@ -61,7 +62,7 @@ fn main() {
     let mut frame_times = Vec::with_capacity(samples);
     let mut bytes_len = 0;
     let mut frame_len = 0;
-    for _ in 0..samples.max(3) {
+    for _ in 0..samples {
         let start = Instant::now();
         let bytes = black_box(fixture.encode_to_vec());
         encode_times.push(start.elapsed());
@@ -110,7 +111,7 @@ fn main() {
     let mut planner_b = ChurnPlanner::new(&fixture);
     let mut inproc_times = Vec::with_capacity(samples);
     let mut proc_times = Vec::with_capacity(samples);
-    for _ in 0..samples.max(3) {
+    for _ in 0..samples {
         let delta: RowDelta = planner_a.next_delta(k);
         let same = planner_b.next_delta(k);
         let start = Instant::now();
@@ -135,7 +136,8 @@ fn main() {
     let _ = writeln!(
         json,
         "    {{\"workload\": \"relation_codec\", \"rows\": {n}, \"bytes\": {bytes_len}, \
-         \"encode_ns\": {}, \"decode_ns\": {}, \"encode_mib_s\": {:.1}, \"decode_mib_s\": {:.1}}},",
+         \"samples\": {samples}, \"encode_ns\": {}, \"decode_ns\": {}, \"encode_mib_s\": {:.1}, \
+         \"decode_mib_s\": {:.1}}},",
         enc.as_nanos(),
         dec.as_nanos(),
         mib_per_s(bytes_len, enc),
@@ -144,18 +146,20 @@ fn main() {
     let _ = writeln!(
         json,
         "    {{\"workload\": \"framed_snapshot_roundtrip\", \"rows\": {n}, \"bytes\": {frame_len}, \
-         \"roundtrip_ns\": {}, \"roundtrip_mib_s\": {:.1}}},",
+         \"samples\": {samples}, \"roundtrip_ns\": {}, \"roundtrip_mib_s\": {:.1}}},",
         frame.as_nanos(),
         mib_per_s(frame_len, frame),
     );
     let _ = writeln!(
         json,
         "    {{\"workload\": \"process_backend_apply\", \"rows\": {n}, \"shards\": 2, \
-         \"delta_rows\": {k}, \"in_process_ns\": {}, \"process_ns\": {}, \"overhead\": {overhead:.2}}}",
+         \"delta_rows\": {k}, \"samples\": {samples}, \"in_process_ns\": {}, \"process_ns\": {}, \
+         \"overhead\": {overhead:.2}}}",
         t_in.as_nanos(),
         t_proc.as_nanos(),
     );
     json.push_str("  ],\n");
+    json.push_str(&Host::detect().json_fields());
     let _ = write!(
         json,
         "  \"smoke\": {smoke},\n  \"note\": \"median over samples; relation_codec = columnar \

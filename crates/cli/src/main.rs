@@ -54,9 +54,12 @@
 //!                      failing request before poisoning (default 3, at least 1)
 //!   --out <dir>        CSV output directory (default results/)
 //!
-//! Every experiment asks its questions through the `afd-engine` front
-//! door (`AfdEngine` requests); no experiment touches `StreamSession`,
-//! `score_matrix` or the discovery entry points directly.
+//! `profile`, `nonlinear`, `stream`, `save`/`load`, `serve` and
+//! `connect` ask their questions through the `afd-engine` front door
+//! (`AfdEngine` requests). The paper's figures and tables (fig1–fig4,
+//! table2, table3, table5, table7–table9) and `mc-rfi` score through
+//! `afd-eval` (`build_tables` + `score_with_budget`,
+//! `sensitivity_sweep`), which times each measure on its own.
 //! ```
 
 mod ctx;

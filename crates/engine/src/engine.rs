@@ -10,8 +10,7 @@ use afd_relation::{
 };
 use afd_stream::{
     AnyShard, CompactionReport, InProcShard, ProcessShard, RecoveryConfig, RecoveryReport,
-    SessionSnapshot, ShardedSession, ShutdownReport, SnapshotStats, StreamScores, TcpShard,
-    WorkerCommand,
+    SessionSnapshot, ShardedSession, ShutdownReport, StreamScores, TcpShard, WorkerCommand,
 };
 
 use crate::error::AfdError;
@@ -454,34 +453,6 @@ impl AfdEngine {
             n_live,
             candidates,
         })
-    }
-
-    /// Size and shape of the snapshot [`AfdEngine::save`] would produce,
-    /// **without encoding it** (and without cloning the rows into a
-    /// throwaway snapshot). `framed_len` is exact — pinned equal to
-    /// `save(..).bytes.len()` by test — at `O(arity + dictionaries)`
-    /// cost, so eviction accounting can run per-measurement.
-    ///
-    /// # Errors
-    /// [`AfdError::Stream`] when a process-backed shard's snapshot
-    /// transport fails.
-    pub fn snapshot_stats(&mut self) -> Result<SnapshotStats, AfdError> {
-        let subscriptions: Vec<Fd> = match &self.session {
-            Some(s) => (0..s.n_candidates()).map(|c| s.fd(c).clone()).collect(),
-            None => Vec::new(),
-        };
-        let shard_key = match &self.session {
-            Some(s) => s.router().shard_key().clone(),
-            None => self.cfg.shard_key.clone().unwrap_or_else(AttrSet::empty),
-        };
-        let compact_every = self.cfg.compact_every;
-        let rows = self.snapshot()?;
-        Ok(SnapshotStats::of_parts(
-            rows,
-            &shard_key,
-            &subscriptions,
-            compact_every,
-        ))
     }
 
     /// Rebuilds an engine from a wire snapshot produced by
@@ -1064,31 +1035,6 @@ mod tests {
             AfdEngine::restore(&RestoreRequest::new(corrupt)),
             Err(AfdError::Wire(_))
         ));
-    }
-
-    #[test]
-    fn snapshot_stats_agree_with_save_without_encoding() {
-        let mut engine = AfdEngine::from_relation(noisy())
-            .with_config(EngineConfig {
-                shards: 2,
-                shard_key: Some(AttrSet::single(AttrId(0))),
-                ..EngineConfig::default()
-            })
-            .unwrap();
-        engine
-            .subscribe(&SubscribeRequest::new(Fd::linear(AttrId(0), AttrId(1))))
-            .unwrap();
-        engine
-            .delta(&DeltaRequest::new(RowDelta {
-                inserts: vec![vec![Value::Int(9), Value::Int(9)]],
-                deletes: vec![0],
-            }))
-            .unwrap();
-        let stats = engine.snapshot_stats().unwrap();
-        let saved = engine.save(&SnapshotRequest::default()).unwrap();
-        assert_eq!(stats.framed_len, saved.bytes.len());
-        assert_eq!(stats.n_rows, saved.n_live);
-        assert_eq!(stats.n_subscriptions, saved.candidates);
     }
 
     #[test]

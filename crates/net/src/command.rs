@@ -25,14 +25,6 @@ impl WorkerCommand {
         }
     }
 
-    /// Replaces the argument list (for wrappers that are not the `afd`
-    /// binary).
-    #[must_use]
-    pub fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Self {
-        self.args = args.into_iter().collect();
-        self
-    }
-
     /// Adds an environment variable for the worker process (replacing
     /// an earlier binding of the same key).
     #[must_use]

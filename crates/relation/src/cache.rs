@@ -6,7 +6,8 @@
 //! [`EncodingCache`] amortises that: each distinct [`AttrSet`] is encoded
 //! once and the resulting [`GroupEncoding`] is shared by every candidate
 //! that mentions it — both by the engine front door's batch matrix path
-//! (`afd-engine`) and by the stream engine's compaction checks.
+//! (`afd-engine`) and by `afd-eval`'s `build_tables`. (The stream
+//! engine's compaction checks call `Fd::contingency` per candidate.)
 //!
 //! A cache is tied to the relation whose encodings it holds; it never
 //! stores the relation itself, so reusing one cache across different (or

@@ -352,8 +352,9 @@ impl Journal {
 /// Convenience used by tests.
 #[cfg(test)]
 pub(crate) fn checkpoint_bytes(cp: &ManifestCheckpoint) -> usize {
-    use afd_wire::Encode;
-    cp.encoded_len() + afd_wire::FRAME_OVERHEAD
+    encode_framed(KIND_MANIFEST_CHECKPOINT, cp)
+        .expect("a checkpoint fits one frame")
+        .len()
 }
 
 #[cfg(test)]

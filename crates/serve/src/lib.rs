@@ -21,9 +21,9 @@
 //!   session, subject to per-session and global caps; at a cap the
 //!   answer is a typed [`ServeError::Backpressure`] *before any state
 //!   changes*, never unbounded buffering.
-//! * [`AfdServe::tick`] — drain a bounded [`TickBudget`] (deltas
-//!   and/or microseconds) across ready sessions **round-robin**, at
-//!   most [`TickBudget::session_burst`] per session per visit, so a hot
+//! * [`AfdServe::tick`] — drain a bounded [`TickBudget`] of deltas
+//!   across ready sessions **round-robin**, at most
+//!   [`TickBudget::session_burst`] per session per visit, so a hot
 //!   tenant advances the ring instead of blocking it.
 //! * Cold-session eviction — beyond [`ServeConfig::resident_cap`], the
 //!   least-recently-touched sessions spill to disk via the existing
@@ -258,7 +258,6 @@ mod tests {
         cfg.budget = TickBudget {
             max_deltas: 4,
             session_burst: 2,
-            max_micros: None,
         };
         let mut serve = AfdServe::new(cfg).unwrap();
         let a = serve.register(small_engine(0)).unwrap();

@@ -5,7 +5,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use afd_engine::{
     AfdEngine, AfdError, DeltaRequest, RestoreRequest, SnapshotRequest, StreamBackend,
@@ -20,9 +19,9 @@ use crate::journal::{replay, DurabilityConfig, Journal, ReplayState, JOURNAL_FIL
 use crate::persist::{is_disk_full, CrashPlan, Persister};
 use crate::registry::{SessionHandle, Slab};
 
-/// Per-tick work bounds. A tick stops at whichever limit it hits first,
-/// so one call to [`AfdServe::tick`] can never run away regardless of
-/// how much is queued.
+/// Per-tick work bounds. A tick stops after `max_deltas` deltas, so one
+/// call to [`AfdServe::tick`] can never run away regardless of how much
+/// is queued.
 #[derive(Debug, Clone, Copy)]
 pub struct TickBudget {
     /// Most deltas applied per tick, across all sessions.
@@ -32,9 +31,6 @@ pub struct TickBudget {
     /// of the ready ring, so a hot tenant advances the ring, not blocks
     /// it.
     pub session_burst: usize,
-    /// Optional wall-clock budget in microseconds, checked between
-    /// session visits (restore cost counts against it).
-    pub max_micros: Option<u64>,
 }
 
 impl Default for TickBudget {
@@ -42,7 +38,6 @@ impl Default for TickBudget {
         TickBudget {
             max_deltas: 256,
             session_burst: 32,
-            max_micros: None,
         }
     }
 }
@@ -702,7 +697,7 @@ impl AfdServe {
     /// Runs one scheduler tick: visits ready sessions round-robin,
     /// restores any that are cold, applies up to
     /// [`TickBudget::session_burst`] of each one's pending deltas, and
-    /// stops at [`TickBudget::max_deltas`] / [`TickBudget::max_micros`].
+    /// stops at [`TickBudget::max_deltas`].
     /// Residency is re-bounded to the cap before the tick returns.
     ///
     /// Per-tenant failures never abort the tick: a delta that fails
@@ -718,19 +713,12 @@ impl AfdServe {
     /// [`ServeError::Io`] / [`ServeError::Engine`] on server-level
     /// spill failure.
     pub fn tick(&mut self) -> Result<TickReport, ServeError> {
-        let started = Instant::now();
         let budget = self.cfg.budget;
         let mut report = TickReport::default();
         let (restores0, evictions0) = (self.stats.restores, self.stats.evictions);
         let mut retry_next_tick: Vec<u32> = Vec::new();
         self.stats.ticks += 1;
         while report.deltas_applied < budget.max_deltas {
-            if let Some(max_micros) = budget.max_micros {
-                if started.elapsed().as_micros() >= u128::from(max_micros) {
-                    report.budget_exhausted = true;
-                    break;
-                }
-            }
             let Some(slot) = self.ready.pop_front() else {
                 break;
             };

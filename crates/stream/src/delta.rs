@@ -1,6 +1,8 @@
 //! Row deltas, a deterministic churn generator, and the stream engine's
 //! error type.
 
+use std::collections::HashSet;
+
 use afd_relation::{Relation, RelationError, Value};
 
 /// Global id of an inserted row: its position in the insertion log.
@@ -54,6 +56,35 @@ impl RowDelta {
     /// `true` iff the delta changes nothing.
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
+    }
+
+    /// Checks the delta against a log with one `live` flag per row id
+    /// and `arity` columns, changing nothing: each delete must name a
+    /// live row at most once, and each insert must have `arity` values.
+    ///
+    /// # Errors
+    /// The first of [`StreamError::UnknownRow`] /
+    /// [`StreamError::AlreadyDeleted`] (deletes, in order), then
+    /// [`StreamError::Arity`] (inserts, in order).
+    pub(crate) fn validate(&self, live: &[bool], arity: usize) -> Result<(), StreamError> {
+        let mut seen: HashSet<RowId> = HashSet::with_capacity(self.deletes.len());
+        for &id in &self.deletes {
+            if (id as usize) >= live.len() {
+                return Err(StreamError::UnknownRow(id));
+            }
+            if !live[id as usize] || !seen.insert(id) {
+                return Err(StreamError::AlreadyDeleted(id));
+            }
+        }
+        for row in &self.inserts {
+            if row.len() != arity {
+                return Err(StreamError::Arity {
+                    expected: arity,
+                    got: row.len(),
+                });
+            }
+        }
+        Ok(())
     }
 }
 

@@ -151,5 +151,5 @@ pub use session::{
 };
 pub use shard::{DeltaRouter, ShardedSession};
 pub use table::{IncTable, StreamScores, TablePatch};
-pub use wire::{SessionSnapshot, SnapshotStats};
+pub use wire::SessionSnapshot;
 pub use worker::{run_worker, run_worker_listener, run_worker_with_fault};

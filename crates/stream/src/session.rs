@@ -16,7 +16,7 @@
 //! incremental state — divergence surfaces as
 //! [`StreamError::Diverged`] instead of silently serving wrong scores.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use afd_relation::{
     AttrId, ContingencyTable, Fd, GroupEncoding, Pli, Relation, Schema, Value, NULL_CODE,
@@ -425,23 +425,7 @@ impl StreamSession {
     /// [`StreamError::AlreadyDeleted`] on invalid deltas.
     pub fn apply(&mut self, delta: &RowDelta) -> Result<Vec<ScoreDiff>, StreamError> {
         // Validate everything before touching state.
-        let mut seen: HashSet<RowId> = HashSet::with_capacity(delta.deletes.len());
-        for &id in &delta.deletes {
-            if (id as usize) >= self.inc.n_slots() {
-                return Err(StreamError::UnknownRow(id));
-            }
-            if !self.inc.live[id as usize] || !seen.insert(id) {
-                return Err(StreamError::AlreadyDeleted(id));
-            }
-        }
-        for row in &delta.inserts {
-            if row.len() != self.inc.rel.arity() {
-                return Err(StreamError::Arity {
-                    expected: self.inc.rel.arity(),
-                    got: row.len(),
-                });
-            }
-        }
+        delta.validate(&self.inc.live, self.inc.rel.arity())?;
         for t in &mut self.tracked {
             t.begin_apply();
         }
@@ -653,6 +637,12 @@ mod tests {
     #[test]
     fn invalid_deltas_leave_session_untouched() {
         let (mut s, cid) = session_with(&[(1, 10), (2, 20)]);
+        // Tombstone row 1 (its values come back as row 2).
+        s.apply(&RowDelta {
+            inserts: vec![row(2, 20)],
+            deletes: vec![1],
+        })
+        .unwrap();
         let before = s.scores(cid);
         // Unknown row.
         assert_eq!(
@@ -663,6 +653,11 @@ mod tests {
         assert_eq!(
             s.apply(&RowDelta::delete_only([0, 0])),
             Err(StreamError::AlreadyDeleted(0))
+        );
+        // A row an earlier delta tombstoned, after a valid delete.
+        assert_eq!(
+            s.apply(&RowDelta::delete_only([0, 1])),
+            Err(StreamError::AlreadyDeleted(1))
         );
         // Arity mismatch in a mixed delta: nothing (not even the valid
         // delete) may be applied.

@@ -184,24 +184,7 @@ impl DeltaRouter {
     /// [`StreamError::AlreadyDeleted`], exactly as the unsharded session
     /// would report them.
     pub fn route(&mut self, delta: &RowDelta) -> Result<Vec<RowDelta>, StreamError> {
-        let mut seen: std::collections::HashSet<RowId> =
-            std::collections::HashSet::with_capacity(delta.deletes.len());
-        for &id in &delta.deletes {
-            if (id as usize) >= self.placement.len() {
-                return Err(StreamError::UnknownRow(id));
-            }
-            if !self.live[id as usize] || !seen.insert(id) {
-                return Err(StreamError::AlreadyDeleted(id));
-            }
-        }
-        for row in &delta.inserts {
-            if row.len() != self.arity {
-                return Err(StreamError::Arity {
-                    expected: self.arity,
-                    got: row.len(),
-                });
-            }
-        }
+        delta.validate(&self.live, self.arity)?;
         let mut locals = vec![RowDelta::new(); self.n_shards];
         for &id in &delta.deletes {
             let (shard, local) = self.placement[id as usize];
@@ -1211,6 +1194,12 @@ mod tests {
         let mut s = sharded(2);
         let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
         s.apply(&RowDelta::insert_only(fixture_rows())).unwrap();
+        // Tombstone row 7 (its values come back as row 40).
+        s.apply(&RowDelta {
+            inserts: vec![fixture_rows()[7].clone()],
+            deletes: vec![7],
+        })
+        .unwrap();
         let before = s.scores(cid);
         assert_eq!(
             s.apply(&RowDelta::delete_only([999])),
@@ -1219,6 +1208,11 @@ mod tests {
         assert_eq!(
             s.apply(&RowDelta::delete_only([3, 3])),
             Err(StreamError::AlreadyDeleted(3))
+        );
+        // A row an earlier delta tombstoned, after a valid delete.
+        assert_eq!(
+            s.apply(&RowDelta::delete_only([3, 7])),
+            Err(StreamError::AlreadyDeleted(7))
         );
         let bad = RowDelta {
             inserts: vec![vec![Value::Int(1)]],

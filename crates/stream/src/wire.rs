@@ -22,7 +22,7 @@
 //! merged margins, bit-identical to in-process shards.
 
 use afd_relation::{AttrSet, Fd, Relation, Schema, Value};
-use afd_wire::{decode_framed, encode_framed, Decode, DecodeError, Encode, Reader, FRAME_OVERHEAD};
+use afd_wire::{decode_framed, encode_framed, Decode, DecodeError, Encode, Reader};
 
 use crate::delta::{RowDelta, RowId, StreamError, TransportError, TransportErrorKind};
 use crate::session::{CompactionReport, ScoreDiff};
@@ -83,10 +83,6 @@ impl Encode for RowDelta {
     fn encode(&self, out: &mut Vec<u8>) {
         self.inserts.encode(out);
         self.deletes.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.inserts.encoded_len() + self.deletes.encoded_len()
     }
 }
 
@@ -624,15 +620,6 @@ impl Encode for SessionSnapshot {
         self.subscriptions.encode(out);
         self.compact_every.encode(out);
     }
-
-    fn encoded_len(&self) -> usize {
-        SnapshotStats::payload_len(
-            &self.rows,
-            &self.shard_key,
-            &self.subscriptions,
-            self.compact_every,
-        )
-    }
 }
 
 impl Decode for SessionSnapshot {
@@ -647,73 +634,7 @@ impl Decode for SessionSnapshot {
     }
 }
 
-/// Size and shape of a [`SessionSnapshot`] **without encoding it**.
-///
-/// Eviction accounting and the serve bench need "how big would this
-/// session be on disk" per measurement; paying a full columnar encode
-/// (`O(rows)` byte writes) each time would dwarf the thing being
-/// measured. The arithmetic here mirrors the codec exactly —
-/// [`SnapshotStats::framed_len`] is pinned equal to
-/// `SessionSnapshot::to_bytes().len()` by test — at
-/// `O(arity + dictionary values)` cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Exact byte length of the framed blob [`SessionSnapshot::to_bytes`]
-    /// would produce (header + payload + checksum).
-    pub framed_len: usize,
-    /// Live rows the snapshot carries.
-    pub n_rows: usize,
-    /// Subscribed candidates the snapshot carries.
-    pub n_subscriptions: usize,
-}
-
-impl SnapshotStats {
-    /// Exact payload length of a snapshot assembled from these parts.
-    fn payload_len(
-        rows: &Relation,
-        shard_key: &AttrSet,
-        subscriptions: &[Fd],
-        compact_every: Option<u64>,
-    ) -> usize {
-        rows.encoded_len()
-            + shard_key.encoded_len()
-            + 4 // n_shards: u32
-            + subscriptions.encoded_len()
-            + compact_every.encoded_len()
-    }
-
-    /// Stats for a snapshot that *would be* assembled from these parts —
-    /// lets the engine size its own state without cloning rows into a
-    /// throwaway [`SessionSnapshot`] first.
-    #[must_use]
-    pub fn of_parts(
-        rows: &Relation,
-        shard_key: &AttrSet,
-        subscriptions: &[Fd],
-        compact_every: Option<u64>,
-    ) -> Self {
-        SnapshotStats {
-            framed_len: FRAME_OVERHEAD
-                + Self::payload_len(rows, shard_key, subscriptions, compact_every),
-            n_rows: rows.n_rows(),
-            n_subscriptions: subscriptions.len(),
-        }
-    }
-}
-
 impl SessionSnapshot {
-    /// Size and shape of this snapshot without re-encoding it — see
-    /// [`SnapshotStats`].
-    #[must_use]
-    pub fn stats(&self) -> SnapshotStats {
-        SnapshotStats::of_parts(
-            &self.rows,
-            &self.shard_key,
-            &self.subscriptions,
-            self.compact_every,
-        )
-    }
-
     /// The snapshot as one framed, checksummed byte blob (the `afd save`
     /// file format).
     ///
@@ -931,38 +852,64 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_stats_match_the_encode_exactly() {
+    fn session_snapshot_bytes_are_pinned() {
+        // The `afd save` and spill file format, byte for byte: a layout
+        // change must update this literal together with `WIRE_VERSION`.
+        let rows = Relation::from_rows(
+            Schema::new(["id", "price", "city"]).unwrap(),
+            [
+                vec![Value::Int(1), Value::float(2.5), Value::str("Oslo")],
+                vec![Value::Int(-2), Value::Null, Value::str("Bergen")],
+                vec![Value::Int(1), Value::float(2.5), Value::Null],
+            ],
+        )
+        .unwrap();
         let snap = SessionSnapshot {
-            rows: Relation::from_pairs([(1, 10), (2, 20), (1, 10), (3, 30)]),
-            shard_key: AttrSet::single(AttrId(1)),
+            rows,
+            shard_key: AttrSet::single(AttrId(2)),
             n_shards: 2,
             subscriptions: vec![
-                Fd::linear(AttrId(0), AttrId(1)),
-                Fd::linear(AttrId(1), AttrId(0)),
+                Fd::linear(AttrId(0), AttrId(2)),
+                Fd::new(
+                    AttrSet::new([AttrId(0), AttrId(1)]),
+                    AttrSet::single(AttrId(2)),
+                )
+                .unwrap(),
             ],
-            compact_every: None,
+            compact_every: Some(64),
         };
-        let stats = snap.stats();
-        assert_eq!(stats.framed_len, snap.to_bytes().unwrap().len());
-        assert_eq!(stats.n_rows, 4);
-        assert_eq!(stats.n_subscriptions, 2);
-        assert_eq!(snap.encoded_len(), snap.encode_to_vec().len());
-        // The parts-based form agrees with the assembled snapshot's.
-        let by_parts = SnapshotStats::of_parts(
-            &snap.rows,
-            &snap.shard_key,
-            &snap.subscriptions,
-            snap.compact_every,
-        );
-        assert_eq!(by_parts, stats);
-
-        let delta = RowDelta {
-            inserts: vec![
-                vec![Value::Int(1), Value::str("a")],
-                vec![Value::Null, Value::float(0.5)],
-            ],
-            deletes: vec![3, 7],
-        };
-        assert_eq!(delta.encoded_len(), delta.encode_to_vec().len());
+        #[rustfmt::skip]
+        const PINNED: [u8; 210] = [
+            // frame header: magic "AFDW", version 1, kind 3 (snapshot), payload length 191
+            0x41, 0x46, 0x44, 0x57, 0x01, 0x00, 0x03, 0xbf, 0x00, 0x00, 0x00,
+            // schema: 3 names, "id", "price", "city"
+            0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x69, 0x64, 0x05, 0x00, 0x00, 0x00,
+            0x70, 0x72, 0x69, 0x63, 0x65, 0x04, 0x00, 0x00, 0x00, 0x63, 0x69, 0x74, 0x79,
+            // row count 3
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            // `id`: dictionary [1, -2], codes [0, 1, 0]
+            0x02, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+            0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            // `price`: dictionary [2.5], codes [0, NULL, 0]
+            0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, 0x00,
+            0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00,
+            // `city`: dictionary ["Oslo", "Bergen"], codes [0, 1, NULL]
+            0x02, 0x00, 0x00, 0x00, 0x03, 0x04, 0x00, 0x00, 0x00, 0x4f, 0x73, 0x6c, 0x6f, 0x03,
+            0x06, 0x00, 0x00, 0x00, 0x42, 0x65, 0x72, 0x67, 0x65, 0x6e, 0x00, 0x00, 0x00, 0x00,
+            0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+            // shard key {2}, 2 shards
+            0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+            // 2 subscriptions: {0} -> {2}, {0, 1} -> {2}
+            0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+            0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+            // compact_every Some(64)
+            0x01, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            // FNV-1a checksum
+            0x67, 0x0b, 0x5a, 0xcc, 0xed, 0x74, 0xde, 0xbd,
+        ];
+        assert_eq!(snap.to_bytes().unwrap(), PINNED);
+        assert_eq!(SessionSnapshot::from_bytes(&PINNED).unwrap(), snap);
     }
 }

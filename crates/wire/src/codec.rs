@@ -110,20 +110,6 @@ pub trait Encode {
         self.encode(&mut out);
         out
     }
-
-    /// Exactly how many bytes [`Encode::encode`] would append.
-    ///
-    /// The default measures by encoding into a scratch buffer; types on
-    /// hot accounting paths (the snapshot vocabulary: relations, values,
-    /// FDs, deltas) override it with pure arithmetic so callers can size
-    /// or budget a message **without paying the encode** — columnar
-    /// relations in particular answer in `O(arity + dictionaries)`, not
-    /// `O(rows)` byte writes.
-    fn encoded_len(&self) -> usize {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out.len()
-    }
 }
 
 /// A type that can reconstruct itself from a byte stream.
@@ -153,9 +139,6 @@ macro_rules! int_codec {
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
-            fn encoded_len(&self) -> usize {
-                std::mem::size_of::<$t>()
-            }
         }
         impl Decode for $t {
             fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -171,9 +154,6 @@ impl Encode for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
         self.to_bits().encode(out);
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 impl Decode for f64 {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -184,9 +164,6 @@ impl Decode for f64 {
 impl Encode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
-    }
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 impl Decode for bool {
@@ -204,9 +181,6 @@ impl Encode for usize {
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 impl Decode for usize {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -222,17 +196,11 @@ impl Encode for String {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_str().encode(out);
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
 }
 impl Encode for &str {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
         out.extend_from_slice(self.as_bytes());
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
     }
 }
 impl Decode for String {
@@ -249,9 +217,6 @@ impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_slice().encode(out);
     }
-    fn encoded_len(&self) -> usize {
-        self.as_slice().encoded_len()
-    }
 }
 impl<T: Encode> Encode for &[T] {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -259,9 +224,6 @@ impl<T: Encode> Encode for &[T] {
         for item in *self {
             item.encode(out);
         }
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Encode::encoded_len).sum::<usize>()
     }
 }
 impl<T: Decode> Decode for Vec<T> {
@@ -287,9 +249,6 @@ impl<T: Encode> Encode for Option<T> {
             }
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Encode::encoded_len)
-    }
 }
 impl<T: Decode> Decode for Option<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -308,9 +267,6 @@ impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
         self.1.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
     }
 }
 impl<A: Decode, B: Decode> Decode for (A, B) {
@@ -344,13 +300,6 @@ impl Encode for Value {
             }
         }
     }
-    fn encoded_len(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Int(_) | Value::Float(_) => 1 + 8,
-            Value::Str(s) => 1 + s.as_ref().encoded_len(),
-        }
-    }
 }
 impl Decode for Value {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -373,9 +322,6 @@ impl Encode for AttrId {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
     }
-    fn encoded_len(&self) -> usize {
-        4
-    }
 }
 impl Decode for AttrId {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -386,9 +332,6 @@ impl Decode for AttrId {
 impl Encode for AttrSet {
     fn encode(&self, out: &mut Vec<u8>) {
         self.ids().encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        4 + 4 * self.ids().len()
     }
 }
 impl Decode for AttrSet {
@@ -403,9 +346,6 @@ impl Encode for Fd {
     fn encode(&self, out: &mut Vec<u8>) {
         self.lhs().encode(out);
         self.rhs().encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.lhs().encoded_len() + self.rhs().encoded_len()
     }
 }
 impl Decode for Fd {
@@ -425,9 +365,6 @@ impl Encode for Schema {
         for name in self.names() {
             name.encode(out);
         }
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.names().iter().map(|n| 4 + n.len()).sum::<usize>()
     }
 }
 impl Decode for Schema {
@@ -465,20 +402,6 @@ impl Encode for Relation {
                 code.encode(out);
             }
         }
-    }
-    fn encoded_len(&self) -> usize {
-        // O(arity + dictionary values) — the per-row codes contribute a
-        // closed-form 4 bytes each, no walk over them.
-        let mut len = self.schema().encoded_len() + 8;
-        for a in self.schema().attrs() {
-            let col = self.column(a);
-            len += 4;
-            for (_, v) in col.dict().iter() {
-                len += v.encoded_len();
-            }
-            len += 4 * self.n_rows();
-        }
-        len
     }
 }
 impl Decode for Relation {
@@ -576,51 +499,6 @@ mod tests {
         roundtrip(&AttrSet::new([AttrId(3), AttrId(1)]));
         roundtrip(&Fd::linear(AttrId(0), AttrId(2)));
         roundtrip(&Schema::new(["a", "b", "c"]).unwrap());
-    }
-
-    #[test]
-    fn encoded_len_matches_encode_exactly() {
-        // The arithmetic overrides must agree byte-for-byte with what
-        // `encode` writes — sizing a snapshot without paying the encode
-        // is only safe if this invariant holds.
-        fn check<T: Encode>(v: &T) {
-            assert_eq!(v.encoded_len(), v.encode_to_vec().len());
-        }
-        check(&0xdeadu16);
-        check(&7u8);
-        check(&u64::MAX);
-        check(&(-3i64));
-        check(&1.5f64);
-        check(&false);
-        check(&usize::MAX);
-        check(&String::from("héllo"));
-        check(&vec![1u32, 2, 3]);
-        check(&Some(vec![Value::Null, Value::str("x")]));
-        check(&None::<u64>);
-        check(&(AttrId(1), String::from("pair")));
-        check(&Value::Int(-1));
-        check(&Value::float(0.25));
-        check(&Value::str("snow ❄"));
-        check(&AttrSet::new([AttrId(3), AttrId(1)]));
-        check(
-            &Fd::new(
-                AttrSet::new([AttrId(0), AttrId(2)]),
-                AttrSet::single(AttrId(1)),
-            )
-            .unwrap(),
-        );
-        check(&Schema::new(["a", "bb", "ccc"]).unwrap());
-        let schema = Schema::new(["X", "Y"]).unwrap();
-        let rel = Relation::from_rows(
-            schema,
-            [
-                vec![Value::Int(1), Value::str("a")],
-                vec![Value::Int(1), Value::Null],
-                vec![Value::Null, Value::str("b")],
-            ],
-        )
-        .unwrap();
-        check(&rel);
     }
 
     #[test]

@@ -34,12 +34,6 @@ pub const WIRE_VERSION: u16 = 1;
 /// Bytes before the payload: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;
 
-/// Total framing bytes around a payload: the header plus the trailing
-/// FNV-1a checksum. `framed size == FRAME_OVERHEAD + payload.encoded_len()`
-/// — what snapshot sizing uses to account for a frame without encoding
-/// it.
-pub const FRAME_OVERHEAD: usize = HEADER_LEN + 8;
-
 /// Hard cap on a single frame's payload (256 MiB). A corrupt or hostile
 /// length beyond it is rejected before any allocation.
 pub const MAX_PAYLOAD: usize = 256 << 20;

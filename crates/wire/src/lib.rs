@@ -48,8 +48,8 @@ pub use codec::{Decode, Encode, Reader};
 pub use error::DecodeError;
 pub use frame::{
     decode_framed, encode_framed, fnv1a, read_frame, read_frame_from, write_frame, write_frame_to,
-    FrameReadError, StreamFrame, FRAME_OVERHEAD, HEADER_LEN, KIND_SERVE_REQUEST,
-    KIND_SERVE_RESPONSE, MAGIC, MAX_PAYLOAD, WIRE_VERSION,
+    FrameReadError, StreamFrame, HEADER_LEN, KIND_SERVE_REQUEST, KIND_SERVE_RESPONSE, MAGIC,
+    MAX_PAYLOAD, WIRE_VERSION,
 };
 pub use manifest::{
     CheckpointEntry, ManifestCheckpoint, ManifestOp, ManifestRecord, SlotStatus,

@@ -66,9 +66,6 @@ impl Encode for ManifestOp {
             ManifestOp::Release => OP_RELEASE,
         });
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 impl Decode for ManifestOp {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -112,9 +109,6 @@ impl Encode for ManifestRecord {
         self.generation.encode(out);
         self.spill_len.encode(out);
     }
-    fn encoded_len(&self) -> usize {
-        8 + 1 + 4 + 4 + 8
-    }
 }
 impl Decode for ManifestRecord {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -154,9 +148,6 @@ impl Encode for SlotStatus {
             SlotStatus::Spilled => STATUS_SPILLED,
         });
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 impl Decode for SlotStatus {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -194,9 +185,6 @@ impl Encode for CheckpointEntry {
         self.status.encode(out);
         self.spill_len.encode(out);
     }
-    fn encoded_len(&self) -> usize {
-        4 + 4 + 1 + 8
-    }
 }
 impl Decode for CheckpointEntry {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -224,9 +212,6 @@ impl Encode for ManifestCheckpoint {
     fn encode(&self, out: &mut Vec<u8>) {
         self.next_seq.encode(out);
         self.entries.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        8 + self.entries.encoded_len()
     }
 }
 impl Decode for ManifestCheckpoint {
@@ -297,22 +282,6 @@ mod tests {
             decode_framed::<ManifestCheckpoint>(KIND_MANIFEST_CHECKPOINT, &frame).unwrap(),
             cp
         );
-    }
-
-    #[test]
-    fn encoded_len_is_exact() {
-        let rec = record(1, ManifestOp::Evict);
-        assert_eq!(rec.encoded_len(), rec.encode_to_vec().len());
-        let cp = ManifestCheckpoint {
-            next_seq: 2,
-            entries: vec![CheckpointEntry {
-                slot: 0,
-                generation: 0,
-                status: SlotStatus::Free,
-                spill_len: 0,
-            }],
-        };
-        assert_eq!(cp.encoded_len(), cp.encode_to_vec().len());
     }
 
     #[test]
