@@ -48,8 +48,7 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "BENCH_wire.json".to_string());
-    let samples = if smoke { 3 } else { 9 };
-    let n = if smoke { 4096 } else { 65_536 };
+    let (n, samples) = if smoke { (4096, 3) } else { (65_536, 9) };
 
     let fixture = fixture_relation(n, 7);
     let fd = Fd::linear(AttrId(0), AttrId(1));
